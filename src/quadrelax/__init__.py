@@ -50,8 +50,6 @@ from .evolution import (
     all_eigensystems,
     build_longitudinal_model,
     build_transverse_model,
-    longitudinal_signal,
-    transverse_signal,
 )
 from .analysis import (
     FitResult,
@@ -67,6 +65,7 @@ from .analysis import (
     fit_bloch_transverse,
     ilt,
     residual_spectrum,
+    joint_models,
     joint_model_curves,
 )
 

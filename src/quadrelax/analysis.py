@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import curve_fit, nnls
 
 from .curves import DecayCurve
-from .evolution import build_longitudinal_model, build_transverse_model
+from .evolution import MagnetizationModel, build_longitudinal_model, build_transverse_model
 from .phys_params import QuadrupolarConstant, densities_from_fit, FitScaleParams
 from .redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
 
@@ -149,10 +149,9 @@ def _param_vector(params) -> np.ndarray:
     return vec
 
 
-def joint_model_curves(params, times_long, times_trans,
-                       equilibrium_deviation: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Model longitudinal and transverse signals at the given parameter set.
+def joint_models(params, equilibrium_deviation: np.ndarray | None = None
+                 ) -> tuple[MagnetizationModel, MagnetizationModel]:
+    """Longitudinal and transverse magnetization models at a 7-parameter set.
 
     Rates come out in Hz directly because the blocks are evaluated at the
     rate scales B_k = C J_k (the C = 1 eigensystem convention).
@@ -161,10 +160,16 @@ def joint_model_curves(params, times_long, times_trans,
     weights = (b0, b1, b2)
     es0 = numeric_eigensystem(CoherenceBlock(0, evaluate_block(0, weights)))
     es1 = numeric_eigensystem(CoherenceBlock(1, evaluate_block(1, weights)))
-    long_model = build_longitudinal_model(es0, a1z, a2z, equilibrium_deviation)
-    trans_model = build_transverse_model(es1, a1x, a2x)
-    return long_model.evaluate(np.asarray(times_long, dtype=float)), \
-        trans_model.evaluate(np.asarray(times_trans, dtype=float))
+    return (build_longitudinal_model(es0, a1z, a2z, equilibrium_deviation),
+            build_transverse_model(es1, a1x, a2x))
+
+
+def joint_model_curves(params, times_long, times_trans,
+                       equilibrium_deviation: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Model longitudinal and transverse signals at the given parameter set."""
+    long_model, trans_model = joint_models(params, equilibrium_deviation)
+    return long_model.evaluate(times_long), trans_model.evaluate(times_trans)
 
 
 def _joint_objective(long_curve: DecayCurve, trans_curve: DecayCurve,

@@ -15,23 +15,23 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, evolution
-from .curves import DataFormatError, DecayCurve, read_curve
+from .curves import DataFormatError, DecayCurve, parse_finite, read_curve
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
-from .redfield_core import (CoherenceBlock, assemble_block, evaluate_block,
-                            numeric_eigensystem, validate_against_reference_tables)
-from .spin_algebra import SpinSystem, make_quadrupole_operators
+from .redfield_core import (assemble_block, numeric_eigensystem,
+                            validate_against_reference_tables)
 
 EXIT_OK, EXIT_COMPUTE, EXIT_USAGE, EXIT_DATA = 0, 1, 2, 3
 
-_CONFIG_KEYS = ("spin", "larmor_freq", "quad_freq", "correlation_time",
+_CONFIG_KEYS = ("larmor_freq", "quad_freq", "correlation_time",
                 "j0", "j1", "j2", "c_override", "equilibrium", "out")
+#: the inputs RunConfig.densities reads
+_DENSITY_KEYS = ("larmor_freq", "correlation_time", "j0", "j1", "j2")
 
 
 @dataclass
 class RunConfig:
-    spin: int = 7
     larmor_freq: float | None = None
     quad_freq: float | None = None
     correlation_time: float | None = None
@@ -62,18 +62,19 @@ class RunConfig:
             return quadrupolar_constant_simplified(self.quad_freq)
         raise ValueError("no quadrupolar constant: set quad_freq or c_override")
 
-    def equilibrium_state(self) -> evolution.DensityState:
-        name = self.equilibrium
-        if name == "pure_top":
-            return evolution.DensityState.pure_top(self.spin + 1)
-        if name == "uniform":
-            return evolution.DensityState.uniform(self.spin + 1)
-        if name.startswith("file:"):
-            return _diagonal_state_from_file(Path(name[5:]), self.spin + 1)
-        raise ValueError(f"unknown equilibrium {name!r} (pure_top, uniform, or file:PATH)")
+
+def _diagonal_state(name: str) -> evolution.DensityState:
+    """The state named pure_top, uniform or file:PATH (diagonal populations)."""
+    if name == "pure_top":
+        return evolution.DensityState.pure_top()
+    if name == "uniform":
+        return evolution.DensityState.uniform()
+    if name.startswith("file:"):
+        return _diagonal_state_from_file(Path(name[5:]))
+    raise ValueError(f"unknown state {name!r} (pure_top, uniform, or file:PATH)")
 
 
-def _diagonal_state_from_file(path: Path, dim: int) -> evolution.DensityState:
+def _diagonal_state_from_file(path: Path) -> evolution.DensityState:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -83,13 +84,9 @@ def _diagonal_state_from_file(path: Path, dim: int) -> evolution.DensityState:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        for tok in line.replace(",", " ").split():
-            try:
-                values.append(float(tok))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    if len(values) != dim:
-        raise DataFormatError(f"{path}: expected {dim} diagonal populations, got {len(values)}")
+        values += [parse_finite(tok, path, lineno) for tok in line.replace(",", " ").split()]
+    if len(values) != 8:
+        raise DataFormatError(f"{path}: expected 8 diagonal populations, got {len(values)}")
     diag = np.array(values)
     if abs(diag.sum() - 1.0) > 1e-9:
         raise DataFormatError(f"{path}: populations must sum to 1, got {diag.sum()!r}")
@@ -113,13 +110,8 @@ def load_config(path: Path) -> RunConfig:
             raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
         if key in ("equilibrium", "out"):
             setattr(cfg, key, value)
-        elif key == "spin":
-            cfg.spin = int(value)
         else:
-            try:
-                setattr(cfg, key, float(value))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            setattr(cfg, key, parse_finite(value, path, lineno))
     return cfg
 
 
@@ -128,8 +120,6 @@ def _apply_flag_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
-    if getattr(args, "out", None):
-        cfg.out = args.out
     return cfg
 
 
@@ -183,11 +173,10 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     j = cfg.densities()
     c = cfg.constant()
-    quads = make_quadrupole_operators(SpinSystem(cfg.spin))
-    orders = range(cfg.spin + 1) if args.q == "all" else [int(args.q)]
+    orders = range(8) if args.q == "all" else [int(args.q)]
     rows = []
     for q in orders:
-        es = numeric_eigensystem(assemble_block(q, quads, j), c)
+        es = numeric_eigensystem(assemble_block(q, j), c)
         for p, rate in enumerate(es.rates, start=1):
             rows.append((q, p, rate, 1.0 / rate if rate > 0 else np.inf))
     out = Path(cfg.out) / "rates.txt"
@@ -215,23 +204,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     j = cfg.densities()
     c = cfg.constant()
-    dim = cfg.spin + 1
-    if args.state == "noon":
-        rho0 = evolution.DensityState.noon(dim)
-    elif args.state == "pure_top":
-        rho0 = evolution.DensityState.pure_top(dim)
-    elif args.state == "uniform":
-        rho0 = evolution.DensityState.uniform(dim)
-    elif args.state.startswith("file:"):
-        rho0 = _diagonal_state_from_file(Path(args.state[5:]), dim)
-    else:
-        raise ValueError(f"unknown state {args.state!r}")
-    rho_eq = cfg.equilibrium_state()
+    rho0 = (evolution.DensityState.noon() if args.state == "noon"
+            else _diagonal_state(args.state))
+    rho_eq = _diagonal_state(cfg.equilibrium)
     times = np.linspace(0.0, args.t_max, args.points)
     elements = _parse_elements(args.elements)
     for row, col in elements:
-        if not (1 <= row <= dim and 1 <= col <= dim):
-            raise ValueError(f"element ({row},{col}) outside 1..{dim}")
+        if not (1 <= row <= 8 and 1 <= col <= 8):
+            raise ValueError(f"element ({row},{col}) outside 1..8")
     states = evolution.propagate(rho0, rho_eq, j, c, times)
     columns = ["t_seconds"]
     for row, col in elements:
@@ -273,12 +253,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     result = analysis.fit_redfield_joint(long_curve, trans_curve, c, init,
                                          restarts=args.restarts, seed=args.seed)
     densities = densities_from_fit(result.scales(), c)
-
-    scales = result.scales().as_tuple()
-    es0 = numeric_eigensystem(CoherenceBlock(0, evaluate_block(0, scales)))
-    es1 = numeric_eigensystem(CoherenceBlock(1, evaluate_block(1, scales)))
-    long_model = evolution.build_longitudinal_model(es0, result.params["a1z"], result.params["a2z"])
-    trans_model = evolution.build_transverse_model(es1, result.params["a1x"], result.params["a2x"])
+    long_model, trans_model = analysis.joint_models(result.params)
 
     out_dir = Path(cfg.out)
     report = [
@@ -361,9 +336,9 @@ def _cmd_ilt(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    try:
+    if any(getattr(cfg, key) is not None for key in _DENSITY_KEYS):
         j = cfg.densities()
-    except ValueError:
+    else:
         rng = np.random.default_rng(args.seed)
         j0 = rng.uniform(1.0, 10.0)
         j1 = rng.uniform(0.2, j0)
@@ -405,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default '.')")
         p.add_argument("--seed", type=int, default=0, help="deterministic seed")
         p.add_argument("--raw", action="store_true", help="full-precision numbers in reports")
-        p.add_argument("--spin", type=int, dest="spin", help="two times the spin (default 7)")
         p.add_argument("--larmor-freq", type=float, dest="larmor_freq", help="Hz")
         p.add_argument("--quad-freq", type=float, dest="quad_freq", help="Hz")
         p.add_argument("--tau-c", type=float, dest="correlation_time", help="seconds")

@@ -6,6 +6,7 @@ Curve files are UTF-8 CSV with header ``t_seconds,amplitude[,sigma]``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,17 @@ class DecayCurve:
         return self.times.size
 
 
+def parse_finite(token: str, path: Path, lineno: int) -> float:
+    """float(token); anything but a finite number is a DataFormatError at path:lineno."""
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    if not math.isfinite(value):
+        raise DataFormatError(f"{path}:{lineno}: non-finite value {token!r}")
+    return value
+
+
 def read_curve(path: str | Path) -> DecayCurve:
     path = Path(path)
     times, amps, sigmas = [], [], []
@@ -66,10 +78,7 @@ def read_curve(path: str | Path) -> DecayCurve:
             continue
         if len(fields) != (3 if has_sigma else 2):
             raise DataFormatError(f"{path}:{lineno}: expected {3 if has_sigma else 2} fields, got {len(fields)}")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        values = [parse_finite(f, path, lineno) for f in fields]
         times.append(values[0])
         amps.append(values[1])
         if has_sigma:

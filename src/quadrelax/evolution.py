@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DecayCurve
 from .phys_params import QuadrupolarConstant, SpectralDensities
 from .redfield_core import BlockEigensystem, assemble_block, numeric_eigensystem
-from .spin_algebra import SpinSystem, make_quadrupole_operators, make_spin_operators
+from .spin_algebra import make_spin_operators
 
 _HERM_TOL = 1e-12
 
@@ -138,11 +137,10 @@ def evolve_block(eigensystem: BlockEigensystem, rho0: DensityState, rho_eq: Dens
     return eq_vec + eigensystem.w_bar @ (np.exp(-eigensystem.rates * t) * amps)
 
 
-def all_eigensystems(j: SpectralDensities, c: QuadrupolarConstant,
-                     two_i: int = 7) -> dict[int, BlockEigensystem]:
-    """Numeric eigensystems for every coherence order 0..two_i."""
-    quads = make_quadrupole_operators(SpinSystem(two_i))
-    return {q: numeric_eigensystem(assemble_block(q, quads, j), c) for q in range(two_i + 1)}
+def all_eigensystems(j: SpectralDensities,
+                     c: QuadrupolarConstant) -> dict[int, BlockEigensystem]:
+    """Numeric eigensystems for every coherence order 0..7."""
+    return {q: numeric_eigensystem(assemble_block(q, j), c) for q in range(8)}
 
 
 def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
@@ -158,8 +156,11 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
+    if rho0.dim != 8 or rho_eq.dim != 8:
+        raise ValueError(f"spin 7/2 needs 8x8 density matrices, got {rho0.dim}x{rho0.dim} "
+                         f"and {rho_eq.dim}x{rho_eq.dim}")
     d = rho0.dim
-    systems = all_eigensystems(j, c, two_i=d - 1)
+    systems = all_eigensystems(j, c)
     states = []
     for t in times:
         m = np.zeros((d, d), dtype=complex)
@@ -217,12 +218,3 @@ def build_transverse_model(eigensystem: BlockEigensystem, scale: float,
                               amplitudes=amps, equilibrium_term=0.0,
                               rates=eigensystem.rates)
 
-
-def longitudinal_signal(model: MagnetizationModel, times) -> DecayCurve:
-    times = np.asarray(times, dtype=float)
-    return DecayCurve(times, model.evaluate(times))
-
-
-def transverse_signal(model: MagnetizationModel, times) -> DecayCurve:
-    times = np.asarray(times, dtype=float)
-    return DecayCurve(times, model.evaluate(times))

@@ -8,7 +8,10 @@ q >= 0, basis |q+n><n| ordered by n) as
 where J(q) is the (8-q)-dimensional block assembled from the double
 commutator -sum_p (-1)^p J_p [Q_p, [Q_{-p}, . ]] and rescaled by a single
 global constant kappa, calibrated once so that the q = 7 block equals
--21 J1 - 7 J2 exactly.  Relaxation rates are R_p = -C * lambda_p.
+-21 J1 - 7 J2 exactly.  The block is linear in (J0, J1, J2), so the double
+commutator runs once per order and unit density (coefficient_matrices) and
+every block is the weighted sum of those cached matrices.  Relaxation rates
+are R_p = -C * lambda_p.
 
 A mode decomposition is stored as (w, w_bar) with J(q) = w_bar diag(lambda) w
 and w w_bar = identity: the columns of w_bar are right eigenvectors, so that
@@ -70,15 +73,16 @@ class BlockEigensystem:
 
 
 @lru_cache(maxsize=None)
-def _canonical_quads(two_i: int) -> QuadrupoleSet:
-    return make_quadrupole_operators(SpinSystem(two_i))
+def _canonical_quads() -> QuadrupoleSet:
+    return make_quadrupole_operators(SpinSystem(7))
 
 
-def _double_commutator_block(q: int, quads: QuadrupoleSet, j: SpectralDensities) -> np.ndarray:
+def _double_commutator_block(q: int, weights: tuple[float, float, float]) -> np.ndarray:
+    """Unnormalized order-q block of -sum_p (-1)^p weights[|p|] [Q_p, [Q_{-p}, . ]]."""
+    quads = _canonical_quads()
     d = quads.q_zero.shape[0]
     if not 0 <= q <= d - 1:
         raise ValueError(f"coherence order q={q} outside 0..{d - 1}")
-    jp = {0: j.j0, 1: j.j1, 2: j.j2}
     n_dim = d - q
     out = np.zeros((n_dim, n_dim))
     for n in range(n_dim):
@@ -87,54 +91,50 @@ def _double_commutator_block(q: int, quads: QuadrupoleSet, j: SpectralDensities)
         acc = np.zeros((d, d), dtype=complex)
         for p in (-2, -1, 0, 1, 2):
             inner = quads[-p] @ basis - basis @ quads[-p]
-            acc -= (-1) ** p * jp[abs(p)] * (quads[p] @ inner - inner @ quads[p])
+            acc -= (-1) ** p * weights[abs(p)] * (quads[p] @ inner - inner @ quads[p])
         out[:, n] = [acc[q + n2, n2].real for n2 in range(n_dim)]
     return out
 
 
+_UNIT_PICKS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 @lru_cache(maxsize=None)
-def _normalization(two_i: int) -> float:
-    """Global kappa fixing block(q=7) = -21 J1 - 7 J2 for spin 7/2."""
-    quads = _canonical_quads(two_i)
-    top = two_i  # highest coherence order, scalar block
-    c1 = _double_commutator_block(top, quads, SpectralDensities(1e-30, 1.0, 1e-30))[0, 0]
-    c2 = _double_commutator_block(top, quads, SpectralDensities(1e-30, 1e-30, 1.0))[0, 0]
+def _normalization() -> float:
+    """Global kappa fixing block(q=7) = -21 J1 - 7 J2."""
+    c1 = _double_commutator_block(7, _UNIT_PICKS[1])[0, 0]
+    c2 = _double_commutator_block(7, _UNIT_PICKS[2])[0, 0]
     kappa = -21.0 / c1
     if abs(kappa * c2 + 7.0) > 1e-10:
         raise RuntimeError(f"normalization is inconsistent between J1 and J2: {kappa * c2}")
     return kappa
 
 
-def assemble_block(q: int, quads: QuadrupoleSet, j: SpectralDensities) -> CoherenceBlock:
-    """Assemble the order-q relaxation block at the given spectral densities."""
-    kappa = _normalization(quads.q_zero.shape[0] - 1)
-    return CoherenceBlock(q=q, matrix=kappa * _double_commutator_block(q, quads, j))
-
-
 @lru_cache(maxsize=None)
-def coefficient_matrices(q: int, two_i: int = 7) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def coefficient_matrices(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-density coefficient matrices (A0, A1, A2) with block = sum_k J_k A_k.
 
-    Useful wherever blocks are re-evaluated many times (fitting); the matrices
-    are exact and cached.
+    Exact (one double commutator per unit density) and cached; every block is
+    built from them.  The matrices are read-only.
     """
-    quads = _canonical_quads(two_i)
-    kappa = _normalization(two_i)
-    eps = 1e-30
-    picks = (SpectralDensities(1.0, eps, eps), SpectralDensities(eps, 1.0, eps),
-             SpectralDensities(eps, eps, 1.0))
+    kappa = _normalization()
     mats = []
-    for pick in picks:
-        m = kappa * _double_commutator_block(q, quads, pick)
-        m[np.abs(m) < 1e-9] = 0.0
+    for pick in _UNIT_PICKS:
+        m = kappa * _double_commutator_block(q, pick)
+        m.flags.writeable = False
         mats.append(m)
     return tuple(mats)
 
 
-def evaluate_block(q: int, weights: tuple[float, float, float], two_i: int = 7) -> np.ndarray:
+def evaluate_block(q: int, weights: tuple[float, float, float]) -> np.ndarray:
     """block-shaped matrix sum_k weights[k] * A_k; weights may be J's or B's."""
-    a0, a1, a2 = coefficient_matrices(q, two_i)
+    a0, a1, a2 = coefficient_matrices(q)
     return weights[0] * a0 + weights[1] * a1 + weights[2] * a2
+
+
+def assemble_block(q: int, j: SpectralDensities) -> CoherenceBlock:
+    """The order-q relaxation block at the given spectral densities."""
+    return CoherenceBlock(q=q, matrix=evaluate_block(q, j.as_tuple()))
 
 
 def liouville_superoperator(quads: QuadrupoleSet, j: SpectralDensities) -> np.ndarray:
@@ -144,7 +144,7 @@ def liouville_superoperator(quads: QuadrupoleSet, j: SpectralDensities) -> np.nd
     paths use.
     """
     d = quads.q_zero.shape[0]
-    kappa = _normalization(d - 1)
+    kappa = _normalization()
     jp = {0: j.j0, 1: j.j1, 2: j.j2}
     out = np.zeros((d * d, d * d))
     for a in range(d):
@@ -517,7 +517,7 @@ class TableValidationReport:
         return max(self.q0_max_rel, self.q1_max_rel, max(d for _, d in self.spectra_max_rel))
 
 
-def validate_against_reference_tables(j: SpectralDensities, two_i: int = 7) -> TableValidationReport:
+def validate_against_reference_tables(j: SpectralDensities) -> TableValidationReport:
     """Compare assembled blocks with the fixture tables and closed-form spectra.
 
     The q = 0 and q = 1 blocks are conjugated into the published intermediate
@@ -525,14 +525,13 @@ def validate_against_reference_tables(j: SpectralDensities, two_i: int = 7) -> T
     orders 2..7 are compared through their sorted spectra.
     """
     tables = load_reference_tables()
-    quads = _canonical_quads(two_i)
 
-    b0 = assemble_block(0, quads, j).matrix
+    b0 = assemble_block(0, j).matrix
     t0 = tables.j0_block.evaluate(j)
     d0 = np.abs(tables.u0 @ b0 @ tables.u0_bar - t0)
     q0_scale = np.max(np.abs(t0))
 
-    b1 = assemble_block(1, quads, j).matrix
+    b1 = assemble_block(1, j).matrix
     t1 = tables.j1_block.evaluate(j)
     basis1 = tables.u1 @ b1 @ tables.u1_bar
     d1 = np.abs(basis1 - t1)
@@ -544,8 +543,8 @@ def validate_against_reference_tables(j: SpectralDensities, two_i: int = 7) -> T
         printed_dev = max(printed_dev, abs(basis1[r - 1, kk - 1] - variants[r - 1, kk - 1]))
 
     spectra = []
-    for q in range(2, two_i + 1):
-        lam_num = np.sort(np.linalg.eigvalsh(assemble_block(q, quads, j).matrix))
+    for q in range(2, 8):
+        lam_num = np.sort(np.linalg.eigvalsh(assemble_block(q, j).matrix))
         lam_ana = np.sort(np.array(analytic_eigenvalues(q, j)))
         spectra.append((q, float(np.max(np.abs(lam_num - lam_ana)) / np.max(np.abs(lam_num)))))
 

@@ -25,8 +25,6 @@ NU_Q_THEO = 266e3
 NU_Q_EXP = 5969.0
 TABLE2 = dict(a1z=0.0230, a2z=1.00, a1x=0.019, a2x=0.99, b0=83.0, b1=3.8, b2=0.18)
 
-QUADS = qr.make_quadrupole_operators(qr.SpinSystem(7))
-
 
 class criterion:
     """Prints one PASS/FAIL line per acceptance criterion."""
@@ -65,12 +63,12 @@ def reference_inputs():
 def test_criterion_1_table1_rates():
     with criterion(1, "q=0 rate multiset and q=7 rate at the reference inputs") as check:
         j, c = reference_inputs()
-        es0 = qr.numeric_eigensystem(qr.assemble_block(0, QUADS, j), c)
+        es0 = qr.numeric_eigensystem(qr.assemble_block(0, j), c)
         want = np.array([0.0, 4.13e3, 14.82e3, 15.85e3, 28.32e3, 34.04e3, 56.41e3, 56.98e3])
         got = np.sort(es0.rates)
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], np.sort(want)[1:], rtol=5e-3)
-        es7 = qr.numeric_eigensystem(qr.assemble_block(7, QUADS, j), c)
+        es7 = qr.numeric_eigensystem(qr.assemble_block(7, j), c)
         assert es7.rates[0] == pytest.approx(21.69e3, rel=1e-3)
         assert check.elapsed < 1.0
 
@@ -102,7 +100,7 @@ def test_criterion_4_transformation_validity():
                 es = qr.analytic_eigensystem(q, j)
                 np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), atol=1e-10)
             for q in range(8):
-                es = qr.numeric_eigensystem(qr.assemble_block(q, QUADS, j))
+                es = qr.numeric_eigensystem(qr.assemble_block(q, j))
                 np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), atol=1e-10)
 
 
@@ -120,7 +118,7 @@ def test_criterion_5_oracle_equivalence():
             eq = qr.DensityState.uniform()
             systems = qr.all_eigensystems(jj, c)
             for q in range(8):
-                blk = qr.assemble_block(q, QUADS, jj).matrix
+                blk = qr.assemble_block(q, jj).matrix
                 dev = rho0.coherence_vector(q) - eq.coherence_vector(q)
                 for t in (0.0, 0.05, 0.3, 1.0):
                     got = qr.evolve_block(systems[q], rho0, eq, t)
@@ -234,7 +232,7 @@ def test_criterion_10_corner_state_trajectory():
         assert np.all(rho81[1:] / rho81[0] < slowest_population_mode)
         # document the inconsistency: the true mode amplitudes of the
         # rho_11 element sum to the initial deviation, -0.5, not -7.0
-        es0 = qr.numeric_eigensystem(qr.assemble_block(0, QUADS, j), c)
+        es0 = qr.numeric_eigensystem(qr.assemble_block(0, j), c)
         dev = (qr.DensityState.noon().coherence_vector(0)
                - qr.DensityState.pure_top().coherence_vector(0))
         contributions = es0.w_bar[0, :] * (es0.w @ dev)

@@ -9,10 +9,13 @@ from quadrelax.analysis import (
     derived_densities,
     ilt,
     joint_model_curves,
+    joint_models,
     nelder_mead_minimize,
     residual_spectrum,
 )
 from quadrelax.curves import DecayCurve
+from quadrelax.evolution import build_longitudinal_model, build_transverse_model
+from quadrelax.redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
 from quadrelax.phys_params import quadrupolar_constant_simplified
 
 TABLE2 = dict(a1z=0.0230, a2z=1.00, a1x=0.019, a2x=0.99, b0=83.0, b1=3.8, b2=0.18)
@@ -96,6 +99,19 @@ def test_joint_fit_objective_mode_order_invariance():
     sz2, sx2 = joint_model_curves(dict(TABLE2), times, times)
     np.testing.assert_allclose(sz1, sz2, atol=1e-15)
     np.testing.assert_allclose(sx1, sx2, atol=1e-15)
+
+
+def test_joint_models_are_the_hand_built_pair():
+    scales = (TABLE2["b0"], TABLE2["b1"], TABLE2["b2"])
+    es0 = numeric_eigensystem(CoherenceBlock(0, evaluate_block(0, scales)))
+    es1 = numeric_eigensystem(CoherenceBlock(1, evaluate_block(1, scales)))
+    want = (build_longitudinal_model(es0, TABLE2["a1z"], TABLE2["a2z"]),
+            build_transverse_model(es1, TABLE2["a1x"], TABLE2["a2x"]))
+    times = np.linspace(1e-3, 0.5, 50)
+    for got, ref in zip(joint_models(TABLE2), want):
+        np.testing.assert_array_equal(got.rates, ref.rates)
+        np.testing.assert_array_equal(got.amplitudes, ref.amplitudes)
+        np.testing.assert_array_equal(got.evaluate(times), ref.evaluate(times))
 
 
 def test_joint_fit_noiseless_from_2x_starts():

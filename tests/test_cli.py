@@ -11,7 +11,6 @@ from quadrelax.curves import (DataFormatError, DecayCurve, read_curve,
                               write_curve)
 
 THEO_CFG = """\
-spin = 7
 larmor_freq = 47.24e6
 quad_freq = 266e3
 correlation_time = 4.1e-9
@@ -81,9 +80,11 @@ def test_parse_fit_command():
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        build_parser().parse_args(["rates", "--frobnicate"])
-    assert err.value.code == 2
+    # spin 7/2 is fixed, so --spin is an unknown flag like any other
+    for argv in (["rates", "--frobnicate"], ["rates", "--spin", "7"]):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(argv)
+        assert err.value.code == 2
 
 
 def test_missing_subcommand_exits_2():
@@ -94,7 +95,7 @@ def test_missing_subcommand_exits_2():
 
 def test_config_parsing(tmp_path, theo_cfg):
     cfg = load_config(theo_cfg)
-    assert cfg.spin == 7 and cfg.quad_freq == 266e3
+    assert cfg.quad_freq == 266e3
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 3\n")
     with pytest.raises(DataFormatError):
@@ -199,14 +200,65 @@ def test_missing_curve_file_exits_3(tmp_path, capsys):
     assert main(["bloch", "--trans", str(tmp_path / "nope.csv")]) == EXIT_DATA
 
 
-def test_malformed_curve_exits_3(tmp_path):
+def test_malformed_curve_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("t_seconds,amplitude\n0.1,abc\n")
-    assert main(["bloch", "--trans", str(bad)]) == EXIT_DATA
+    for value in ("abc", "nan", "inf"):
+        bad.write_text(f"t_seconds,amplitude\n0.1,{value}\n0.2,0.5\n0.3,0.2\n0.4,0.1\n")
+        assert main(["bloch", "--trans", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
+        assert f"{bad}:2:" in capsys.readouterr().err
 
 
-def test_missing_physics_exits_1(tmp_path):
+def test_missing_physics_exits_1(tmp_path, capsys):
     assert main(["rates", "--out", str(tmp_path)]) == 1
+    # validate checks a random triple only when no density input is given at
+    # all; an incomplete or conflicting set is an error, as for rates
+    for physics in (["--tau-c", "4.1e-9"],
+                    ["--j0", "8e-9", "--j1", "3e-9"],
+                    ["--larmor-freq", "47.24e6", "--tau-c", "4.1e-9",
+                     "--j0", "8e-9", "--j1", "3e-9", "--j2", "1e-9"]):
+        assert main(["validate", *physics, "--out", str(tmp_path)]) == 1
+        assert "random triple" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["spin = 7", "j0 = nan", "j0 = inf", "j0 = -inf"])
+def test_bad_config_line_exits_3(tmp_path, capsys, line):
+    # spin 7/2 is fixed, so 'spin' is an unknown key like any other
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(THEO_CFG + line + "\n")
+    assert main(["rates", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DATA
+    assert f"{cfg}:5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--state", "--equilibrium"])
+def test_non_finite_population_file_exits_3(tmp_path, theo_cfg, capsys, flag):
+    pops = tmp_path / "pops.txt"
+    pops.write_text("# populations\n1 0 0 0\n0 0 0 nan\n")
+    assert main(["evolve", "--config", str(theo_cfg), flag, f"file:{pops}",
+                 "--t-max", "1e-3", "--points", "5", "--out", str(tmp_path)]) == EXIT_DATA
+    assert f"{pops}:3: non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state", ["noon", "pure_top", "uniform", "file"])
+def test_evolve_state_names(tmp_path, theo_cfg, state):
+    if state == "file":
+        (tmp_path / "pops.txt").write_text("0.5 0.5 0 0 0 0 0 0\n")
+        state = f"file:{tmp_path / 'pops.txt'}"
+    assert main(["evolve", "--config", str(theo_cfg), "--state", state,
+                 "--t-max", "1e-3", "--points", "5", "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_evolve_rejects_unknown_state_and_element(tmp_path, theo_cfg, capsys):
+    common = ["evolve", "--config", str(theo_cfg), "--t-max", "1e-3", "--points", "5",
+              "--out", str(tmp_path)]
+    assert main([*common, "--state", "bogus"]) == 1
+    assert "unknown state 'bogus'" in capsys.readouterr().err
+    assert main([*common, "--elements", "9,1"]) == 1
+    assert "element (9,1) outside 1..8" in capsys.readouterr().err
+
+
+def test_validate_without_densities_uses_seeded_triple(tmp_path, capsys):
+    assert main(["validate", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+    assert "using seeded random triple" in capsys.readouterr().out
 
 
 def test_determinism(tmp_path, theo_cfg):

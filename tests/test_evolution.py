@@ -9,9 +9,7 @@ from quadrelax.evolution import (
     build_transverse_model,
     evolve_block,
     initial_mode_amplitudes,
-    longitudinal_signal,
     propagate,
-    transverse_signal,
 )
 from quadrelax.phys_params import (SpectralDensities,
                                    lorentzian_spectral_densities,
@@ -19,11 +17,10 @@ from quadrelax.phys_params import (SpectralDensities,
 from quadrelax.redfield_core import (CoherenceBlock, analytic_eigensystem,
                                      assemble_block, evaluate_block,
                                      numeric_eigensystem)
-from quadrelax.spin_algebra import SpinSystem, make_quadrupole_operators, make_spin_operators
+from quadrelax.spin_algebra import make_spin_operators
 
 J_REF = lorentzian_spectral_densities(47.24e6, 4.1e-9)
 C_REF = quadrupolar_constant_simplified(266e3)
-QUADS = make_quadrupole_operators(SpinSystem(7))
 TABLE2_SCALES = (83.0, 3.8, 0.18)
 
 
@@ -140,6 +137,11 @@ def test_propagate_rejects_unsorted_times():
         propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [1e-3, 1e-4])
 
 
+def test_propagate_rejects_other_dimensions():
+    with pytest.raises(ValueError, match="8x8"):
+        propagate(DensityState.noon(6), DensityState.pure_top(6), J_REF, C_REF, [0.0])
+
+
 def test_eigen_sum_matches_matrix_exponential():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -148,7 +150,7 @@ def test_eigen_sum_matches_matrix_exponential():
         eq = DensityState.uniform()
         systems = all_eigensystems(j, C_REF)
         for q in range(8):
-            blk = assemble_block(q, QUADS, j).matrix
+            blk = assemble_block(q, j).matrix
             dev = rho0.coherence_vector(q) - eq.coherence_vector(q)
             for t in (0.0, 1e-13, 5e-13, 2e-12):
                 eig_vals = evolve_block(systems[q], rho0, eq, t)
@@ -257,14 +259,14 @@ def test_transverse_t0_value_and_decay():
     assert model.equilibrium_term == 0.0
 
 
-def test_signal_wrappers_return_curves():
+def test_model_evaluate_gives_both_signals():
     es0, es1 = eigensystems_at_scales(TABLE2_SCALES)
     times = np.linspace(1e-3, 1.0, 20)
-    lc = longitudinal_signal(build_longitudinal_model(es0, 0.023, 1.0), times)
-    tc = transverse_signal(build_transverse_model(es1, 0.019, 0.99), times)
-    assert len(lc) == len(tc) == 20
-    assert lc.amplitudes[-1] > 0.9  # recovered toward +a1*42
-    assert tc.amplitudes[-1] < 1e-4
+    sz = build_longitudinal_model(es0, 0.023, 1.0).evaluate(times)
+    sx = build_transverse_model(es1, 0.019, 0.99).evaluate(times)
+    assert sz.shape == sx.shape == (20,)
+    assert sz[-1] > 0.9  # recovered toward +a1*42
+    assert sx[-1] < 1e-4
 
 
 def test_model_requires_matching_order():

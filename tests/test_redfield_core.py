@@ -42,50 +42,50 @@ def random_j(rng):
     return SpectralDensities(j0, j1, j2)
 
 
-def test_block_dimensions(quads, j_ref):
+def test_block_dimensions(j_ref):
     for q in range(8):
-        assert assemble_block(q, quads, j_ref).dim == 8 - q
+        assert assemble_block(q, j_ref).dim == 8 - q
 
 
-def test_q7_normalization(quads):
+def test_q7_normalization():
     rng = np.random.default_rng(1)
     for _ in range(5):
         j = random_j(rng)
-        blk = assemble_block(7, quads, j).matrix
+        blk = assemble_block(7, j).matrix
         assert blk[0, 0] == pytest.approx(-(21 * j.j1 + 7 * j.j2), rel=1e-12)
 
 
-def test_q6_closed_form(quads):
+def test_q6_closed_form():
     rng = np.random.default_rng(2)
     j = random_j(rng)
-    blk = assemble_block(6, quads, j).matrix
+    blk = assemble_block(6, j).matrix
     diag = -(9 * j.j0 + 29 * j.j1 + 11 * j.j2)
     want = np.array([[diag, -21 * j.j1], [-21 * j.j1, diag]])
     np.testing.assert_allclose(blk, want, rtol=1e-12)
 
 
-def test_q0_table_entry_2_2(quads):
+def test_q0_table_entry_2_2():
     # transformed-basis entry (2,2) = (8/14) J1 - (85/14) J2
     tables = load_reference_tables()
     rng = np.random.default_rng(3)
     j = random_j(rng)
-    basis0 = tables.u0 @ assemble_block(0, quads, j).matrix @ tables.u0_bar
+    basis0 = tables.u0 @ assemble_block(0, j).matrix @ tables.u0_bar
     assert basis0[1, 1] == pytest.approx(8 / 14 * j.j1 - 85 / 14 * j.j2, rel=1e-10)
 
 
-def test_q1_table_entry_1_1(quads):
+def test_q1_table_entry_1_1():
     tables = load_reference_tables()
     rng = np.random.default_rng(4)
     j = random_j(rng)
-    basis1 = tables.u1 @ assemble_block(1, quads, j).matrix @ tables.u1_bar
+    basis1 = tables.u1 @ assemble_block(1, j).matrix @ tables.u1_bar
     assert basis1[0, 0] == pytest.approx(-6 * j.j0 - 55 / 3 * j.j1 - 77 / 3 * j.j2, rel=1e-10)
 
 
-def test_q0_table_row1_col1_zero(quads):
+def test_q0_table_row1_col1_zero():
     tables = load_reference_tables()
     rng = np.random.default_rng(5)
     j = random_j(rng)
-    basis0 = tables.u0 @ assemble_block(0, quads, j).matrix @ tables.u0_bar
+    basis0 = tables.u0 @ assemble_block(0, j).matrix @ tables.u0_bar
     scale = np.max(np.abs(basis0))
     assert np.max(np.abs(basis0[0, :])) < 1e-12 * scale
     assert np.max(np.abs(basis0[:, 0])) < 1e-12 * scale
@@ -117,33 +117,33 @@ def test_conjugate_order_blocks_equal(quads):
         np.testing.assert_allclose(full[np.ix_(lower, lower)],
                                    full[np.ix_(upper, upper)], atol=1e-12 * np.max(np.abs(full)))
         np.testing.assert_allclose(full[np.ix_(lower, lower)],
-                                   assemble_block(q, quads, j).matrix,
+                                   assemble_block(q, j).matrix,
                                    atol=1e-12 * np.max(np.abs(full)))
 
 
-def test_blocks_are_symmetric(quads):
+def test_blocks_are_symmetric():
     rng = np.random.default_rng(8)
     j = random_j(rng)
     for q in range(8):
-        m = assemble_block(q, quads, j).matrix
+        m = assemble_block(q, j).matrix
         np.testing.assert_allclose(m, m.T, atol=1e-12 * max(1.0, np.max(np.abs(m))))
 
 
-def test_spectrum_real_nonpositive(quads):
+def test_spectrum_real_nonpositive():
     rng = np.random.default_rng(9)
     for _ in range(20):
         j = random_j(rng)
         for q in range(8):
-            lam = np.linalg.eigvals(assemble_block(q, quads, j).matrix)
+            lam = np.linalg.eigvals(assemble_block(q, j).matrix)
             scale = np.max(np.abs(lam))
             assert np.max(np.abs(lam.imag)) < 1e-10 * scale
             assert np.max(lam.real) <= 1e-12 * scale
 
 
-def test_q0_zero_mode(quads):
+def test_q0_zero_mode():
     rng = np.random.default_rng(10)
     j = random_j(rng)
-    m = assemble_block(0, quads, j).matrix
+    m = assemble_block(0, j).matrix
     lam = np.linalg.eigvalsh(m)
     scale = np.max(np.abs(m))
     assert np.sum(np.abs(lam) < 1e-12 * scale) == 1
@@ -156,34 +156,39 @@ def test_quadrupole_q1_sign_toggle_is_inert(quads, j_ref):
     flipped = QuadrupoleSet(q_minus2=quads.q_minus2, q_minus1=-quads.q_minus1,
                             q_zero=quads.q_zero, q_plus1=-quads.q_plus1,
                             q_plus2=quads.q_plus2)
-    for q in range(8):
-        np.testing.assert_allclose(assemble_block(q, flipped, j_ref).matrix,
-                                   assemble_block(q, quads, j_ref).matrix, atol=1e-18)
+    np.testing.assert_allclose(liouville_superoperator(flipped, j_ref),
+                               liouville_superoperator(quads, j_ref), atol=1e-18)
 
 
-def test_assemble_rejects_out_of_range(quads, j_ref):
+def test_assemble_rejects_out_of_range(j_ref):
     with pytest.raises(ValueError):
-        assemble_block(8, quads, j_ref)
+        assemble_block(8, j_ref)
     with pytest.raises(ValueError):
-        assemble_block(-1, quads, j_ref)
+        assemble_block(-1, j_ref)
 
 
 def test_coefficient_matrices_match_assembly(quads):
+    # the cached coefficient matrices against the independently assembled
+    # full superoperator, restricted to each order's rho_{q+n, n} elements
     rng = np.random.default_rng(11)
     j = random_j(rng)
+    full = liouville_superoperator(quads, j)
     for q in range(8):
+        lower = [(q + n) * 8 + n for n in range(8 - q)]
         np.testing.assert_allclose(evaluate_block(q, j.as_tuple()),
-                                   assemble_block(q, quads, j).matrix, atol=1e-12)
+                                   full[np.ix_(lower, lower)], atol=1e-12)
+        np.testing.assert_array_equal(assemble_block(q, j).matrix,
+                                      evaluate_block(q, j.as_tuple()))
 
 
 # -- numeric eigensystems -----------------------------------------------------
 
-def test_numeric_eigensystem_invariants(quads, c_ref):
+def test_numeric_eigensystem_invariants(c_ref):
     rng = np.random.default_rng(12)
     for _ in range(10):
         j = random_j(rng)
         for q in range(8):
-            es = numeric_eigensystem(assemble_block(q, quads, j), c_ref)
+            es = numeric_eigensystem(assemble_block(q, j), c_ref)
             np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), atol=1e-10)
             assert np.all(np.diff(es.rates) >= -1e-9 * np.max(es.rates))
             assert np.all(es.rates >= 0)
@@ -194,12 +199,12 @@ def test_numeric_eigensystem_invariants(quads, c_ref):
                 assert np.sum(es.rates == 0.0) == 1
 
 
-def test_numeric_table1_rates(quads, j_ref, c_ref):
-    es = numeric_eigensystem(assemble_block(0, quads, j_ref), c_ref)
+def test_numeric_table1_rates(j_ref, c_ref):
+    es = numeric_eigensystem(assemble_block(0, j_ref), c_ref)
     want = np.array([0.0, 4.13e3, 14.82e3, 15.85e3, 28.32e3, 34.04e3, 56.41e3, 56.98e3])
     assert es.rates[0] == 0.0
     np.testing.assert_allclose(es.rates[1:], want[1:], rtol=5e-3)
-    es7 = numeric_eigensystem(assemble_block(7, quads, j_ref), c_ref)
+    es7 = numeric_eigensystem(assemble_block(7, j_ref), c_ref)
     assert es7.rates[0] == pytest.approx(21.69e3, rel=1e-3)
 
 
@@ -209,21 +214,21 @@ def test_numeric_rejects_defective_matrix(c_ref):
         numeric_eigensystem(jordan, c_ref)
 
 
-def test_numeric_sign_convention(quads, j_ref, c_ref):
-    es = numeric_eigensystem(assemble_block(3, quads, j_ref), c_ref)
+def test_numeric_sign_convention(j_ref, c_ref):
+    es = numeric_eigensystem(assemble_block(3, j_ref), c_ref)
     for col in es.w_bar.T:
         lead = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]
         assert col[lead] > 0
 
 
-def test_equal_j_degenerate_falls_back(quads, c_ref):
+def test_equal_j_degenerate_falls_back(c_ref):
     # closed-form transformations divide by quantities that vanish at equal J
     j = SpectralDensities(2.0, 2.0, 2.0)
     with pytest.raises(DegenerateSpectrumError):
         analytic_eigensystem(4, j)
     # numeric path still works and matches the closed-form eigenvalue lists
     for q in range(2, 8):
-        lam_num = np.sort(numeric_eigensystem(assemble_block(q, quads, j), c_ref).eigenvalues)
+        lam_num = np.sort(numeric_eigensystem(assemble_block(q, j), c_ref).eigenvalues)
         lam_ana = np.sort(analytic_eigenvalues(q, j))
         np.testing.assert_allclose(lam_num, lam_ana, rtol=1e-9)
 
@@ -244,12 +249,12 @@ def test_analytic_eigenvalue_spot_values():
     assert lam3[1] == pytest.approx(-(9 * j.j0 + 21 * j.j1 + 40 * j.j2), rel=1e-12)
 
 
-def test_analytic_eigenvalues_match_numeric(quads):
+def test_analytic_eigenvalues_match_numeric():
     rng = np.random.default_rng(14)
     for _ in range(50):
         j = random_j(rng)
         for q in range(2, 8):
-            lam_num = np.sort(np.linalg.eigvalsh(assemble_block(q, quads, j).matrix))
+            lam_num = np.sort(np.linalg.eigvalsh(assemble_block(q, j).matrix))
             lam_ana = np.sort(analytic_eigenvalues(q, j))
             np.testing.assert_allclose(lam_num, lam_ana, rtol=1e-9, atol=0)
 
@@ -269,14 +274,14 @@ def test_analytic_q6_published_matrix(j_ref):
     np.testing.assert_allclose(es.w_bar, want, atol=1e-15)
 
 
-def test_analytic_q5_matches_numeric_eigensystem(quads, j_ref, c_ref):
+def test_analytic_q5_matches_numeric_eigensystem(j_ref, c_ref):
     esa = analytic_eigensystem(5, j_ref, c_ref)
-    esn = numeric_eigensystem(assemble_block(5, quads, j_ref), c_ref)
+    esn = numeric_eigensystem(assemble_block(5, j_ref), c_ref)
     np.testing.assert_allclose(esa.eigenvalues, esn.eigenvalues, rtol=1e-10)
     np.testing.assert_allclose(esa.rates, esn.rates, rtol=1e-10)
 
 
-def test_analytic_transformations_invert(quads):
+def test_analytic_transformations_invert():
     rng = np.random.default_rng(15)
     for _ in range(100):
         j = random_j(rng)
@@ -285,13 +290,13 @@ def test_analytic_transformations_invert(quads):
             np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), atol=1e-12)
 
 
-def test_analytic_transformations_diagonalize(quads):
+def test_analytic_transformations_diagonalize():
     rng = np.random.default_rng(16)
     for _ in range(20):
         j = random_j(rng)
         for q in range(2, 8):
             es = analytic_eigensystem(q, j)
-            blk = assemble_block(q, quads, j).matrix
+            blk = assemble_block(q, j).matrix
             d = es.w @ blk @ es.w_bar
             scale = np.max(np.abs(d))
             np.testing.assert_allclose(np.diag(d), es.eigenvalues, rtol=1e-8)
@@ -300,7 +305,7 @@ def test_analytic_transformations_diagonalize(quads):
 
 # -- published-table conformance ---------------------------------------------
 
-def test_validate_report(quads):
+def test_validate_report():
     rng = np.random.default_rng(17)
     j = random_j(rng)
     report = validate_against_reference_tables(j)
@@ -312,13 +317,13 @@ def test_validate_report(quads):
     assert report.printed_variant_max_abs > 0.1 * j.j1
 
 
-def test_printed_variants_are_inconsistent_with_assembly(quads):
+def test_printed_variants_are_inconsistent_with_assembly():
     # the published J^(1) row-6 values cannot be reproduced by the defining
     # double-commutator assembly: entries (6,1..3) assemble to exactly zero
     # and the published (6,6)/(6,7) differ at the percent level
     tables = load_reference_tables()
     j = SpectralDensities(8.2, 3.3, 1.2)
-    basis1 = tables.u1 @ assemble_block(1, quads, j).matrix @ tables.u1_bar
+    basis1 = tables.u1 @ assemble_block(1, j).matrix @ tables.u1_bar
     printed = tables.printed_j1_variants.evaluate(j)
     for (r, c) in ((6, 1), (6, 2), (6, 3)):
         assert abs(basis1[r - 1, c - 1]) < 1e-10
