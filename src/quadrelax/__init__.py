@@ -53,12 +53,10 @@ from .evolution import (
 )
 from .analysis import (
     FitResult,
-    NelderMeadResult,
     TimeDistribution,
     BlochLongitudinalFit,
     BlochTransverseFit,
     AmplitudeSpectrum,
-    nelder_mead_minimize,
     fit_redfield_joint,
     derived_densities,
     fit_bloch_longitudinal,

@@ -1,13 +1,13 @@
-"""Decay-curve analysis: the joint seven-parameter fit, Bloch baselines,
+"""Decay-curve analysis: the joint least-squares fit, Bloch baselines,
 regularized inverse-Laplace time distributions, and residual diagnostics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
-from scipy.optimize import curve_fit, nnls
+from scipy.optimize import OptimizeResult, curve_fit, least_squares, minimize, nnls
 
 from .curves import DecayCurve
 from .evolution import MagnetizationModel, build_longitudinal_model, build_transverse_model
@@ -15,113 +15,8 @@ from .phys_params import QuadrupolarConstant, densities_from_fit, FitScaleParams
 from .redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
 
 PARAM_NAMES = ("a1z", "a2z", "a1x", "a2x", "b0", "b1", "b2")
-
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead simplex
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NelderMeadResult:
-    x: np.ndarray
-    fun: float
-    iterations: int
-    evaluations: int
-    converged: bool
-    reason: str
-
-
-def nelder_mead_minimize(objective: Callable[[np.ndarray], float], x0,
-                         *, max_iters: int = 5000, x_tol: float = 1e-10,
-                         f_tol: float = 1e-12, initial_step=None) -> NelderMeadResult:
-    """Derivative-free simplex minimization.
-
-    Standard coefficients (reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5); terminates when the simplex diameter drops below x_tol, the
-    value spread below f_tol, or at max_iters.  A non-finite objective value
-    aborts the search and reports the best point seen so far.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    if initial_step is None:
-        step = np.where(np.abs(x0) > 1e-12, 0.05 * np.abs(x0), 2.5e-4)
-    else:
-        step = np.broadcast_to(np.asarray(initial_step, dtype=float), (n,)).copy()
-
-    evaluations = 0
-
-    def f(x):
-        nonlocal evaluations
-        evaluations += 1
-        return float(objective(x))
-
-    simplex = [x0] + [x0 + step[i] * np.eye(n)[i] for i in range(n)]
-    values = []
-    for point in simplex:
-        v = f(point)
-        if not np.isfinite(v):
-            finite = [(vv, pp) for vv, pp in zip(values, simplex) if np.isfinite(vv)]
-            best = min(finite, default=(np.inf, x0), key=lambda t: t[0])
-            return NelderMeadResult(x=best[1], fun=best[0], iterations=0,
-                                    evaluations=evaluations, converged=False,
-                                    reason="non-finite objective")
-        values.append(v)
-    simplex = np.array(simplex)
-    values = np.array(values)
-
-    for iteration in range(1, max_iters + 1):
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
-        diameter = np.max(np.abs(simplex[1:] - simplex[0]))
-        spread = values[-1] - values[0]
-        if diameter < x_tol:
-            return NelderMeadResult(simplex[0], values[0], iteration, evaluations, True, "x_tol")
-        if spread < f_tol:
-            return NelderMeadResult(simplex[0], values[0], iteration, evaluations, True, "f_tol")
-
-        centroid = simplex[:-1].mean(axis=0)
-        candidates = []
-
-        def try_point(x):
-            v = f(x)
-            candidates.append((v, x))
-            return v
-
-        reflected = centroid + (centroid - simplex[-1])
-        vr = try_point(reflected)
-        if not np.isfinite(vr):
-            return NelderMeadResult(simplex[0], values[0], iteration, evaluations,
-                                    False, "non-finite objective")
-        if vr < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            ve = try_point(expanded)
-            if not np.isfinite(ve):
-                return NelderMeadResult(simplex[0], values[0], iteration, evaluations,
-                                        False, "non-finite objective")
-            simplex[-1], values[-1] = (expanded, ve) if ve < vr else (reflected, vr)
-        elif vr < values[-2]:
-            simplex[-1], values[-1] = reflected, vr
-        else:
-            inside = vr >= values[-1]
-            base = simplex[-1] if inside else reflected
-            contracted = centroid + 0.5 * (base - centroid)
-            vc = try_point(contracted)
-            if not np.isfinite(vc):
-                return NelderMeadResult(simplex[0], values[0], iteration, evaluations,
-                                        False, "non-finite objective")
-            if vc < min(values[-1], vr):
-                simplex[-1], values[-1] = contracted, vc
-            else:
-                # shrink toward the best vertex
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-                    if not np.isfinite(values[i]):
-                        return NelderMeadResult(simplex[0], values[0], iteration,
-                                                evaluations, False, "non-finite objective")
-    order = np.argsort(values, kind="stable")
-    return NelderMeadResult(simplex[order][0], values[order][0], max_iters,
-                            evaluations, False, "max_iters")
+#: the fitted parameters: a2x is held at 1, so a1x carries the product a1x*a2x
+FIT_NAMES = ("a1z", "a2z", "a1x", "b0", "b1", "b2")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +28,7 @@ class FitResult:
     params: dict
     uncertainties: dict
     residual_norm: float
-    iterations: int
+    evaluations: int
     converged: bool
 
     def scales(self) -> FitScaleParams:
@@ -172,84 +67,62 @@ def joint_model_curves(params, times_long, times_trans,
     return long_model.evaluate(times_long), trans_model.evaluate(times_trans)
 
 
-def _joint_objective(long_curve: DecayCurve, trans_curve: DecayCurve,
-                     equilibrium_deviation) -> Callable[[np.ndarray], float]:
-    wz = 1.0 / long_curve.sigmas if long_curve.sigmas is not None else np.ones(len(long_curve))
-    wx = 1.0 / trans_curve.sigmas if trans_curve.sigmas is not None else np.ones(len(trans_curve))
-
-    def objective(x: np.ndarray) -> float:
-        if np.any(x[4:] < 0):
-            return 1e9 * (1.0 + float(np.sum(np.abs(x[4:][x[4:] < 0]))))
-        sz, sx = joint_model_curves(x, long_curve.times, trans_curve.times,
-                                    equilibrium_deviation)
-        rz = (sz - long_curve.amplitudes) * wz
-        rx = (sx - trans_curve.amplitudes) * wx
-        return float(rz @ rz + rx @ rx)
-
-    return objective
-
-
-def _hessian_uncertainties(objective, x: np.ndarray, ssr: float, n_obs: int) -> np.ndarray:
-    """Parameter sigmas from a finite-difference Hessian of the squared-residual
-    objective (quadratic expansion around the optimum; an estimate only)."""
-    n = x.size
-    h = np.maximum(1e-5 * np.abs(x), 1e-9)
-    hess = np.zeros((n, n))
-    f0 = objective(x)
-    for i in range(n):
-        for k in range(i, n):
-            ei = np.eye(n)[i] * h[i]
-            ek = np.eye(n)[k] * h[k]
-            if i == k:
-                val = (objective(x + ei) - 2 * f0 + objective(x - ei)) / h[i] ** 2
-            else:
-                val = (objective(x + ei + ek) - objective(x + ei - ek)
-                       - objective(x - ei + ek) + objective(x - ei - ek)) / (4 * h[i] * h[k])
-            hess[i, k] = hess[k, i] = val
-    dof = max(n_obs - n, 1)
-    cov = 2.0 * (ssr / dof) * np.linalg.pinv(hess)
-    diag = np.clip(np.diag(cov), 0.0, None)
-    return np.sqrt(diag)
-
-
-def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve,
-                       c: QuadrupolarConstant, init,
+def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
                        *, equilibrium_deviation: np.ndarray | None = None,
-                       restarts: int = 16, seed: int = 0,
-                       max_iters: int = 20000, x_tol: float = 1e-10,
-                       f_tol: float = 1e-14) -> FitResult:
-    """Joint fit of both magnetization curves over the seven parameters.
+                       restarts: int = 16, seed: int = 0) -> FitResult:
+    """Joint least-squares fit of both magnetization curves.
 
-    Every objective evaluation rebuilds both coherence blocks from the trial
-    rate scales and rederives rates and mode amplitudes.  The simplex search
-    restarts from ``restarts`` deterministic perturbations of the initial
-    guess (best residual wins); the quadrupolar constant only enters when
-    converting the fitted scales to spectral densities afterwards.
+    The transverse signal depends on a1x and a2x only through their product,
+    so six parameters are fitted: a1z, a2z, a1x*a2x (returned as a1x, with
+    a2x = 1) and the rate scales b0, b1, b2 >= 0.  Every residual evaluation
+    rebuilds both coherence blocks from the trial rate scales.  The search
+    restarts from ``restarts`` deterministic perturbations of the 7-parameter
+    initial guess (best residual wins).  Sigmas come from the Jacobian at the
+    best restart, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``.
     """
     for curve, label in ((long_curve, "longitudinal"), (trans_curve, "transverse")):
         if len(curve) < 4:
             raise ValueError(f"{label} curve needs at least 4 samples for fitting")
-    x_init = _param_vector(init)
-    objective = _joint_objective(long_curve, trans_curve, equilibrium_deviation)
+    wz, wx = (1.0 / curve.sigmas if curve.sigmas is not None else 1.0
+              for curve in (long_curve, trans_curve))
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        sz, sx = joint_model_curves(np.insert(x, 3, 1.0), long_curve.times,
+                                    trans_curve.times, equilibrium_deviation)
+        return np.concatenate([(sz - long_curve.amplitudes) * wz,
+                               (sx - trans_curve.amplitudes) * wx])
+
+    x_init = np.array(_param_vector(init))
+    x_init[4:] = np.abs(x_init[4:])
+    bounds = ([-np.inf] * 3 + [0.0] * 3, np.inf)
     rng = np.random.default_rng(seed)
-    best: NelderMeadResult | None = None
-    total_iterations = 0
+    best = None
+    evaluations = 0
     for attempt in range(max(1, restarts)):
         start = x_init if attempt == 0 else x_init * (1 + 0.3 * rng.standard_normal(x_init.size))
-        start[4:] = np.abs(start[4:])
-        result = nelder_mead_minimize(objective, start, max_iters=max_iters,
-                                      x_tol=x_tol, f_tol=f_tol)
-        total_iterations += result.iterations
-        if best is None or result.fun < best.fun:
+        x0 = np.concatenate([start[:2], [start[2] * start[3]], np.abs(start[4:])])
+        result = least_squares(residuals, x0, bounds=bounds)
+        evaluations += result.nfev
+        if best is None or result.cost < best.cost:
             best = result
-    assert best is not None
-    n_obs = len(long_curve) + len(trans_curve)
-    sigmas = _hessian_uncertainties(objective, best.x, best.fun, n_obs)
-    params = dict(zip(PARAM_NAMES, (float(v) for v in best.x)))
-    uncertainties = dict(zip(PARAM_NAMES, (float(s) for s in sigmas)))
+    ssr = float(best.fun @ best.fun)
+    jac_pinv = np.linalg.pinv(best.jac)
+    cov = ssr / (best.fun.size - best.x.size) * (jac_pinv @ jac_pinv.T)
+    params = dict(zip(PARAM_NAMES, (float(v) for v in np.insert(best.x, 3, 1.0))))
+    uncertainties = dict(zip(FIT_NAMES, (float(s) for s in np.sqrt(np.diag(cov)))))
     return FitResult(params=params, uncertainties=uncertainties,
-                     residual_norm=float(np.sqrt(best.fun)),
-                     iterations=total_iterations, converged=best.converged)
+                     residual_norm=float(np.sqrt(ssr)),
+                     evaluations=evaluations, converged=best.status > 0)
+
+
+def nelder_mead_minimize(objective, x0) -> OptimizeResult:
+    """Simplex minimization: ``scipy.optimize.minimize`` with method Nelder-Mead.
+
+    The joint fit does not use it.  It stays because ``bench/tracing.py``
+    traces this name and ``bench/test_bench_stats.py`` requires every traced
+    name to exist; it goes when the benchmark drops it.
+    """
+    return minimize(objective, x0, method="Nelder-Mead")
 
 
 def derived_densities(result: FitResult, c: QuadrupolarConstant):

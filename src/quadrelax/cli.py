@@ -249,8 +249,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                                  trans_curve.amplitudes / np.max(np.abs(trans_curve.amplitudes)),
                                  trans_curve.sigmas)
     init = dict(a1z=args.init_a1z, a2z=args.init_a2z, a1x=args.init_a1x,
-                a2x=args.init_a2x, b0=args.init_b0, b1=args.init_b1, b2=args.init_b2)
-    result = analysis.fit_redfield_joint(long_curve, trans_curve, c, init,
+                a2x=1.0, b0=args.init_b0, b1=args.init_b1, b2=args.init_b2)
+    result = analysis.fit_redfield_joint(long_curve, trans_curve, init,
                                          restarts=args.restarts, seed=args.seed)
     densities = densities_from_fit(result.scales(), c)
     long_model, trans_model = analysis.joint_models(result.params)
@@ -259,14 +259,17 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     report = [
         "# quadrelax joint fit report",
         f"converged = {str(result.converged).lower()}",
-        f"iterations = {result.iterations}",
+        f"evaluations = {result.evaluations}",
         f"residual_norm = {format_number(result.residual_norm, args.raw)}",
         f"seed = {args.seed}",
         f"restarts = {args.restarts}",
     ]
     for name in analysis.PARAM_NAMES:
-        report.append(f"{name} = {format_number(result.params[name], args.raw)}"
-                      f" +/- {format_number(result.uncertainties[name], args.raw)}")
+        value = f"{name} = {format_number(result.params[name], args.raw)}"
+        if name in result.uncertainties:
+            report.append(f"{value} +/- {format_number(result.uncertainties[name], args.raw)}")
+        else:
+            report.append(f"{value}  # fixed: the data determine only a1x*a2x, reported as a1x")
     report.append(f"c_hz2 = {format_number(c.c, args.raw)}")
     for label, value in zip(("j0", "j1", "j2"), densities.as_tuple()):
         report.append(f"{label}_seconds = {format_number(value, args.raw)}")
@@ -369,6 +372,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadrelax",
@@ -398,23 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="density-matrix element trajectory")
     common(p)
     p.add_argument("--state", default="noon", help="noon | pure_top | uniform | file:PATH")
-    p.add_argument("--t-max", type=float, required=True, dest="t_max", help="seconds")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--t-max", type=_positive_float, required=True, dest="t_max",
+                   help="seconds")
+    p.add_argument("--points", type=_positive_int, default=200)
     p.add_argument("--elements", default="1,1;8,8;8,1",
                    help="semicolon-separated one-based 'row,col' pairs")
     p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("fit", help="joint seven-parameter fit of both curves")
+    p = sub.add_parser("fit", help="joint least-squares fit of both curves")
     common(p)
     p.add_argument("--long", required=True, help="longitudinal curve CSV")
     p.add_argument("--trans", required=True, help="transverse curve CSV")
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--restarts", type=_positive_int, default=16)
     p.add_argument("--normalize", action="store_true",
                    help="max-abs normalize both curves before fitting")
     p.add_argument("--init-a1z", type=float, default=0.03)
     p.add_argument("--init-a2z", type=float, default=1.0)
     p.add_argument("--init-a1x", type=float, default=0.03)
-    p.add_argument("--init-a2x", type=float, default=1.0)
     p.add_argument("--init-b0", type=float, default=100.0)
     p.add_argument("--init-b1", type=float, default=5.0)
     p.add_argument("--init-b2", type=float, default=0.3)

@@ -1,7 +1,8 @@
 """Decay-curve container and its on-disk format.
 
 Curve files are UTF-8 CSV with header ``t_seconds,amplitude[,sigma]``,
-``#`` comment lines allowed anywhere, times in seconds.
+``#`` comment lines allowed anywhere, times in seconds (non-negative,
+strictly increasing) and sigmas positive.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ def read_curve(path: str | Path) -> DecayCurve:
         if len(fields) != (3 if has_sigma else 2):
             raise DataFormatError(f"{path}:{lineno}: expected {3 if has_sigma else 2} fields, got {len(fields)}")
         values = [parse_finite(f, path, lineno) for f in fields]
+        if values[0] < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative time {fields[0]!r}")
+        if has_sigma and values[2] <= 0:
+            raise DataFormatError(f"{path}:{lineno}: sigma must be positive, got {fields[2]!r}")
         times.append(values[0])
         amps.append(values[1])
         if has_sigma:

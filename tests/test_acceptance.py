@@ -173,7 +173,7 @@ def test_criterion_7_fit_round_trip():
         trans_curve = qr.DecayCurve(times_trans, sx + 0.01 * rng.standard_normal(sx.size))
         c = qr.quadrupolar_constant_simplified(NU_Q_EXP)
         init = dict(a1z=0.04, a2z=1.5, a1x=0.03, a2x=1.5, b0=150.0, b1=2.0, b2=0.1)
-        result = qr.fit_redfield_joint(long_curve, trans_curve, c, init, restarts=16, seed=0)
+        result = qr.fit_redfield_joint(long_curve, trans_curve, init, restarts=16, seed=0)
         assert abs(result.params["b0"] - TABLE2["b0"]) / TABLE2["b0"] < 0.05
         assert abs(result.params["b1"] - TABLE2["b1"]) / TABLE2["b1"] < 0.05
         assert abs(result.params["b2"] - TABLE2["b2"]) < 0.08

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quadrelax.analysis import (
+    FIT_NAMES,
     PARAM_NAMES,
     fit_bloch_longitudinal,
     fit_bloch_transverse,
@@ -10,60 +13,16 @@ from quadrelax.analysis import (
     ilt,
     joint_model_curves,
     joint_models,
-    nelder_mead_minimize,
     residual_spectrum,
 )
-from quadrelax.curves import DecayCurve
+from quadrelax.curves import DecayCurve, read_curve
 from quadrelax.evolution import build_longitudinal_model, build_transverse_model
 from quadrelax.redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
 from quadrelax.phys_params import quadrupolar_constant_simplified
 
 TABLE2 = dict(a1z=0.0230, a2z=1.00, a1x=0.019, a2x=0.99, b0=83.0, b1=3.8, b2=0.18)
 C_EXP = quadrupolar_constant_simplified(5969.0)
-
-
-# -- Nelder-Mead ---------------------------------------------------------------
-
-def test_nm_quadratic():
-    res = nelder_mead_minimize(lambda x: (x[0] - 1) ** 2 + (x[1] - 2) ** 2, [0.0, 0.0])
-    assert res.converged
-    np.testing.assert_allclose(res.x, [1.0, 2.0], atol=1e-6)
-
-
-def test_nm_rosenbrock():
-    def rosen(x):
-        return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-    res = nelder_mead_minimize(rosen, [-1.2, 1.0], max_iters=5000)
-    assert res.converged
-    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-4)
-
-
-def test_nm_constant_objective():
-    res = nelder_mead_minimize(lambda x: 3.5, [1.0, 2.0, 3.0])
-    assert res.converged and res.reason == "f_tol"
-    np.testing.assert_allclose(res.x, [1.0, 2.0, 3.0])
-    assert res.fun == 3.5
-
-
-def test_nm_non_finite_objective_reports_best():
-    calls = {"n": 0}
-
-    def leaky(x):
-        calls["n"] += 1
-        if calls["n"] > 10:
-            return np.nan
-        return float(np.sum(x ** 2))
-
-    res = nelder_mead_minimize(leaky, [1.0, 1.0])
-    assert not res.converged
-    assert res.reason == "non-finite objective"
-    assert np.isfinite(res.fun)
-
-
-def test_nm_termination_budget():
-    res = nelder_mead_minimize(lambda x: np.sum(x ** 2), np.ones(3), max_iters=3,
-                               x_tol=0.0, f_tol=0.0)
-    assert not res.converged and res.reason == "max_iters"
+DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
 # -- joint fit -----------------------------------------------------------------
@@ -82,8 +41,7 @@ def make_joint_curves(noise=0.0, seed=0, n_long=24, n_trans=265):
 def test_joint_fit_noiseless_self_consistency():
     long_curve, trans_curve = make_joint_curves()
     init = dict(TABLE2, b0=100.0, b1=3.0, b2=0.3, a1z=0.03)
-    result = fit_redfield_joint(long_curve, trans_curve, C_EXP, init,
-                                restarts=1, f_tol=1e-22)
+    result = fit_redfield_joint(long_curve, trans_curve, init, restarts=1)
     assert result.residual_norm < 1e-8
     for name in ("a1z", "a2z", "b0", "b1", "b2"):
         assert result.params[name] == pytest.approx(TABLE2[name], rel=1e-3), name
@@ -121,21 +79,44 @@ def test_joint_fit_noiseless_from_2x_starts():
     rng = np.random.default_rng(9)
     factors = 2.0 ** rng.uniform(-1, 1, size=7)
     init = {k: v * f for (k, v), f in zip(TABLE2.items(), factors)}
-    result = fit_redfield_joint(long_curve, trans_curve, C_EXP, init,
-                                restarts=16, seed=1, f_tol=1e-22)
+    result = fit_redfield_joint(long_curve, trans_curve, init, restarts=16, seed=1)
     assert result.residual_norm < 1e-8
+
+
+def test_joint_fit_on_bundled_pair():
+    # Reference values: the earlier seven-parameter simplex fit of the bundled
+    # pair (CLI default start, 2 restarts, seed 0) and its finite-difference
+    # Hessian sigmas.  The transverse amplitude is the product a1x*a2x.
+    long_curve = read_curve(DATA_DIR / "synthetic_longitudinal.csv")
+    trans_curve = read_curve(DATA_DIR / "synthetic_transverse.csv")
+    init = dict(a1z=0.03, a2z=1.0, a1x=0.03, a2x=1.0, b0=100.0, b1=5.0, b2=0.3)
+    result = fit_redfield_joint(long_curve, trans_curve, init, restarts=2, seed=0)
+    assert result.converged
+    assert result.residual_norm <= 0.17195044894744235 * (1 + 1e-9)
+    want = dict(a1z=0.022947548279665032, a2z=1.0036859704440562,
+                a1x=0.025749871985092827 * 0.7241455880690828,
+                b0=82.12737843477655, b1=3.8548640520548254, b2=0.17841333744729146)
+    for name, value in want.items():
+        assert result.params[name] == pytest.approx(value, rel=1e-5), name
+    assert result.params["a2x"] == 1.0
+    hessian_sigmas = dict(a1z=0.00018314152022146768, a2z=0.008625952791992512,
+                          b0=1.827824799840802, b1=0.07241869075220071,
+                          b2=0.0031492682580083428)
+    for name, sigma in hessian_sigmas.items():
+        assert result.uncertainties[name] == pytest.approx(sigma, rel=0.01), name
+    assert set(result.uncertainties) == set(FIT_NAMES)
 
 
 def test_joint_fit_requires_enough_samples():
     t = np.array([0.1, 0.2, 0.3])
     curve = DecayCurve(t, np.zeros(3))
     with pytest.raises(ValueError):
-        fit_redfield_joint(curve, curve, C_EXP, TABLE2)
+        fit_redfield_joint(curve, curve, TABLE2)
 
 
 def test_derived_densities_helper():
     long_curve, trans_curve = make_joint_curves()
-    result = fit_redfield_joint(long_curve, trans_curve, C_EXP, TABLE2, restarts=1)
+    result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
     j = derived_densities(result, C_EXP)
     assert j.j1 == pytest.approx(3.8 / C_EXP.c, rel=1e-2)
 

@@ -80,8 +80,14 @@ def test_parse_fit_command():
 
 
 def test_unknown_flag_exits_2(capsys):
-    # spin 7/2 is fixed, so --spin is an unknown flag like any other
-    for argv in (["rates", "--frobnicate"], ["rates", "--spin", "7"]):
+    # spin 7/2 is fixed, so --spin is an unknown flag like any other; the fit
+    # determines only a1x*a2x, so --init-a2x is gone too.  Impossible counts
+    # and times are usage errors as well.
+    fit = ["fit", "--long", "l.csv", "--trans", "t.csv"]
+    for argv in (["rates", "--frobnicate"], ["rates", "--spin", "7"],
+                 [*fit, "--init-a2x", "1"], [*fit, "--restarts", "0"],
+                 ["evolve", "--t-max", "1e-3", "--points", "0"],
+                 ["evolve", "--t-max", "-1"]):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
         assert err.value.code == 2
@@ -191,6 +197,10 @@ def test_fit_command_on_bundled_data(tmp_path):
     assert values["b0"] == pytest.approx(83.0, rel=0.10)
     assert values["b1"] == pytest.approx(3.8, rel=0.10)
     assert abs(values["b2"] - 0.18) < 0.08
+    # a2x is held at 1 and printed without a meaningless +/-
+    assert set(values) == {"a1z", "a2z", "a1x", "b0", "b1", "b2"}
+    a2x_line = next(line for line in report.splitlines() if line.startswith("a2x ="))
+    assert "+/-" not in a2x_line and "a1x*a2x" in a2x_line
     for name in ("fit_longitudinal_model.txt", "fit_transverse_model.txt",
                  "fit_longitudinal_data.txt", "fit_transverse_data.txt"):
         assert (out / name).exists()
@@ -202,8 +212,14 @@ def test_missing_curve_file_exits_3(tmp_path, capsys):
 
 def test_malformed_curve_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    for value in ("abc", "nan", "inf"):
-        bad.write_text(f"t_seconds,amplitude\n0.1,{value}\n0.2,0.5\n0.3,0.2\n0.4,0.1\n")
+    plain = "t_seconds,amplitude\n{}\n0.2,0.5\n0.3,0.2\n0.4,0.1\n"
+    weighted = "t_seconds,amplitude,sigma\n{}\n0.2,0.5,0.1\n0.3,0.2,0.1\n0.4,0.1,0.1\n"
+    cases = [plain.format(f"0.1,{value}") for value in ("abc", "nan", "inf")]
+    # a negative time, a zero sigma and a negative sigma
+    cases += [plain.format("-0.1,1.0"), weighted.format("0.1,1.0,0"),
+              weighted.format("0.1,1.0,-0.1")]
+    for text in cases:
+        bad.write_text(text)
         assert main(["bloch", "--trans", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
         assert f"{bad}:2:" in capsys.readouterr().err
 
