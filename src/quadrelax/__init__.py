@@ -42,9 +42,7 @@ from .redfield_core import (
 from .curves import DecayCurve, DataFormatError, read_curve, write_curve
 from .evolution import (
     DensityState,
-    ModeAmplitudes,
     MagnetizationModel,
-    initial_mode_amplitudes,
     evolve_block,
     propagate,
     all_eigensystems,

@@ -212,19 +212,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     for row, col in elements:
         if not (1 <= row <= 8 and 1 <= col <= 8):
             raise ValueError(f"element ({row},{col}) outside 1..8")
-    states = evolution.propagate(rho0, rho_eq, j, c, times)
-    columns = ["t_seconds"]
+    traj = evolution.propagate(rho0, rho_eq, j, c, times)
+    columns, values = ["t_seconds"], [times]
     for row, col in elements:
+        v = traj[:, row - 1, col - 1]
         columns += [f"re_{row}_{col}", f"im_{row}_{col}"]
-    rows = []
-    for t, state in zip(times, states):
-        row_vals = [t]
-        for row, col in elements:
-            v = state.element(row, col)
-            row_vals += [v.real, v.imag]
-        rows.append(row_vals)
+        values += [v.real, v.imag]
     out = Path(cfg.out) / "trajectory.txt"
-    write_table(out, columns, rows, raw=True)
+    write_table(out, columns, np.column_stack(values), raw=True)
     print(f"wrote {out} ({len(times)} times, {len(elements)} elements)")
     return EXIT_OK
 
@@ -379,6 +374,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _grid_points(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 grid points, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < np.inf:
@@ -446,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ilt", help="regularized relaxation-time distribution")
     common(p)
     p.add_argument("--curve", required=True, help="curve CSV")
-    p.add_argument("--t-min", type=float, required=True, dest="t_min", help="seconds")
-    p.add_argument("--t-max", type=float, required=True, dest="t_max", help="seconds")
-    p.add_argument("--points", type=int, default=64)
+    p.add_argument("--t-min", type=_positive_float, required=True, dest="t_min", help="seconds")
+    p.add_argument("--t-max", type=_positive_float, required=True, dest="t_max",
+                   help="seconds, above --t-min")
+    p.add_argument("--points", type=_grid_points, default=64)
     p.add_argument("--alpha", type=float, default=None,
                    help="Tikhonov weight (default: discrepancy principle)")
     p.add_argument("--kernel", choices=("decay", "recovery"), default="decay")
@@ -464,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "ilt" and not args.t_max > args.t_min:
+        parser.error(f"ilt: --t-max {args.t_max!r} must exceed --t-min {args.t_min!r}")
     try:
         out = getattr(args, "out", None)
         if out:

@@ -86,14 +86,6 @@ class DensityState:
 
 
 @dataclass(frozen=True)
-class ModeAmplitudes:
-    """Initial mode coordinates of one coherence order (length 8 - q)."""
-
-    q: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class MagnetizationModel:
     """Mode description of a normalized magnetization decay signal.
 
@@ -117,24 +109,21 @@ class MagnetizationModel:
         return self.scale * (self.equilibrium_term + decay)
 
 
-def initial_mode_amplitudes(q: int, w: np.ndarray, rho0: DensityState) -> ModeAmplitudes:
-    """amp = w . (elements of rho0 at order q); w is the forward transformation."""
-    vec = rho0.coherence_vector(q)
-    if w.shape[1] != vec.size:
-        raise ValueError(f"transformation is {w.shape} but order {q} has {vec.size} elements")
-    return ModeAmplitudes(q=q, values=w @ vec)
-
-
 def evolve_block(eigensystem: BlockEigensystem, rho0: DensityState, rho_eq: DensityState,
-                 t: float) -> np.ndarray:
-    """Element values rho_{q+n, n}(t) of one coherence order."""
-    if t < 0:
-        raise ValueError(f"elapsed time must be non-negative, got {t}")
+                 t) -> np.ndarray:
+    """Element values rho_{q+n, n}(t) of one coherence order.
+
+    t is a scalar, giving shape (n,), or a 1-d array of times, giving (T, n).
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"elapsed time must be non-negative, got {float(t.min())}")
     q = eigensystem.q
     eq_vec = rho_eq.coherence_vector(q)
     dev = rho0.coherence_vector(q) - eq_vec
     amps = eigensystem.w @ dev
-    return eq_vec + eigensystem.w_bar @ (np.exp(-eigensystem.rates * t) * amps)
+    decay = np.exp(-eigensystem.rates * t[..., None]) * amps
+    return eq_vec + np.matmul(eigensystem.w_bar, decay[..., None])[..., 0]
 
 
 def all_eigensystems(j: SpectralDensities,
@@ -144,8 +133,8 @@ def all_eigensystems(j: SpectralDensities,
 
 
 def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
-              c: QuadrupolarConstant, times) -> list[DensityState]:
-    """Full density-matrix trajectory over sorted times.
+              c: QuadrupolarConstant, times) -> np.ndarray:
+    """Full density-matrix trajectory over sorted times, as a (T, 8, 8) complex array.
 
     Orders q = 0..7 are evolved independently; elements above the diagonal are
     filled by Hermitian conjugation (the negative-order blocks are identical
@@ -161,17 +150,14 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
                          f"and {rho_eq.dim}x{rho_eq.dim}")
     d = rho0.dim
     systems = all_eigensystems(j, c)
-    states = []
-    for t in times:
-        m = np.zeros((d, d), dtype=complex)
-        for q in range(d):
-            vals = evolve_block(systems[q], rho0, rho_eq, float(t))
-            for n, v in enumerate(vals):
-                m[q + n, n] = v
-                if q > 0:
-                    m[n, q + n] = np.conj(v)
-        states.append(DensityState(m))
-    return states
+    out = np.zeros((times.size, d, d), dtype=complex)
+    for q in range(d):
+        vals = evolve_block(systems[q], rho0, rho_eq, times)
+        n = np.arange(d - q)
+        # the conjugate first, so that the q = 0 diagonal keeps its own values
+        out[:, n, q + n] = vals.conj()
+        out[:, q + n, n] = vals
+    return out
 
 
 # -- magnetization models ----------------------------------------------------

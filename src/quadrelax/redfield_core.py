@@ -159,16 +159,6 @@ def liouville_superoperator(quads: QuadrupoleSet, j: SpectralDensities) -> np.nd
     return out
 
 
-def _fix_column_signs(w_bar: np.ndarray) -> np.ndarray:
-    out = w_bar.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        lead = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-        if lead.size and col[lead[0]] < 0:
-            out[:, k] = -col
-    return out
-
-
 def _rates_from_eigenvalues(lam: np.ndarray, c: QuadrupolarConstant | None) -> np.ndarray:
     scale = c.c if c is not None else 1.0
     rates = -scale * lam
@@ -179,35 +169,29 @@ def _rates_from_eigenvalues(lam: np.ndarray, c: QuadrupolarConstant | None) -> n
 
 def numeric_eigensystem(block: CoherenceBlock,
                         c: QuadrupolarConstant | None = None) -> BlockEigensystem:
-    """Eigendecomposition of a block with the canonical ordering and signs.
+    """Eigendecomposition of a symmetric block with the canonical ordering and signs.
 
+    Every assembled block is real symmetric, so the symmetric solver applies
+    and w = w_bar^T; a block whose asymmetry exceeds 1e-12 of its largest
+    entry (a defective matrix among them) raises np.linalg.LinAlgError.  Each
+    w_bar column's first component of significant magnitude is made positive.
     Ordering is by descending eigenvalue (ascending rate); degenerate pairs are
-    ordered lexicographically by their sign-fixed eigenvectors.  Symmetric
-    blocks (every assembled block is symmetric) use the symmetric solver;
-    general real matrices fall back to np.linalg.eig and must be
-    diagonalizable within conditioning tolerance.  Without a quadrupolar
-    constant the rates are -lambda (the C = 1 convention, handy when the block
-    was evaluated directly at the rate scales B_k = C J_k).
+    ordered lexicographically by their sign-fixed eigenvectors.  Without a
+    quadrupolar constant the rates are -lambda (the C = 1 convention, handy
+    when the block was evaluated directly at the rate scales B_k = C J_k).
     """
     m = block.matrix
-    symmetric = np.allclose(m, m.T, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(m))))
-    if symmetric:
-        lam, vec = np.linalg.eigh(m)
-    else:
-        lam_c, vec_c = np.linalg.eig(m)
-        if np.max(np.abs(lam_c.imag)) > 1e-9 * max(1.0, np.max(np.abs(lam_c.real))):
-            raise np.linalg.LinAlgError(f"complex spectrum for q={block.q}: {lam_c}")
-        lam, vec = lam_c.real, vec_c.real
-    vec = _fix_column_signs(vec)
-    order = sorted(range(lam.size), key=lambda k: (-lam[k], tuple(vec[:, k])))
-    lam = lam[np.array(order)]
-    w_bar = vec[:, np.array(order)]
-    cond = np.linalg.cond(w_bar)
-    if cond > 1e12:
+    asymmetry = np.max(np.abs(m - m.T))
+    if not asymmetry <= 1e-12 * max(1.0, np.max(np.abs(m))):
         raise np.linalg.LinAlgError(
-            f"eigenvector matrix for q={block.q} is ill-conditioned (cond={cond:.2e})")
-    w = w_bar.T if symmetric else np.linalg.inv(w_bar)
-    return BlockEigensystem(q=block.q, eigenvalues=lam, w=w, w_bar=w_bar,
+            f"block for q={block.q} is not symmetric (max |m - m^T| = {asymmetry:.2e})")
+    lam, vec = np.linalg.eigh(m)
+    mag = np.abs(vec)
+    lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    vec = vec * np.where(vec[lead, np.arange(lam.size)] < 0, -1.0, 1.0)
+    order = np.lexsort(np.vstack([vec[::-1], -lam]))
+    lam, w_bar = lam[order], vec[:, order]
+    return BlockEigensystem(q=block.q, eigenvalues=lam, w=w_bar.T, w_bar=w_bar,
                             rates=_rates_from_eigenvalues(lam, c))
 
 

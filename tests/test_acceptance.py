@@ -124,10 +124,11 @@ def test_criterion_5_oracle_equivalence():
                     got = qr.evolve_block(systems[q], rho0, eq, t)
                     want = eq.coherence_vector(q) + expm(c.c * blk * t) @ dev
                     np.testing.assert_allclose(got, want, atol=1e-9)
-            for state in qr.propagate(rho0, eq, jj, c, np.linspace(0.0, 1.0, 7)):
-                assert state.is_unit_trace(1e-10)
-                herm = np.max(np.abs(state.matrix - state.matrix.conj().T))
-                assert herm < 1e-10
+            traj = qr.propagate(rho0, eq, jj, c, np.linspace(0.0, 1.0, 7))
+            trace = np.trace(traj, axis1=1, axis2=2)
+            assert np.all(np.abs(trace.real - 1.0) <= 1e-10)
+            herm = np.max(np.abs(traj - np.conj(np.swapaxes(traj, 1, 2))))
+            assert herm < 1e-10
 
 
 def _experimental_models():
@@ -223,9 +224,9 @@ def test_criterion_10_corner_state_trajectory():
         j, c = reference_inputs()
         times = np.linspace(0.0, 1.5e-3, 120)
         traj = qr.propagate(qr.DensityState.noon(), qr.DensityState.pure_top(), j, c, times)
-        rho11 = np.array([s.element(1, 1).real for s in traj])
-        rho88 = np.array([s.element(8, 8).real for s in traj])
-        rho81 = np.array([abs(s.element(8, 1)) for s in traj])
+        rho11 = traj[:, 0, 0].real
+        rho88 = traj[:, 7, 7].real
+        rho81 = np.abs(traj[:, 7, 0])
         assert rho11[-1] > 0.97 and np.all(np.diff(rho11) > 0)
         assert rho88[-1] < 0.03 and rho81[-1] < 1e-9
         slowest_population_mode = np.exp(-4.13e3 * times[1:])

@@ -179,6 +179,23 @@ def test_ilt_command(tmp_path):
     assert table["time_seconds"][np.argmax(table["weight"])] == pytest.approx(0.1, rel=0.15)
 
 
+@pytest.mark.parametrize("grid", [
+    ["--t-min", "-1", "--t-max", "1"],
+    ["--t-min", "0", "--t-max", "1"],
+    ["--t-min", "1e-3", "--t-max", "0"],
+    ["--t-min", "1e-3", "--t-max", "1", "--points", "1"],
+    ["--t-min", "1", "--t-max", "1"],
+    ["--t-min", "2", "--t-max", "1"],
+])
+def test_ilt_impossible_grid_exits_2(tmp_path, grid):
+    # a usage error, like evolve --points 0, not a computation failure (exit 1)
+    with pytest.raises(SystemExit) as err:
+        main(["ilt", "--curve", str(DATA_DIR / "synthetic_transverse.csv"), *grid,
+              "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert not (tmp_path / "distribution.txt").exists()
+
+
 def test_fit_command_on_bundled_data(tmp_path):
     out = tmp_path / "o"
     code = main(["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),

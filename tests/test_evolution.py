@@ -8,7 +8,6 @@ from quadrelax.evolution import (
     build_longitudinal_model,
     build_transverse_model,
     evolve_block,
-    initial_mode_amplitudes,
     propagate,
 )
 from quadrelax.phys_params import (SpectralDensities,
@@ -50,16 +49,16 @@ def test_initial_amplitudes_published_q6_case():
     es = analytic_eigensystem(6, J_REF, C_REF)
     m = np.zeros((8, 8), dtype=complex)
     m[6, 0] = m[0, 6] = 1.0
-    amps = initial_mode_amplitudes(6, es.w, DensityState(m))
-    np.testing.assert_allclose(amps.values, [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+    amps = es.w @ DensityState(m).coherence_vector(6)
+    np.testing.assert_allclose(amps, [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_initial_amplitudes_zero_for_equilibrium_coherences():
     systems = all_eigensystems(J_REF, C_REF)
     eq = DensityState.pure_top()
     for q in range(1, 8):
-        amps = initial_mode_amplitudes(q, systems[q].w, eq)
-        np.testing.assert_allclose(amps.values, 0.0, atol=1e-15)
+        amps = systems[q].w @ eq.coherence_vector(q)
+        np.testing.assert_allclose(amps, 0.0, atol=1e-15)
 
 
 def test_initial_amplitudes_round_trip():
@@ -67,8 +66,8 @@ def test_initial_amplitudes_round_trip():
     systems = all_eigensystems(J_REF, C_REF)
     state = random_hermitian_state(rng)
     for q in range(8):
-        amps = initial_mode_amplitudes(q, systems[q].w, state)
-        back = systems[q].w_bar @ amps.values
+        amps = systems[q].w @ state.coherence_vector(q)
+        back = systems[q].w_bar @ amps
         np.testing.assert_allclose(back, state.coherence_vector(q), atol=1e-12)
 
 
@@ -90,6 +89,22 @@ def test_evolve_block_rejects_negative_time():
     systems = all_eigensystems(J_REF, C_REF)
     with pytest.raises(ValueError):
         evolve_block(systems[0], DensityState.noon(), DensityState.pure_top(), -1e-6)
+    with pytest.raises(ValueError):
+        evolve_block(systems[0], DensityState.noon(), DensityState.pure_top(),
+                     np.array([0.0, -1e-6]))
+
+
+def test_evolve_block_over_times_stacks_scalar_calls():
+    rng = np.random.default_rng(5)
+    systems = all_eigensystems(J_REF, C_REF)
+    rho0 = random_hermitian_state(rng)
+    eq = DensityState.pure_top()
+    times = np.concatenate([[0.0], np.logspace(-7, -2, 40)])
+    for q in range(8):
+        batched = evolve_block(systems[q], rho0, eq, times)
+        assert batched.shape == (times.size, 8 - q)
+        stacked = np.array([evolve_block(systems[q], rho0, eq, float(t)) for t in times])
+        np.testing.assert_array_equal(batched, stacked)
 
 
 def test_q7_single_exponential_value():
@@ -105,9 +120,10 @@ def test_q7_single_exponential_value():
 def test_propagate_noon_reference_shape():
     times = np.linspace(0.0, 1e-3, 60)
     traj = propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, times)
-    rho11 = np.array([st.element(1, 1).real for st in traj])
-    rho88 = np.array([st.element(8, 8).real for st in traj])
-    rho81 = np.array([abs(st.element(8, 1)) for st in traj])
+    assert traj.shape == (60, 8, 8) and traj.dtype == complex
+    rho11 = traj[:, 0, 0].real
+    rho88 = traj[:, 7, 7].real
+    rho81 = np.abs(traj[:, 7, 0])
     assert rho11[0] == pytest.approx(0.5) and rho11[-1] > 0.95
     assert rho88[-1] < 0.05 and rho81[-1] < 1e-6
     # the coherence dies faster than the slowest population mode (4.13 kHz)
@@ -120,16 +136,36 @@ def test_propagate_noon_reference_shape():
 def test_propagate_fixed_point():
     eq = DensityState.pure_top()
     traj = propagate(eq, eq, J_REF, C_REF, np.linspace(0, 1.0, 5))
-    for st in traj:
-        np.testing.assert_allclose(st.matrix, eq.matrix, atol=1e-12)
+    for m in traj:
+        np.testing.assert_allclose(m, eq.matrix, atol=1e-12)
 
 
 def test_propagate_preserves_hermiticity_and_trace():
     rng = np.random.default_rng(2)
     rho0 = random_hermitian_state(rng)
     eq = DensityState.uniform()
-    for st in propagate(rho0, eq, J_REF, C_REF, np.logspace(-6, 0, 10)):
-        assert st.is_unit_trace(1e-10)  # hermiticity enforced by the constructor
+    traj = propagate(rho0, eq, J_REF, C_REF, np.logspace(-6, 0, 10))
+    np.testing.assert_allclose(traj, np.conj(np.swapaxes(traj, 1, 2)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.trace(traj, axis1=1, axis2=2).real, 1.0, rtol=0, atol=1e-10)
+
+
+def test_propagate_is_the_per_order_scalar_assembly():
+    rng = np.random.default_rng(6)
+    rho0 = random_hermitian_state(rng)
+    eq = DensityState.pure_top()
+    times = np.linspace(0.0, 2e-4, 25)
+    systems = all_eigensystems(J_REF, C_REF)
+    want = np.zeros((times.size, 8, 8), dtype=complex)
+    for k, t in enumerate(times):
+        for q in range(8):
+            for n, v in enumerate(evolve_block(systems[q], rho0, eq, float(t))):
+                want[k, q + n, n] = v
+                if q > 0:
+                    want[k, n, q + n] = np.conj(v)
+    got = propagate(rho0, eq, J_REF, C_REF, times)
+    np.testing.assert_array_equal(got, want)
+    # signed zeros too: the written trajectory prints them
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_propagate_rejects_unsorted_times():
@@ -170,8 +206,8 @@ def test_deviation_dynamics_superpose():
     traj_1 = propagate(s1, eq, J_REF, C_REF, times)
     traj_2 = propagate(s2, eq, J_REF, C_REF, times)
     for tm, t1, t2 in zip(traj_mixed, traj_1, traj_2):
-        dev_mixed = tm.matrix - eq.matrix
-        dev_sum = a * (t1.matrix - eq.matrix) + b * (t2.matrix - eq.matrix)
+        dev_mixed = tm - eq.matrix
+        dev_sum = a * (t1 - eq.matrix) + b * (t2 - eq.matrix)
         np.testing.assert_allclose(dev_mixed, dev_sum, atol=1e-10)
 
 

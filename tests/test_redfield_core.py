@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrelax._tables import load_reference_tables
 from quadrelax.phys_params import (QuadrupolarConstant, SpectralDensities,
@@ -212,6 +214,34 @@ def test_numeric_rejects_defective_matrix(c_ref):
     jordan = CoherenceBlock(q=6, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(np.linalg.LinAlgError):
         numeric_eigensystem(jordan, c_ref)
+    # diagonalizable with distinct real eigenvalues, but no block is asymmetric
+    asymmetric = CoherenceBlock(q=6, matrix=np.array([[1.0, 2.0], [0.0, 3.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="not symmetric"):
+        numeric_eigensystem(asymmetric, c_ref)
+
+
+_DECADE = st.floats(-5.0, 5.0)
+_J_TRIPLES = st.one_of(
+    st.tuples(_DECADE, _DECADE, _DECADE).map(lambda e: tuple(10.0 ** np.array(e))),
+    _DECADE.map(lambda e: (10.0 ** e,) * 3),
+    st.tuples(_DECADE, _DECADE, st.floats(-1e-9, 1e-9)).map(
+        lambda e: (10.0 ** e[0], 10.0 ** e[1], 10.0 ** e[1] * (1.0 + e[2]))),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_J_TRIPLES)
+def test_numeric_eigensystem_invariants_over_density_space(weights):
+    for q in range(8):
+        es = numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, weights)))
+        np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(es.w, es.w_bar.T)
+        assert np.all(np.diff(es.eigenvalues) <= 0)
+        assert np.all(es.rates >= 0)
+        if q == 0:
+            assert np.sum(es.rates == 0.0) == 1
+        else:
+            assert np.all(es.rates > 0)
 
 
 def test_numeric_sign_convention(j_ref, c_ref):
