@@ -44,8 +44,7 @@ def _param_vector(params) -> np.ndarray:
     return vec
 
 
-def joint_models(params, equilibrium_deviation: np.ndarray | None = None
-                 ) -> tuple[MagnetizationModel, MagnetizationModel]:
+def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
     """Longitudinal and transverse magnetization models at a 7-parameter set.
 
     Rates come out in Hz directly because the blocks are evaluated at the
@@ -55,21 +54,17 @@ def joint_models(params, equilibrium_deviation: np.ndarray | None = None
     weights = (b0, b1, b2)
     es0 = numeric_eigensystem(CoherenceBlock(0, evaluate_block(0, weights)))
     es1 = numeric_eigensystem(CoherenceBlock(1, evaluate_block(1, weights)))
-    return (build_longitudinal_model(es0, a1z, a2z, equilibrium_deviation),
-            build_transverse_model(es1, a1x, a2x))
+    return build_longitudinal_model(es0, a1z, a2z), build_transverse_model(es1, a1x, a2x)
 
 
-def joint_model_curves(params, times_long, times_trans,
-                       equilibrium_deviation: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def joint_model_curves(params, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
     """Model longitudinal and transverse signals at the given parameter set."""
-    long_model, trans_model = joint_models(params, equilibrium_deviation)
+    long_model, trans_model = joint_models(params)
     return long_model.evaluate(times_long), trans_model.evaluate(times_trans)
 
 
 def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
-                       *, equilibrium_deviation: np.ndarray | None = None,
-                       restarts: int = 16, seed: int = 0) -> FitResult:
+                       *, restarts: int = 16, seed: int = 0) -> FitResult:
     """Joint least-squares fit of both magnetization curves.
 
     The transverse signal depends on a1x and a2x only through their product,
@@ -88,7 +83,7 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
 
     def residuals(x: np.ndarray) -> np.ndarray:
         sz, sx = joint_model_curves(np.insert(x, 3, 1.0), long_curve.times,
-                                    trans_curve.times, equilibrium_deviation)
+                                    trans_curve.times)
         return np.concatenate([(sz - long_curve.amplitudes) * wz,
                                (sx - trans_curve.amplitudes) * wx])
 

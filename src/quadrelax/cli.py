@@ -133,16 +133,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def format_number(x: float, raw: bool) -> str:
-    if np.isinf(x):
-        return "inf"
     return repr(float(x)) if raw else f"{x:.4g}"
 
 
+def _table_lines(columns: list[str], rows, raw: bool) -> list[str]:
+    """The '# columns:' header and one line per row, every value through format_number."""
+    return ["# columns: " + " ".join(columns),
+            *(" ".join(format_number(v, raw) for v in row)
+              for row in np.asarray(rows, dtype=float).tolist())]
+
+
 def write_table(path: Path, columns: list[str], rows, raw: bool = True) -> None:
-    lines = ["# columns: " + " ".join(columns)]
-    for row in rows:
-        lines.append(" ".join(format_number(v, raw) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(_table_lines(columns, rows, raw)) + "\n", encoding="utf-8")
 
 
 def read_table(path: Path) -> dict[str, np.ndarray]:
@@ -234,15 +236,11 @@ def _mode_table(model: evolution.MagnetizationModel) -> list[tuple[int, float, f
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     c = cfg.constant()
-    long_curve = read_curve(args.long)
-    trans_curve = read_curve(args.trans)
+    curves = [read_curve(args.long), read_curve(args.trans)]
     if args.normalize:
-        long_curve = DecayCurve(long_curve.times,
-                                long_curve.amplitudes / np.max(np.abs(long_curve.amplitudes)),
-                                long_curve.sigmas)
-        trans_curve = DecayCurve(trans_curve.times,
-                                 trans_curve.amplitudes / np.max(np.abs(trans_curve.amplitudes)),
-                                 trans_curve.sigmas)
+        curves = [DecayCurve(curve.times, curve.amplitudes / np.max(np.abs(curve.amplitudes)),
+                             curve.sigmas) for curve in curves]
+    long_curve, trans_curve = curves
     init = dict(a1z=args.init_a1z, a2z=args.init_a2z, a1x=args.init_a1x,
                 a2x=1.0, b0=args.init_b0, b1=args.init_b1, b2=args.init_b2)
     result = analysis.fit_redfield_joint(long_curve, trans_curve, init,
@@ -268,27 +266,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     report.append(f"c_hz2 = {format_number(c.c, args.raw)}")
     for label, value in zip(("j0", "j1", "j2"), densities.as_tuple()):
         report.append(f"{label}_seconds = {format_number(value, args.raw)}")
-    report.append("")
-    report.append("[longitudinal_modes]  # amplitudes include the scale a1z")
-    report.append("# columns: n amplitude time_seconds")
-    for row in _mode_table(long_model):
-        report.append(" ".join(format_number(v, args.raw) for v in row))
-    report.append("")
-    report.append("[transverse_modes]  # amplitudes include the scale a1x")
-    report.append("# columns: n amplitude time_seconds")
-    for row in _mode_table(trans_model):
-        report.append(" ".join(format_number(v, args.raw) for v in row))
-    report_path = out_dir / "fit_report.txt"
-    report_path.write_text("\n".join(report) + "\n", encoding="utf-8")
-
-    for label, curve, model in (("longitudinal", long_curve, long_model),
-                                ("transverse", trans_curve, trans_model)):
+    for label, scale, curve, model in (("longitudinal", "a1z", long_curve, long_model),
+                                       ("transverse", "a1x", trans_curve, trans_model)):
+        report += ["", f"[{label}_modes]  # amplitudes include the scale {scale}",
+                   *_table_lines(["n", "amplitude", "time_seconds"], _mode_table(model),
+                                 args.raw)]
         dense = np.linspace(curve.times[0], curve.times[-1], 500)
         write_table(out_dir / f"fit_{label}_model.txt", ["t_seconds", "model"],
                     np.column_stack([dense, model.evaluate(dense)]))
         write_table(out_dir / f"fit_{label}_data.txt", ["t_seconds", "data", "model", "residual"],
                     np.column_stack([curve.times, curve.amplitudes, model.evaluate(curve.times),
                                      curve.amplitudes - model.evaluate(curve.times)]))
+    report_path = out_dir / "fit_report.txt"
+    report_path.write_text("\n".join(report) + "\n", encoding="utf-8")
     print(f"wrote {report_path} (residual_norm = {format_number(result.residual_norm, args.raw)})")
     print(f"B = ({format_number(result.params['b0'], args.raw)}, "
           f"{format_number(result.params['b1'], args.raw)}, "
@@ -367,18 +357,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _grid_points(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected at least 2 grid points, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -388,47 +373,56 @@ def _positive_float(text: str) -> float:
     return value
 
 
+#: the flags several subcommands share; each subcommand adds only those it reads
+_SHARED_FLAGS = {
+    "--config": dict(help="key = value config file"),
+    "--out": dict(help="output directory (default '.')"),
+    "--seed": dict(type=int, default=0, help="deterministic seed"),
+    "--raw": dict(action="store_true", help="full-precision numbers in reports"),
+    "--larmor-freq": dict(type=float, help="Hz"),
+    "--tau-c": dict(type=float, dest="correlation_time", help="seconds"),
+    "--j0": dict(type=float, help="seconds"),
+    "--j1": dict(type=float, help="seconds"),
+    "--j2": dict(type=float, help="seconds"),
+    "--quad-freq": dict(type=float, help="Hz"),
+    "--c": dict(type=float, dest="c_override", help="Hz^2"),
+    "--equilibrium": dict(help="pure_top | uniform | file:PATH"),
+}
+_DENSITY_FLAGS = ("--larmor-freq", "--tau-c", "--j0", "--j1", "--j2")
+_CONSTANT_FLAGS = ("--quad-freq", "--c")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadrelax",
         description="Spin-7/2 quadrupolar relaxation: rates, trajectories, fits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", help="output directory (default '.')")
-        p.add_argument("--seed", type=int, default=0, help="deterministic seed")
-        p.add_argument("--raw", action="store_true", help="full-precision numbers in reports")
-        p.add_argument("--larmor-freq", type=float, dest="larmor_freq", help="Hz")
-        p.add_argument("--quad-freq", type=float, dest="quad_freq", help="Hz")
-        p.add_argument("--tau-c", type=float, dest="correlation_time", help="seconds")
-        p.add_argument("--j0", type=float, dest="j0", help="seconds")
-        p.add_argument("--j1", type=float, dest="j1", help="seconds")
-        p.add_argument("--j2", type=float, dest="j2", help="seconds")
-        p.add_argument("--c", type=float, dest="c_override", help="Hz^2")
-        p.add_argument("--equilibrium", dest="equilibrium",
-                       help="pure_top | uniform | file:PATH")
+    def command(name, func, summary, *shared):
+        p = sub.add_parser(name, help=summary)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("rates", help="per-order relaxation rate table")
-    common(p)
-    p.add_argument("--q", default="all", help="coherence order or 'all'")
-    p.set_defaults(func=_cmd_rates)
+    p = command("rates", _cmd_rates, "per-order relaxation rate table",
+                "--config", "--out", "--raw", *_DENSITY_FLAGS, *_CONSTANT_FLAGS)
+    p.add_argument("--q", default="all", choices=("all", *map(str, range(8))),
+                   help="coherence order or 'all'")
 
-    p = sub.add_parser("evolve", help="density-matrix element trajectory")
-    common(p)
+    p = command("evolve", _cmd_evolve, "density-matrix element trajectory",
+                "--config", "--out", *_DENSITY_FLAGS, *_CONSTANT_FLAGS, "--equilibrium")
     p.add_argument("--state", default="noon", help="noon | pure_top | uniform | file:PATH")
-    p.add_argument("--t-max", type=_positive_float, required=True, dest="t_max",
-                   help="seconds")
-    p.add_argument("--points", type=_positive_int, default=200)
+    p.add_argument("--t-max", type=_positive_float, required=True, help="seconds")
+    p.add_argument("--points", type=_int_at_least(1), default=200)
     p.add_argument("--elements", default="1,1;8,8;8,1",
                    help="semicolon-separated one-based 'row,col' pairs")
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("fit", help="joint least-squares fit of both curves")
-    common(p)
+    p = command("fit", _cmd_fit, "joint least-squares fit of both curves",
+                "--config", "--out", "--seed", "--raw", *_CONSTANT_FLAGS)
     p.add_argument("--long", required=True, help="longitudinal curve CSV")
     p.add_argument("--trans", required=True, help="transverse curve CSV")
-    p.add_argument("--restarts", type=_positive_int, default=16)
+    p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--normalize", action="store_true",
                    help="max-abs normalize both curves before fitting")
     p.add_argument("--init-a1z", type=float, default=0.03)
@@ -437,29 +431,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-b0", type=float, default=100.0)
     p.add_argument("--init-b1", type=float, default=5.0)
     p.add_argument("--init-b2", type=float, default=0.3)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("bloch", help="mono-exponential T1/T2 baselines")
-    common(p)
+    p = command("bloch", _cmd_bloch, "mono-exponential T1/T2 baselines",
+                "--config", "--out", "--raw")
     p.add_argument("--long", help="longitudinal curve CSV")
     p.add_argument("--trans", help="transverse curve CSV")
-    p.set_defaults(func=_cmd_bloch)
 
-    p = sub.add_parser("ilt", help="regularized relaxation-time distribution")
-    common(p)
+    p = command("ilt", _cmd_ilt, "regularized relaxation-time distribution",
+                "--config", "--out", "--raw")
     p.add_argument("--curve", required=True, help="curve CSV")
-    p.add_argument("--t-min", type=_positive_float, required=True, dest="t_min", help="seconds")
-    p.add_argument("--t-max", type=_positive_float, required=True, dest="t_max",
-                   help="seconds, above --t-min")
-    p.add_argument("--points", type=_grid_points, default=64)
+    p.add_argument("--t-min", type=_positive_float, required=True, help="seconds")
+    p.add_argument("--t-max", type=_positive_float, required=True, help="seconds, above --t-min")
+    p.add_argument("--points", type=_int_at_least(2), default=64)
     p.add_argument("--alpha", type=float, default=None,
                    help="Tikhonov weight (default: discrepancy principle)")
     p.add_argument("--kernel", choices=("decay", "recovery"), default="decay")
-    p.set_defaults(func=_cmd_ilt)
 
-    p = sub.add_parser("validate", help="reference-table conformance check")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
+    command("validate", _cmd_validate, "reference-table conformance check",
+            "--config", "--out", "--seed", *_DENSITY_FLAGS)
 
     return parser
 
@@ -470,9 +459,8 @@ def main(argv=None) -> int:
     if args.command == "ilt" and not args.t_max > args.t_min:
         parser.error(f"ilt: --t-max {args.t_max!r} must exceed --t-min {args.t_min!r}")
     try:
-        out = getattr(args, "out", None)
-        if out:
-            Path(out).mkdir(parents=True, exist_ok=True)
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -169,23 +169,21 @@ def _mode_amplitudes_for_observable(eigensystem: BlockEigensystem, weights: np.n
 
 
 def build_longitudinal_model(eigensystem: BlockEigensystem, scale: float,
-                             prep_efficiency: float,
-                             equilibrium_deviation: np.ndarray | None = None) -> MagnetizationModel:
+                             prep_efficiency: float) -> MagnetizationModel:
     """Longitudinal (<Iz>) model from the q = 0 eigensystem.
 
     The preparation is the inverted equilibrium, -prep_efficiency * Iz, and the
-    default equilibrium deviation is +Iz (both in the traceless high-temperature
+    equilibrium deviation is +Iz (both in the traceless high-temperature
     convention; the overall polarization sits in ``scale``).
     """
     if eigensystem.q != 0:
         raise ValueError("longitudinal model requires the q=0 eigensystem")
     d = eigensystem.dim
     iz = np.diag(make_spin_operators(d - 1).iz).real
-    eq = iz if equilibrium_deviation is None else np.diag(np.asarray(equilibrium_deviation)).real
-    dev = -prep_efficiency * iz - eq
+    dev = -prep_efficiency * iz - iz
     amps = _mode_amplitudes_for_observable(eigensystem, iz, dev)
     return MagnetizationModel(scale=scale, prep_efficiency=prep_efficiency,
-                              amplitudes=amps, equilibrium_term=float(iz @ eq),
+                              amplitudes=amps, equilibrium_term=float(iz @ iz),
                               rates=eigensystem.rates)
 
 

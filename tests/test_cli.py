@@ -1,10 +1,11 @@
+import argparse
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadrelax.cli import (EXIT_DATA, EXIT_OK, build_parser, load_config,
-                           main, read_table)
+from quadrelax.cli import (EXIT_DATA, EXIT_OK, build_parser, format_number,
+                           load_config, main, read_table)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 from quadrelax.curves import (DataFormatError, DecayCurve, read_curve,
@@ -62,8 +63,9 @@ def test_curve_allows_comments(tmp_path):
 # -- parsing -------------------------------------------------------------------
 
 def test_parse_rates_command():
-    args = build_parser().parse_args(["rates", "--config", "theo.cfg", "--q", "all"])
-    assert args.command == "rates" and args.q == "all" and args.config == "theo.cfg"
+    for q in ("all", *map(str, range(8))):
+        args = build_parser().parse_args(["rates", "--config", "theo.cfg", "--q", q])
+        assert args.command == "rates" and args.q == q and args.config == "theo.cfg"
 
 
 def test_parse_evolve_command():
@@ -81,16 +83,56 @@ def test_parse_fit_command():
 
 def test_unknown_flag_exits_2(capsys):
     # spin 7/2 is fixed, so --spin is an unknown flag like any other; the fit
-    # determines only a1x*a2x, so --init-a2x is gone too.  Impossible counts
-    # and times are usage errors as well.
+    # determines only a1x*a2x, so --init-a2x is gone too.  A subcommand takes
+    # only the flags it reads.  Impossible orders, counts and times are usage
+    # errors as well.
     fit = ["fit", "--long", "l.csv", "--trans", "t.csv"]
+    evolve = ["evolve", "--t-max", "1e-3"]
     for argv in (["rates", "--frobnicate"], ["rates", "--spin", "7"],
                  [*fit, "--init-a2x", "1"], [*fit, "--restarts", "0"],
-                 ["evolve", "--t-max", "1e-3", "--points", "0"],
-                 ["evolve", "--t-max", "-1"]):
+                 [*evolve, "--points", "0"], ["evolve", "--t-max", "-1"],
+                 ["rates", "--q", "8"], ["rates", "--q", "-1"], ["rates", "--q", "x"],
+                 ["rates", "--seed", "1"], [*evolve, "--seed", "1"], [*evolve, "--raw"],
+                 [*fit, "--tau-c", "1e-9"], [*fit, "--equilibrium", "uniform"],
+                 ["bloch", "--j0", "1"], ["bloch", "--quad-freq", "1"],
+                 ["ilt", "--curve", "c.csv", "--t-min", "1", "--t-max", "2", "--seed", "1"],
+                 ["validate", "--raw"], ["validate", "--quad-freq", "-1"]):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
         assert err.value.code == 2
+
+
+#: the options each subcommand declares: the flags its code reads, and no others
+SUBCOMMAND_OPTIONS = {
+    "rates": {"--config", "--out", "--raw", "--larmor-freq", "--tau-c", "--j0", "--j1",
+              "--j2", "--quad-freq", "--c", "--q"},
+    "evolve": {"--config", "--out", "--larmor-freq", "--tau-c", "--j0", "--j1", "--j2",
+               "--quad-freq", "--c", "--equilibrium", "--state", "--t-max", "--points",
+               "--elements"},
+    "fit": {"--config", "--out", "--seed", "--raw", "--quad-freq", "--c", "--long",
+            "--trans", "--restarts", "--normalize", "--init-a1z", "--init-a2z",
+            "--init-a1x", "--init-b0", "--init-b1", "--init-b2"},
+    "bloch": {"--config", "--out", "--raw", "--long", "--trans"},
+    "ilt": {"--config", "--out", "--raw", "--curve", "--t-min", "--t-max", "--points",
+            "--alpha", "--kernel"},
+    "validate": {"--config", "--out", "--seed", "--larmor-freq", "--tau-c", "--j0",
+                 "--j1", "--j2"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommand_option_set(name):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    declared = {flag for action in subparsers.choices[name]._actions
+                for flag in action.option_strings} - {"-h", "--help"}
+    assert declared == SUBCOMMAND_OPTIONS[name]
+
+
+@pytest.mark.parametrize("raw", [True, False])
+def test_format_number_keeps_the_sign_of_infinity(raw):
+    assert format_number(-np.inf, raw) == "-inf"
+    assert format_number(np.inf, raw) == "inf"
 
 
 def test_missing_subcommand_exits_2():
@@ -297,10 +339,9 @@ def test_validate_without_densities_uses_seeded_triple(tmp_path, capsys):
 def test_determinism(tmp_path, theo_cfg):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert main(["rates", "--config", str(theo_cfg), "--seed", "5",
-                     "--out", str(out)]) == EXIT_OK
+        assert main(["rates", "--config", str(theo_cfg), "--out", str(out)]) == EXIT_OK
         assert main(["evolve", "--config", str(theo_cfg), "--t-max", "1e-3",
-                     "--points", "20", "--seed", "5", "--out", str(out)]) == EXIT_OK
+                     "--points", "20", "--out", str(out)]) == EXIT_OK
     assert (out1 / "rates.txt").read_bytes() == (out2 / "rates.txt").read_bytes()
     assert (out1 / "trajectory.txt").read_bytes() == (out2 / "trajectory.txt").read_bytes()
 
