@@ -4,15 +4,17 @@ regularized inverse-Laplace time distributions, and residual diagnostics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import OptimizeResult, curve_fit, least_squares, minimize, nnls
 
 from .curves import DecayCurve
-from .evolution import MagnetizationModel, build_longitudinal_model, build_transverse_model
+from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
+                        longitudinal_observable, transverse_observable)
 from .phys_params import QuadrupolarConstant, densities_from_fit, FitScaleParams
-from .redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
+from .redfield_core import (BlockEigensystem, CoherenceBlock, coefficient_matrices,
+                            evaluate_block, numeric_eigensystem)
 
 PARAM_NAMES = ("a1z", "a2z", "a1x", "a2x", "b0", "b1", "b2")
 #: the fitted parameters: a2x is held at 1, so a1x carries the product a1x*a2x
@@ -44,6 +46,22 @@ def _param_vector(params) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=1)
+def _joint_eigensystems(b0: float, b1: float,
+                        b2: float) -> tuple[BlockEigensystem, BlockEigensystem]:
+    """The q = 0 and q = 1 eigensystems at the rate scales B, with read-only arrays.
+
+    One entry: the fit's residual and Jacobian at a trial point, and the models
+    built from its result, share one eigensolve per order.
+    """
+    systems = tuple(numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, (b0, b1, b2))))
+                    for q in (0, 1))
+    for es in systems:
+        for arr in (es.eigenvalues, es.w, es.w_bar, es.rates):
+            arr.flags.writeable = False
+    return systems
+
+
 def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
     """Longitudinal and transverse magnetization models at a 7-parameter set.
 
@@ -51,9 +69,7 @@ def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
     rate scales B_k = C J_k (the C = 1 eigensystem convention).
     """
     a1z, a2z, a1x, a2x, b0, b1, b2 = _param_vector(params)
-    weights = (b0, b1, b2)
-    es0 = numeric_eigensystem(CoherenceBlock(0, evaluate_block(0, weights)))
-    es1 = numeric_eigensystem(CoherenceBlock(1, evaluate_block(1, weights)))
+    es0, es1 = _joint_eigensystems(float(b0), float(b1), float(b2))
     return build_longitudinal_model(es0, a1z, a2z), build_transverse_model(es1, a1x, a2x)
 
 
@@ -63,22 +79,74 @@ def joint_model_curves(params, times_long, times_trans) -> tuple[np.ndarray, np.
     return long_model.evaluate(times_long), trans_model.evaluate(times_trans)
 
 
+def _exp_divided_differences(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """G[t, i, j] = (exp(lam_i t) - exp(lam_j t)) / (lam_i - lam_j), shape (T, n, n).
+
+    A tied pair gets the limit t exp(lam_i t).  Each entry is evaluated as
+    exp(max(lam_i, lam_j) t) expm1(-|lam_i - lam_j| t) / -|lam_i - lam_j|,
+    which neither cancels for close eigenvalues nor overflows for distant ones.
+    """
+    t = np.asarray(times, dtype=float)[:, None, None]
+    gap = -np.abs(np.subtract.outer(lam, lam))
+    tied = gap == 0
+    ratio = np.where(tied, t, np.expm1(gap * t) / np.where(tied, 1.0, gap))
+    return np.exp(np.maximum.outer(lam, lam) * t) * ratio
+
+
+def _signal_and_b_derivatives(es: BlockEigensystem, obs: np.ndarray, dev: np.ndarray,
+                              times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """obs . exp(M t) dev over the times, shape (T,), and its derivatives by B, (T, 3).
+
+    With M = sum_k B_k A_k = V diag(lam) V^T, the Daleckii-Krein form of the
+    Frechet derivative of exp gives d/dB_k = obs^T V (G(t) o V^T A_k V) V^T dev.
+    """
+    lam = -es.rates
+    u, v = obs @ es.w_bar, es.w @ dev
+    signal = np.exp(np.outer(times, lam)) @ (u * v)
+    weights = np.stack([np.outer(u, v) * (es.w @ a @ es.w_bar)
+                        for a in coefficient_matrices(es.q)])
+    g = _exp_divided_differences(lam, times)
+    return signal, g.reshape(len(times), -1) @ weights.reshape(3, -1).T
+
+
+def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of the longitudinal and transverse signals by the fitted FIT_NAMES.
+
+    x holds a1z, a2z, a1x (the product a1x*a2x) and b0, b1, b2.  The longitudinal
+    signal is a1z (Iz.Iz + (1 + a2z) s(t)) with s the response to the deviation
+    -Iz, and the transverse one a1x times its response to Ix, so every column
+    but the B ones is closed-form.
+    """
+    a1z, a2z, a1x = x[:3]
+    es0, es1 = _joint_eigensystems(*(float(b) for b in x[3:]))
+    iz = longitudinal_observable()
+    sz, dsz = _signal_and_b_derivatives(es0, iz, -iz, times_long)
+    sx, dsx = _signal_and_b_derivatives(es1, *transverse_observable(), times_trans)
+    zz, zx = np.zeros(sz.size), np.zeros(sx.size)
+    jz = np.column_stack([iz @ iz + (1 + a2z) * sz, a1z * sz, zz, a1z * (1 + a2z) * dsz])
+    jx = np.column_stack([zx, zx, sx, a1x * dsx])
+    return jz, jx
+
+
 def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
                        *, restarts: int = 16, seed: int = 0) -> FitResult:
     """Joint least-squares fit of both magnetization curves.
 
     The transverse signal depends on a1x and a2x only through their product,
     so six parameters are fitted: a1z, a2z, a1x*a2x (returned as a1x, with
-    a2x = 1) and the rate scales b0, b1, b2 >= 0.  Every residual evaluation
-    rebuilds both coherence blocks from the trial rate scales.  The search
-    restarts from ``restarts`` deterministic perturbations of the 7-parameter
-    initial guess (best residual wins).  Sigmas come from the Jacobian at the
-    best restart, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``.
+    a2x = 1) and the rate scales b0, b1, b2 >= 0.  The residual and its exact
+    Jacobian at a trial point share one eigensolve of each coherence block.
+    The search restarts from ``restarts`` deterministic perturbations of the
+    7-parameter initial guess (best residual wins).  Sigmas come from the
+    Jacobian at the best restart, cov = SSR/(n - 6) (J^T J)^-1, as in
+    ``curve_fit``.
     """
+    from scipy.optimize import least_squares
+
     for curve, label in ((long_curve, "longitudinal"), (trans_curve, "transverse")):
         if len(curve) < 4:
             raise ValueError(f"{label} curve needs at least 4 samples for fitting")
-    wz, wx = (1.0 / curve.sigmas if curve.sigmas is not None else 1.0
+    wz, wx = (1.0 / curve.sigmas if curve.sigmas is not None else np.ones(len(curve))
               for curve in (long_curve, trans_curve))
 
     def residuals(x: np.ndarray) -> np.ndarray:
@@ -86,6 +154,10 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
                                     trans_curve.times)
         return np.concatenate([(sz - long_curve.amplitudes) * wz,
                                (sx - trans_curve.amplitudes) * wx])
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        jz, jx = _joint_jacobian(x, long_curve.times, trans_curve.times)
+        return np.vstack([jz * wz[:, None], jx * wx[:, None]])
 
     x_init = np.array(_param_vector(init))
     x_init[4:] = np.abs(x_init[4:])
@@ -96,7 +168,7 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     for attempt in range(max(1, restarts)):
         start = x_init if attempt == 0 else x_init * (1 + 0.3 * rng.standard_normal(x_init.size))
         x0 = np.concatenate([start[:2], [start[2] * start[3]], np.abs(start[4:])])
-        result = least_squares(residuals, x0, bounds=bounds)
+        result = least_squares(residuals, x0, jac=jacobian, bounds=bounds)
         evaluations += result.nfev
         if best is None or result.cost < best.cost:
             best = result
@@ -110,13 +182,15 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
                      evaluations=evaluations, converged=best.status > 0)
 
 
-def nelder_mead_minimize(objective, x0) -> OptimizeResult:
+def nelder_mead_minimize(objective, x0):
     """Simplex minimization: ``scipy.optimize.minimize`` with method Nelder-Mead.
 
     The joint fit does not use it.  It stays because ``bench/tracing.py``
     traces this name and ``bench/test_bench_stats.py`` requires every traced
     name to exist; it goes when the benchmark drops it.
     """
+    from scipy.optimize import minimize
+
     return minimize(objective, x0, method="Nelder-Mead")
 
 
@@ -148,6 +222,8 @@ class BlochTransverseFit:
 
 def fit_bloch_longitudinal(curve: DecayCurve) -> BlochLongitudinalFit:
     """Least-squares fit of the inversion-recovery model a0 + a1 (1 - 2 exp(-t/T1))."""
+    from scipy.optimize import curve_fit
+
     if len(curve) < 4:
         raise ValueError("longitudinal Bloch fit needs at least 4 samples")
     t, y = curve.times, curve.amplitudes
@@ -169,6 +245,8 @@ def fit_bloch_longitudinal(curve: DecayCurve) -> BlochLongitudinalFit:
 
 def fit_bloch_transverse(curve: DecayCurve) -> BlochTransverseFit:
     """Least-squares fit of the echo-decay model a1 exp(-t/T2)."""
+    from scipy.optimize import curve_fit
+
     if len(curve) < 3:
         raise ValueError("transverse Bloch fit needs at least 3 samples")
     t, y = curve.times, curve.amplitudes
@@ -230,6 +308,8 @@ def ilt(curve: DecayCurve, grid_spec: tuple[float, float, int], alpha: float | N
     the largest value on a log sweep whose misfit stays within the estimated
     noise floor (discrepancy principle).
     """
+    from scipy.optimize import nnls
+
     t_min, t_max, points = grid_spec
     if not (t_min > 0 and t_max > t_min and points >= 2):
         raise ValueError(f"bad grid spec {grid_spec}")

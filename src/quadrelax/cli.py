@@ -124,8 +124,11 @@ def _apply_flag_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values with the flags applied; creates the output directory."""
     cfg = load_config(Path(args.config)) if args.config else RunConfig()
-    return _apply_flag_overrides(cfg, args)
+    cfg = _apply_flag_overrides(cfg, args)
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +277,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         dense = np.linspace(curve.times[0], curve.times[-1], 500)
         write_table(out_dir / f"fit_{label}_model.txt", ["t_seconds", "model"],
                     np.column_stack([dense, model.evaluate(dense)]))
+        fitted = model.evaluate(curve.times)
         write_table(out_dir / f"fit_{label}_data.txt", ["t_seconds", "data", "model", "residual"],
-                    np.column_stack([curve.times, curve.amplitudes, model.evaluate(curve.times),
-                                     curve.amplitudes - model.evaluate(curve.times)]))
+                    np.column_stack([curve.times, curve.amplitudes, fitted,
+                                     curve.amplitudes - fitted]))
     report_path = out_dir / "fit_report.txt"
     report_path.write_text("\n".join(report) + "\n", encoding="utf-8")
     print(f"wrote {report_path} (residual_norm = {format_number(result.residual_norm, args.raw)})")
@@ -459,8 +463,6 @@ def main(argv=None) -> int:
     if args.command == "ilt" and not args.t_max > args.t_min:
         parser.error(f"ilt: --t-max {args.t_max!r} must exceed --t-min {args.t_min!r}")
     try:
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)

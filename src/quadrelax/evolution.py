@@ -162,6 +162,22 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
 
 # -- magnetization models ----------------------------------------------------
 
+def longitudinal_observable() -> np.ndarray:
+    """<Iz> over the q = 0 elements: the diagonal of Iz (descending m)."""
+    return np.diag(make_spin_operators(7).iz).real
+
+
+def transverse_observable() -> tuple[np.ndarray, np.ndarray]:
+    """(weights, elements) of Ix over the q = 1 elements rho_{n+1, n}.
+
+    <Ix> = weights . rho_q1 (the conjugate elements double it), and the
+    elements are Ix's own, the unit transverse preparation.
+    """
+    ix = make_spin_operators(7).ix.real
+    n = np.arange(7)
+    return 2 * ix[n, n + 1], ix[n + 1, n]
+
+
 def _mode_amplitudes_for_observable(eigensystem: BlockEigensystem, weights: np.ndarray,
                                     dev: np.ndarray) -> np.ndarray:
     """Per-mode amplitude A_n = (w dev)_n * sum_k weights_k w_bar[k, n]."""
@@ -178,8 +194,7 @@ def build_longitudinal_model(eigensystem: BlockEigensystem, scale: float,
     """
     if eigensystem.q != 0:
         raise ValueError("longitudinal model requires the q=0 eigensystem")
-    d = eigensystem.dim
-    iz = np.diag(make_spin_operators(d - 1).iz).real
+    iz = longitudinal_observable()
     dev = -prep_efficiency * iz - iz
     amps = _mode_amplitudes_for_observable(eigensystem, iz, dev)
     return MagnetizationModel(scale=scale, prep_efficiency=prep_efficiency,
@@ -193,12 +208,8 @@ def build_transverse_model(eigensystem: BlockEigensystem, scale: float,
     prep_efficiency * Ix and there is no equilibrium term."""
     if eigensystem.q != 1:
         raise ValueError("transverse model requires the q=1 eigensystem")
-    d = eigensystem.dim + 1
-    ix = make_spin_operators(d - 1).ix.real
-    prep = np.array([prep_efficiency * ix[n + 1, n] for n in range(d - 1)])
-    weights = np.array([2 * ix[k, k + 1] for k in range(d - 1)])
-    amps = _mode_amplitudes_for_observable(eigensystem, weights, prep)
+    weights, elements = transverse_observable()
+    amps = _mode_amplitudes_for_observable(eigensystem, weights, prep_efficiency * elements)
     return MagnetizationModel(scale=scale, prep_efficiency=prep_efficiency,
                               amplitudes=amps, equilibrium_term=0.0,
                               rates=eigensystem.rates)
-

@@ -1,4 +1,7 @@
 import argparse
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +163,29 @@ def test_flags_override_config(tmp_path, theo_cfg):
     r1 = read_table(out1 / "rates.txt")["rate_hz"]
     r2 = read_table(out2 / "rates.txt")["rate_hz"]
     np.testing.assert_allclose(r2, 4 * r1, rtol=1e-12)
+
+
+def test_config_out_directory_is_created(tmp_path, monkeypatch):
+    # a relative 'out' from the config file names a directory nothing else makes
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text(THEO_CFG + "out = sub/dir\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["rates", "--config", str(cfg)]) == EXIT_OK
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+    assert len(read_table(tmp_path / "sub" / "dir" / "rates.txt")["q"]) == 36
+    assert (tmp_path / "sub" / "dir" / "validate_report.txt").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # rates, evolve and validate need no optimizer; importing it costs most of a cold start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = "import sys, quadrelax.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # -- execution -----------------------------------------------------------------
