@@ -8,6 +8,7 @@ from a flat ``key = value`` config file and/or flags (flags win).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from .curves import DataFormatError, DecayCurve, parse_finite, read_curve
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
-from .redfield_core import (assemble_block, numeric_eigensystem,
+from .redfield_core import (_ZERO_MODE_RTOL, assemble_block, numeric_eigensystem,
                             validate_against_reference_tables)
 
 EXIT_OK, EXIT_COMPUTE, EXIT_USAGE, EXIT_DATA = 0, 1, 2, 3
@@ -230,10 +231,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _mode_table(model: evolution.MagnetizationModel) -> list[tuple[int, float, float]]:
-    rows = []
-    for n, (amp, rate) in enumerate(zip(model.amplitudes, model.rates), start=1):
-        rows.append((n, model.scale * amp, 1.0 / rate if rate > 0 else np.inf))
-    return rows
+    """(n, amplitude, time) per mode; an amplitude within _ZERO_MODE_RTOL of the
+    section's largest is zero by symmetry and printed as 0, not as round-off."""
+    amps = model.scale * model.amplitudes
+    amps = np.where(np.abs(amps) <= _ZERO_MODE_RTOL * np.max(np.abs(amps)), 0.0, amps)
+    return [(n, amp, 1.0 / rate if rate > 0 else np.inf)
+            for n, (amp, rate) in enumerate(zip(amps, model.rates), start=1)]
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -457,8 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser main uses, built on its first call; argparse keeps no state between
+#: parse_args calls, so one instance serves every call in the process
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "ilt" and not args.t_max > args.t_min:
         parser.error(f"ilt: --t-max {args.t_max!r} must exceed --t-min {args.t_min!r}")

@@ -14,6 +14,7 @@ deviation equals the raw elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,20 +163,27 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
 
 # -- magnetization models ----------------------------------------------------
 
+@lru_cache(maxsize=1)
 def longitudinal_observable() -> np.ndarray:
-    """<Iz> over the q = 0 elements: the diagonal of Iz (descending m)."""
-    return np.diag(make_spin_operators(7).iz).real
+    """<Iz> over the q = 0 elements: the diagonal of Iz (descending m); read-only."""
+    iz = np.diag(make_spin_operators(7).iz).real
+    iz.flags.writeable = False
+    return iz
 
 
+@lru_cache(maxsize=1)
 def transverse_observable() -> tuple[np.ndarray, np.ndarray]:
-    """(weights, elements) of Ix over the q = 1 elements rho_{n+1, n}.
+    """(weights, elements) of Ix over the q = 1 elements rho_{n+1, n}; read-only.
 
     <Ix> = weights . rho_q1 (the conjugate elements double it), and the
     elements are Ix's own, the unit transverse preparation.
     """
     ix = make_spin_operators(7).ix.real
     n = np.arange(7)
-    return 2 * ix[n, n + 1], ix[n + 1, n]
+    weights, elements = 2 * ix[n, n + 1], ix[n + 1, n]
+    for arr in (weights, elements):
+        arr.flags.writeable = False
+    return weights, elements
 
 
 def _mode_amplitudes_for_observable(eigensystem: BlockEigensystem, weights: np.ndarray,

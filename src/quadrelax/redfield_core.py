@@ -376,11 +376,20 @@ def _cartesian_vector(lam: float, xi: dict, arrangement: str) -> np.ndarray:
     return v / norm
 
 
+def _cross3(a: list[float], b: list[float]) -> list[float]:
+    """a x b for 3-vectors, in np.cross's operation order (so bitwise equal to it)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def _inv3_adjugate(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> np.ndarray:
     """Inverse of [r1 | r2 | r3] via cross products over the 3x3 determinant."""
-    det = float(np.dot(r1, np.cross(r2, r3)))
+    r1, r2, r3 = r1.tolist(), r2.tolist(), r3.tolist()
+    c23 = _cross3(r2, r3)
+    det = float(np.dot(r1, c23))
     _degenerate_guard(det, "cartesian-parameter matrix determinant")
-    return np.vstack([np.cross(r2, r3), np.cross(r3, r1), np.cross(r1, r2)]) / det
+    return np.array([c23, _cross3(r3, r1), _cross3(r1, r2)]) / det
 
 
 def _q3_w_pair(j: SpectralDensities) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadrelax import analysis, cli
 from quadrelax.cli import (EXIT_DATA, EXIT_OK, build_parser, format_number,
                            load_config, main, read_table)
 
@@ -142,6 +143,42 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args([])
     assert err.value.code == 2
+
+
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+def test_cached_parser_matches_a_fresh_parser_across_usage_errors(tmp_path, theo_cfg,
+                                                                  capsys, monkeypatch):
+    # usage errors (exit 2) between calls must leave the shared parser as it was
+    cfg = ["--config", str(theo_cfg)]
+    argvs = [["rates", *cfg, "--q", "8"], ["validate", *cfg, "--out", "v"],
+             ["rates", *cfg, "--raw", "--out", "r1"],
+             ["evolve", *cfg, "--t-max", "1e-4", "--points", "30", "--out", "e"],
+             ["rates", *cfg, "--frobnicate"], ["rates", *cfg, "--raw", "--out", "r2"]]
+    runs = {}
+    for clear in (False, True):
+        run_dir = tmp_path / f"clear_{clear}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        results = []
+        for argv in argvs:
+            if clear:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        files = {str(path.relative_to(run_dir)): path.read_bytes()
+                 for path in sorted(run_dir.rglob("*")) if path.is_file()}
+        runs[clear] = results, files
+    assert [code for code, _, _ in runs[False][0]] == [2, 0, 0, 0, 2, 0]
+    assert runs[False] == runs[True]
+    assert set(runs[False][1]) == {"v/validate_report.txt", "r1/rates.txt",
+                                   "e/trajectory.txt", "r2/rates.txt"}
 
 
 def test_config_parsing(tmp_path, theo_cfg):
@@ -289,6 +326,42 @@ def test_fit_command_on_bundled_data(tmp_path):
     for name in ("fit_longitudinal_model.txt", "fit_transverse_model.txt",
                  "fit_longitudinal_data.txt", "fit_transverse_data.txt"):
         assert (out / name).exists()
+
+
+def _report_section(report: str, name: str) -> list[str]:
+    """The table rows under the '[name]' header, up to the next blank line."""
+    lines = report.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"[{name}]")) + 2
+    end = next((i for i in range(start, len(lines)) if not lines[i]), len(lines))
+    return lines[start:end]
+
+
+def test_fit_report_prints_amplitudes_zero_by_symmetry_as_zero(tmp_path):
+    out = tmp_path / "o"
+    assert main(["fit", "--config", str(DATA_DIR / "experimental.cfg"),
+                 "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
+                 "--trans", str(DATA_DIR / "synthetic_transverse.csv"),
+                 "--restarts", "2", "--raw", "--out", str(out)]) == EXIT_OK
+    report = (out / "fit_report.txt").read_text()
+    params = {key: float(value.split()[0]) for key, _, value
+              in (line.partition(" = ") for line in report.splitlines())
+              if key in analysis.PARAM_NAMES}
+    models = analysis.joint_models(params)
+    zero_modes = {"longitudinal": {1, 4, 6, 8}, "transverse": {3, 5, 6}}
+    for (label, zeros), model in zip(zero_modes.items(), models):
+        amps = model.scale * model.amplitudes
+        rows = _report_section(report, f"{label}_modes")
+        assert len(rows) == len(amps)
+        for n, row in enumerate(rows, start=1):
+            rate = model.rates[n - 1]
+            shown = 0.0 if n in zeros else amps[n - 1]
+            assert row == " ".join(format_number(v, True)
+                                   for v in (n, shown, 1.0 / rate if rate > 0 else np.inf))
+        # only the report rounds: the models keep their round-off amplitudes
+        tiny = np.abs(amps) <= 1e-12 * np.max(np.abs(amps))
+        assert set(np.flatnonzero(tiny) + 1) == zeros and np.all(amps[tiny] != 0)
+        table = read_table(out / f"fit_{label}_model.txt")
+        np.testing.assert_array_equal(table["model"], model.evaluate(table["t_seconds"]))
 
 
 def test_missing_curve_file_exits_3(tmp_path, capsys):

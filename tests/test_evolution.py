@@ -8,7 +8,9 @@ from quadrelax.evolution import (
     build_longitudinal_model,
     build_transverse_model,
     evolve_block,
+    longitudinal_observable,
     propagate,
+    transverse_observable,
 )
 from quadrelax.phys_params import (SpectralDensities,
                                    lorentzian_spectral_densities,
@@ -300,6 +302,17 @@ def test_model_evaluate_gives_both_signals():
     assert sz.shape == sx.shape == (20,)
     assert sz[-1] > 0.9  # recovered toward +a1*42
     assert sx[-1] < 1e-4
+
+
+def test_cached_observables_are_read_only():
+    iz = longitudinal_observable()
+    weights, elements = transverse_observable()
+    assert iz is longitudinal_observable()
+    assert transverse_observable()[0] is weights
+    for arr in (iz, weights, elements):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    np.testing.assert_array_equal(iz, np.arange(3.5, -4, -1))
 
 
 def test_model_requires_matching_order():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrelax import redfield_core
 from quadrelax._tables import load_reference_tables
 from quadrelax.phys_params import (QuadrupolarConstant, SpectralDensities,
                                    lorentzian_spectral_densities,
@@ -331,6 +332,34 @@ def test_analytic_transformations_diagonalize():
             scale = np.max(np.abs(d))
             np.testing.assert_allclose(np.diag(d), es.eigenvalues, rtol=1e-8)
             assert np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-8 * scale
+
+
+def _inv3_with_np_cross(r1, r2, r3):
+    """The np.cross form of _inv3_adjugate, kept as the reference."""
+    det = float(np.dot(r1, np.cross(r2, r3)))
+    return np.vstack([np.cross(r2, r3), np.cross(r3, r1), np.cross(r1, r2)]) / det
+
+
+def test_inv3_adjugate_matches_np_cross_bitwise():
+    # the closed forms pass unit vectors; a near-singular triple puts r3 within
+    # 1e-10..1e-5 of the plane of r1 and r2, where the determinant guard may raise
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        r = rng.standard_normal((3, 3))
+        near_singular = trial % 2 == 1
+        if near_singular:
+            r[2] = (rng.uniform(-2, 2, 2) @ r[:2]
+                    + 10.0 ** rng.uniform(-10, -5) * rng.standard_normal(3))
+        r1, r2, r3 = r / np.linalg.norm(r, axis=1, keepdims=True)
+        try:
+            got = redfield_core._inv3_adjugate(r1, r2, r3)
+        except DegenerateSpectrumError:
+            assert abs(np.dot(r1, np.cross(r2, r3))) <= 1e-12
+            continue
+        np.testing.assert_array_equal(got, _inv3_with_np_cross(r1, r2, r3))
+        if not near_singular:
+            np.testing.assert_allclose(got @ np.column_stack([r1, r2, r3]), np.eye(3),
+                                       rtol=0, atol=1e-12)
 
 
 # -- published-table conformance ---------------------------------------------
