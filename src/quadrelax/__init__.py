@@ -14,17 +14,13 @@ from .spin_algebra import (
     make_spin_operators,
     make_irreducible_tensor,
     make_quadrupole_operators,
-    commutator,
 )
 from .phys_params import (
     SpectralDensities,
     QuadrupolarConstant,
-    FitScaleParams,
     lorentzian_spectral_densities,
-    quadrupolar_constant_full,
     quadrupolar_constant_simplified,
     densities_from_fit,
-    fit_scales_from_densities,
 )
 from .redfield_core import (
     CoherenceBlock,
@@ -56,7 +52,6 @@ from .analysis import (
     BlochTransverseFit,
     AmplitudeSpectrum,
     fit_redfield_joint,
-    derived_densities,
     fit_bloch_longitudinal,
     fit_bloch_transverse,
     ilt,

@@ -12,7 +12,6 @@ import numpy as np
 from .curves import DecayCurve
 from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
                         longitudinal_observable, transverse_observable)
-from .phys_params import QuadrupolarConstant, densities_from_fit, FitScaleParams
 from .redfield_core import (BlockEigensystem, CoherenceBlock, coefficient_matrices,
                             evaluate_block, numeric_eigensystem)
 
@@ -33,8 +32,9 @@ class FitResult:
     evaluations: int
     converged: bool
 
-    def scales(self) -> FitScaleParams:
-        return FitScaleParams(self.params["b0"], self.params["b1"], self.params["b2"])
+    def scales(self) -> tuple[float, float, float]:
+        """The fitted rate scales (b0, b1, b2) in Hz."""
+        return self.params["b0"], self.params["b1"], self.params["b2"]
 
 
 def _param_vector(params) -> np.ndarray:
@@ -192,11 +192,6 @@ def nelder_mead_minimize(objective, x0):
     from scipy.optimize import minimize
 
     return minimize(objective, x0, method="Nelder-Mead")
-
-
-def derived_densities(result: FitResult, c: QuadrupolarConstant):
-    """Spectral densities J_k = B_k / C implied by a fit."""
-    return densities_from_fit(result.scales(), c)
 
 
 # ---------------------------------------------------------------------------

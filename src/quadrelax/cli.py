@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, evolution
-from .curves import DataFormatError, DecayCurve, parse_finite, read_curve
+from .curves import DataFormatError, DecayCurve, data_lines, parse_finite, read_curve
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
@@ -58,7 +58,7 @@ class RunConfig:
 
     def constant(self) -> QuadrupolarConstant:
         if self.c_override is not None:
-            return QuadrupolarConstant(self.c_override, "user_supplied")
+            return QuadrupolarConstant(self.c_override)
         if self.quad_freq is not None:
             return quadrupolar_constant_simplified(self.quad_freq)
         raise ValueError("no quadrupolar constant: set quad_freq or c_override")
@@ -76,16 +76,8 @@ def _diagonal_state(name: str) -> evolution.DensityState:
 
 
 def _diagonal_state_from_file(path: Path) -> evolution.DensityState:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        values += [parse_finite(tok, path, lineno) for tok in line.replace(",", " ").split()]
+    values = [parse_finite(tok, path, lineno) for lineno, line in data_lines(path)
+              for tok in line.replace(",", " ").split()]
     if len(values) != 8:
         raise DataFormatError(f"{path}: expected 8 diagonal populations, got {len(values)}")
     diag = np.array(values)
@@ -96,14 +88,7 @@ def _diagonal_state_from_file(path: Path) -> evolution.DensityState:
 
 def load_config(path: Path) -> RunConfig:
     cfg = RunConfig()
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(path):
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = (part.strip() for part in line.partition("="))

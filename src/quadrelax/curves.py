@@ -1,8 +1,9 @@
-"""Decay-curve container and its on-disk format.
+"""Decay-curve container, its on-disk format, and the reader of every input file.
 
 Curve files are UTF-8 CSV with header ``t_seconds,amplitude[,sigma]``,
 ``#`` comment lines allowed anywhere, times in seconds (non-negative,
-strictly increasing) and sigmas positive.
+strictly increasing) and sigmas positive.  Config and population files
+share the UTF-8 and ``#`` comment rules through ``data_lines``.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 
 class DataFormatError(ValueError):
-    """A curve file failed to parse; message names the file and line."""
+    """An input file failed to parse; message names the file and line."""
 
 
 @dataclass(frozen=True)
@@ -56,18 +58,31 @@ def parse_finite(token: str, path: Path, lineno: int) -> float:
     return value
 
 
+def data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for each line of a UTF-8 file left non-blank once its ``#``
+    comment and whitespace are stripped; an unreadable or non-UTF-8 file is a DataFormatError."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte starts a new line exactly when the text before it ends with a break
+        lineno = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise DataFormatError(
+            f"{path}:{lineno}: not UTF-8 ({exc.reason} at offset {exc.start})") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def read_curve(path: str | Path) -> DecayCurve:
     path = Path(path)
     times, amps, sigmas = [], [], []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(path):
         fields = [f.strip() for f in line.split(",")]
         if not header_seen:
             if fields[:2] != ["t_seconds", "amplitude"] or len(fields) > 3 or (

@@ -48,23 +48,12 @@ class DensityState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def is_unit_trace(self, tol: float = _HERM_TOL) -> bool:
-        return abs(self.trace - 1.0) <= tol
-
     def coherence_vector(self, q: int) -> np.ndarray:
         """Elements rho_{q+n, n} for n = 0..dim-1-q."""
         d = self.dim
         if not 0 <= q < d:
             raise ValueError(f"coherence order q={q} outside 0..{d - 1}")
         return np.array([self.matrix[q + n, n] for n in range(d - q)])
-
-    def element(self, row: int, col: int) -> complex:
-        """Entry by one-based (row, column) index, matching the usual display."""
-        return complex(self.matrix[row - 1, col - 1])
 
     # -- common preparations -------------------------------------------------
     @classmethod
@@ -92,14 +81,13 @@ class MagnetizationModel:
 
     signal(t) = scale * (equilibrium_term + sum_n amplitudes[n] exp(-rates[n] t))
 
-    scale is the data-normalization factor, prep_efficiency the pulse
-    efficiency absorbed into the amplitudes at construction.  The
+    scale is the data-normalization factor; the pulse efficiency is absorbed
+    into the amplitudes at construction.  The
     longitudinal flavour has 8 modes, one with zero rate; the transverse
     flavour has 7 and no equilibrium term.
     """
 
     scale: float
-    prep_efficiency: float
     amplitudes: np.ndarray
     equilibrium_term: float
     rates: np.ndarray
@@ -205,8 +193,7 @@ def build_longitudinal_model(eigensystem: BlockEigensystem, scale: float,
     iz = longitudinal_observable()
     dev = -prep_efficiency * iz - iz
     amps = _mode_amplitudes_for_observable(eigensystem, iz, dev)
-    return MagnetizationModel(scale=scale, prep_efficiency=prep_efficiency,
-                              amplitudes=amps, equilibrium_term=float(iz @ iz),
+    return MagnetizationModel(scale=scale, amplitudes=amps, equilibrium_term=float(iz @ iz),
                               rates=eigensystem.rates)
 
 
@@ -218,6 +205,5 @@ def build_transverse_model(eigensystem: BlockEigensystem, scale: float,
         raise ValueError("transverse model requires the q=1 eigensystem")
     weights, elements = transverse_observable()
     amps = _mode_amplitudes_for_observable(eigensystem, weights, prep_efficiency * elements)
-    return MagnetizationModel(scale=scale, prep_efficiency=prep_efficiency,
-                              amplitudes=amps, equilibrium_term=0.0,
+    return MagnetizationModel(scale=scale, amplitudes=amps, equilibrium_term=0.0,
                               rates=eigensystem.rates)

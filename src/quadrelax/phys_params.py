@@ -1,4 +1,4 @@
-"""Physical inputs: spectral densities, the quadrupolar rate constant, and fit scales.
+"""Physical inputs: spectral densities and the quadrupolar rate constant.
 
 Units follow the source conventions: spectral densities J_p in seconds,
 the quadrupolar constant C in Hz^2, and the fit scales B_k = C * J_k in Hz.
@@ -7,11 +7,8 @@ the quadrupolar constant C in Hz^2, and the fit scales B_k = C * J_k in Hz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-
-Provenance = Literal["from_full_formula", "from_simplified", "user_supplied"]
 
 
 @dataclass(frozen=True)
@@ -35,27 +32,10 @@ class QuadrupolarConstant:
     """Overall relaxation rate scale C in Hz^2."""
 
     c: float
-    provenance: Provenance = "user_supplied"
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"quadrupolar constant must be positive, got {self.c}")
-
-
-@dataclass(frozen=True)
-class FitScaleParams:
-    """Rate-scale fit parameters B_k = C * J_k, in Hz."""
-
-    b0: float
-    b1: float
-    b2: float
-
-    def __post_init__(self):
-        if self.b0 < 0 or self.b1 < 0 or self.b2 < 0:
-            raise ValueError(f"fit scales must be non-negative, got {self}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.b0, self.b1, self.b2)
 
 
 def lorentzian_spectral_densities(larmor_freq: float, correlation_time: float) -> SpectralDensities:
@@ -71,38 +51,16 @@ def lorentzian_spectral_densities(larmor_freq: float, correlation_time: float) -
     return SpectralDensities(*vals)
 
 
-def quadrupolar_constant_full(two_i: int, quad_coupling: float, asymmetry: float) -> QuadrupolarConstant:
-    """C = (9/10) (eQ Vzz / hbar)^2 (1 + eta^2/3) / (2I(2I-1))^2.
-
-    quad_coupling is (eQ Vzz / hbar) expressed as an ordinary frequency in Hz;
-    asymmetry is the dimensionless eta in [0, 1].
-    """
-    if not (0 <= asymmetry <= 1):
-        raise ValueError(f"asymmetry parameter must lie in [0, 1], got {asymmetry}")
-    if two_i < 2:
-        raise ValueError("quadrupole coupling requires spin >= 1 (two_i >= 2)")
-    if quad_coupling <= 0:
-        raise ValueError("quad_coupling must be positive")
-    spin = two_i / 2.0
-    denom = (2 * spin * (2 * spin - 1)) ** 2
-    c = 0.9 * (2 * np.pi * quad_coupling) ** 2 * (1 + asymmetry ** 2 / 3) / denom
-    return QuadrupolarConstant(c=c, provenance="from_full_formula")
-
-
 def quadrupolar_constant_simplified(quad_freq: float) -> QuadrupolarConstant:
-    """C = (2 pi nu_Q)^2 / 10, the spin-7/2, eta ~ 0 reduction of the full formula."""
+    """C = (2 pi nu_Q)^2 / 10: (9/10) (eQ Vzz / hbar)^2 (1 + eta^2/3) / (2I(2I-1))^2
+    at I = 7/2 and eta = 0, with eQ Vzz / hbar = 2 pi * 14 nu_Q."""
     if quad_freq <= 0:
         raise ValueError(f"quadrupolar frequency must be positive, got {quad_freq}")
-    return QuadrupolarConstant(c=(2 * np.pi * quad_freq) ** 2 / 10, provenance="from_simplified")
+    return QuadrupolarConstant((2 * np.pi * quad_freq) ** 2 / 10)
 
 
-def densities_from_fit(params: FitScaleParams, c: QuadrupolarConstant) -> SpectralDensities:
-    """Invert B_k = C * J_k; rejects degenerate all-zero scales."""
-    if params.b0 == 0 and params.b1 == 0 and params.b2 == 0:
-        raise ValueError("all-zero fit scales carry no spectral-density information")
-    return SpectralDensities(params.b0 / c.c, params.b1 / c.c, params.b2 / c.c)
-
-
-def fit_scales_from_densities(j: SpectralDensities, c: QuadrupolarConstant) -> FitScaleParams:
-    """Forward map B_k = C * J_k."""
-    return FitScaleParams(c.c * j.j0, c.c * j.j1, c.c * j.j2)
+def densities_from_fit(scales: tuple[float, float, float],
+                       c: QuadrupolarConstant) -> SpectralDensities:
+    """Invert B_k = C * J_k for the rate scales (b0, b1, b2)."""
+    b0, b1, b2 = scales
+    return SpectralDensities(b0 / c.c, b1 / c.c, b2 / c.c)

@@ -44,10 +44,6 @@ class CoherenceBlock:
     q: int
     matrix: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class BlockEigensystem:
@@ -66,10 +62,6 @@ class BlockEigensystem:
     w: np.ndarray
     w_bar: np.ndarray
     rates: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
 
 
 @lru_cache(maxsize=None)
@@ -257,6 +249,18 @@ def _q2_cubic_coefficients(j: SpectralDensities) -> tuple[tuple, tuple]:
     return (alpha_a, beta_a, gamma_a), (alpha_b, beta_b, gamma_b)
 
 
+def _q5_root(j0: float, j1: float, j2: float) -> float:
+    """Square root of the q = 5 discriminant, shared by eigenvalues and eigenvectors."""
+    return np.sqrt(625 * j0 ** 2 - 800 * j0 * j1 - 250 * j0 * j2
+                   + 2944 * j1 ** 2 + 160 * j1 * j2 + 25 * j2 ** 2)
+
+
+def _q4_roots(j0: float, j1: float, j2: float) -> tuple[float, float]:
+    """Square roots of the two q = 4 discriminants, shared by eigenvalues and eigenvectors."""
+    return (np.sqrt(256 * (j0 - j1) ** 2 + 105 * (j1 - j2) ** 2),
+            np.sqrt(256 * j0 ** 2 + 105 * (j1 + j2) ** 2))
+
+
 def analytic_eigenvalues(q: int, j: SpectralDensities) -> list[float]:
     """Closed-form eigenvalues for q in 2..7, in the published index order."""
     j0, j1, j2 = j.as_tuple()
@@ -265,13 +269,11 @@ def analytic_eigenvalues(q: int, j: SpectralDensities) -> list[float]:
     if q == 6:
         return [-(9 * j0 + 8 * j1 + 11 * j2), -(9 * j0 + 50 * j1 + 11 * j2)]
     if q == 5:
-        s = np.sqrt(625 * j0 ** 2 - 800 * j0 * j1 - 250 * j0 * j2
-                    + 2944 * j1 ** 2 + 160 * j1 * j2 + 25 * j2 ** 2)
+        s = _q5_root(j0, j1, j2)
         mid = -12.5 * j0 - 29 * j1 - 12.5 * j2
         return [mid - s / 2, -25 * j0 - 21 * j1 - 24 * j2, mid + s / 2]
     if q == 4:
-        sa = np.sqrt(256 * (j0 - j1) ** 2 + 105 * (j1 - j2) ** 2)
-        sb = np.sqrt(256 * j0 ** 2 + 105 * (j1 + j2) ** 2)
+        sa, sb = _q4_roots(j0, j1, j2)
         return [-20 * j0 - 29 * j1 - 21 * j2 - sa, -20 * j0 - 29 * j1 - 21 * j2 + sa,
                 -20 * j0 - 13 * j1 - 21 * j2 - sb, -20 * j0 - 13 * j1 - 21 * j2 + sb]
     if q == 3:
@@ -292,8 +294,7 @@ def analytic_eigenvalues(q: int, j: SpectralDensities) -> list[float]:
 
 def _q5_pair(j: SpectralDensities) -> tuple[float, float]:
     j0, j1, j2 = j.as_tuple()
-    s = np.sqrt(625 * j0 ** 2 - 800 * j0 * j1 - 250 * j0 * j2
-                + 2944 * j1 ** 2 + 160 * j1 * j2 + 25 * j2 ** 2)
+    s = _q5_root(j0, j1, j2)
     den = 10 * np.sqrt(42) * (-5 * j0 + 4 * j1 + j2)
     _degenerate_guard(den, "q=5 a1/b1 denominator", scale=j0)
     num = 25 * j0 + 656 * j1 - 5 * j2
@@ -305,7 +306,9 @@ def _degenerate_guard(value: float, what: str, scale: float = 1.0) -> None:
         raise DegenerateSpectrumError(f"{what} within 1e-12 of zero; fall back to numeric_eigensystem")
 
 
-def _analytic_w_pair(q: int, j: SpectralDensities) -> tuple[np.ndarray, np.ndarray]:
+def _analytic_w_pair(q: int, j: SpectralDensities,
+                     lam: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(w, w_bar) in the published mode order; lam is analytic_eigenvalues(q, j)."""
     sq = np.sqrt
     j0, j1, j2 = j.as_tuple()
     if q == 7:
@@ -331,8 +334,7 @@ def _analytic_w_pair(q: int, j: SpectralDensities) -> tuple[np.ndarray, np.ndarr
         ]) / sq(26)
         return w, w_bar
     if q == 4:
-        sa = sq(256 * (j0 - j1) ** 2 + 105 * (j1 - j2) ** 2)
-        sb = sq(256 * j0 ** 2 + 105 * (j1 + j2) ** 2)
+        sa, sb = _q4_roots(j0, j1, j2)
         _degenerate_guard(j1 - j2, "q=4 (J1 - J2)", scale=j1)
         a1 = (16 * j0 - 16 * j1 + sa) / (sq(105) * (j1 - j2))
         b1 = (16 * j0 - 16 * j1 - sa) / (sq(105) * (j1 - j2))
@@ -356,9 +358,9 @@ def _analytic_w_pair(q: int, j: SpectralDensities) -> tuple[np.ndarray, np.ndarr
         ]) / sq(2)
         return w, w_bar
     if q == 3:
-        return _q3_w_pair(j)
+        return _q3_w_pair(j, dict(enumerate(lam, start=1)))
     if q == 2:
-        return _q2_w_pair(j)
+        return _q2_w_pair(j, dict(enumerate(lam, start=1)))
     raise ValueError(f"no closed-form transformation for q={q} (only 2..7)")
 
 
@@ -392,17 +394,14 @@ def _inv3_adjugate(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> np.ndarray
     return np.array([c23, _cross3(r3, r1), _cross3(r1, r2)]) / det
 
 
-def _q3_w_pair(j: SpectralDensities) -> tuple[np.ndarray, np.ndarray]:
+def _q3_w_pair(j: SpectralDensities, lams: dict) -> tuple[np.ndarray, np.ndarray]:
     sq = np.sqrt
     j0, j1, j2 = j.as_tuple()
     xi = {1: -12 * j0 - 29 * j1 - 9 * j2,
           3: (-90 * j0 - 113 * j1 - 161 * j2) / 13,
           4: sq(208 / 11) * (-3 * j0 + 2 * j1 + j2),
           5: -sq(210 / 1859) * (27 * j0 + 4 * j1 - 31 * j2)}
-    alpha, beta, gamma = _q3_cubic_coefficients(j)
-    lam3 = _cubic_root(alpha, beta, gamma)
-    iota, sigma = _companion_roots(alpha, beta, gamma, lam3)
-    r = {k: _cartesian_vector(lam, xi, "q3") for k, lam in ((1, iota), (3, lam3), (5, sigma))}
+    r = {k: _cartesian_vector(lams[k], xi, "q3") for k in (1, 3, 5)}
     # orthogonal constant basis: symmetric-subspace images of x, y, z plus the
     # two antisymmetric modes (columns 2 and 4)
     basis = np.zeros((5, 5))
@@ -425,7 +424,7 @@ def _q3_w_pair(j: SpectralDensities) -> tuple[np.ndarray, np.ndarray]:
     return w, w_bar
 
 
-def _q2_w_pair(j: SpectralDensities) -> tuple[np.ndarray, np.ndarray]:
+def _q2_w_pair(j: SpectralDensities, lams: dict) -> tuple[np.ndarray, np.ndarray]:
     sq = np.sqrt
     j0, j1, j2 = j.as_tuple()
     xi_a = {1: -(107 * j0 + 294 * j1 + 369 * j2) / 11,
@@ -436,12 +435,6 @@ def _q2_w_pair(j: SpectralDensities) -> tuple[np.ndarray, np.ndarray]:
             2: -(45 * j0 + 168 * j1 + 151 * j2) / 13,
             4: -4 / 33 * sq(143) * (6 * j0 + j1 - 7 * j2),
             5: -24 / 143 * sq(770) * (j0 + 2 * j1 - 3 * j2)}
-    set_a, set_b = _q2_cubic_coefficients(j)
-    lam2 = _cubic_root(*set_a)
-    iota_a, sigma_a = _companion_roots(*set_a, lam2)
-    lam4 = _cubic_root(*set_b)
-    iota_b, sigma_b = _companion_roots(*set_b, lam4)
-    lams = {1: iota_a, 2: lam2, 5: sigma_a, 3: iota_b, 4: lam4, 6: sigma_b}
     r = {k: _cartesian_vector(lams[k], xi_a, "q2") for k in (1, 2, 5)}
     r.update({k: _cartesian_vector(lams[k], xi_b, "q2") for k in (3, 4, 6)})
     c_bar = _q2_constant_basis()
@@ -480,8 +473,9 @@ def analytic_eigensystem(q: int, j: SpectralDensities,
     The transformation pair keeps the published signs; without a quadrupolar
     constant the rates are reported as -lambda (the C = 1 convention).
     """
-    lam = np.array(analytic_eigenvalues(q, j), dtype=float)
-    w, w_bar = _analytic_w_pair(q, j)
+    values = analytic_eigenvalues(q, j)
+    w, w_bar = _analytic_w_pair(q, j, values)
+    lam = np.array(values, dtype=float)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     w_bar = w_bar[:, order]
@@ -498,9 +492,7 @@ def analytic_eigensystem(q: int, j: SpectralDensities,
 class TableValidationReport:
     """Deviations between assembled blocks and the reference-table fixture at one J triple."""
 
-    q0_max_abs: float
     q0_max_rel: float
-    q1_max_abs: float
     q1_max_rel: float
     spectra_max_rel: tuple          # (q, rel_dev) pairs for q = 2..7
     printed_variant_max_abs: float  # distance of the five as-published q=1 cells
@@ -542,7 +534,6 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
         spectra.append((q, float(np.max(np.abs(lam_num - lam_ana)) / np.max(np.abs(lam_num)))))
 
     return TableValidationReport(
-        q0_max_abs=float(np.max(d0)), q0_max_rel=float(np.max(d0) / q0_scale),
-        q1_max_abs=float(np.max(d1)), q1_max_rel=float(np.max(d1) / q1_scale),
+        q0_max_rel=float(np.max(d0) / q0_scale), q1_max_rel=float(np.max(d1) / q1_scale),
         spectra_max_rel=tuple(spectra), printed_variant_max_abs=float(printed_dev),
     )

@@ -52,8 +52,8 @@ class SpinOperators:
 class QuadrupoleSet:
     """Second-rank quadrupole operators Q_p for p = -2..2.
 
-    ``coherence_sign`` records the single sign s with [Iz, Q_p] = s * p * Q_p;
-    the construction used here gives s = -1 (Q_{-2} is proportional to Iplus**2).
+    One sign s holds for every p in [Iz, Q_p] = s * p * Q_p, and the
+    construction used here gives s = -1 (Q_{-2} is proportional to Iplus**2).
     Adjoint pairing carries a per-rank sign: Q_{-2}^dagger = Q_{+2} while
     Q_{-1}^dagger = -Q_{+1}, from the (-1)^m tensor conjugation entering once
     or twice.
@@ -64,7 +64,6 @@ class QuadrupoleSet:
     q_zero: np.ndarray
     q_plus1: np.ndarray
     q_plus2: np.ndarray
-    coherence_sign: int = -1
 
     def __getitem__(self, p: int) -> np.ndarray:
         try:
@@ -117,8 +116,8 @@ def _tensor_family(two_i: int, l: int) -> dict:
     top = (-1) ** l * top / np.linalg.norm(top)
     family = {l: top}
     for mm in range(l, -l, -1):
-        lowered = commutator(ops.iminus, family[mm]) / np.sqrt(l * (l + 1) - mm * (mm - 1))
-        family[mm - 1] = lowered
+        family[mm - 1] = ((ops.iminus @ family[mm] - family[mm] @ ops.iminus)
+                          / np.sqrt(l * (l + 1) - mm * (mm - 1)))
     return family
 
 
@@ -144,10 +143,3 @@ def make_quadrupole_operators(system: SpinSystem) -> QuadrupoleSet:
         q_plus1=-42 * np.sqrt(3) * (t10 @ t1m + t1m @ t10),
         q_zero=63 * (2 * (t10 @ t10) - np.sqrt(7) / 4 * t00),
     )
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ab - ba, rejecting mismatched dimensions."""
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"commutator needs equal square matrices, got {a.shape} and {b.shape}")
-    return a @ b - b @ a

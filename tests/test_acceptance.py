@@ -178,7 +178,7 @@ def test_criterion_7_fit_round_trip():
         assert abs(result.params["b0"] - TABLE2["b0"]) / TABLE2["b0"] < 0.05
         assert abs(result.params["b1"] - TABLE2["b1"]) / TABLE2["b1"] < 0.05
         assert abs(result.params["b2"] - TABLE2["b2"]) < 0.08
-        j = qr.derived_densities(result, c)
+        j = qr.densities_from_fit(result.scales(), c)
         assert abs(j.j0 - 590e-9) < 50e-9
         assert abs(j.j1 - 27e-9) < 2e-9
         assert abs(j.j2 - 1.28e-9) < 0.05e-9

@@ -14,7 +14,6 @@ from quadrelax.analysis import (
     fit_bloch_longitudinal,
     fit_bloch_transverse,
     fit_redfield_joint,
-    derived_densities,
     ilt,
     joint_model_curves,
     joint_models,
@@ -220,13 +219,6 @@ def test_joint_fit_requires_enough_samples():
     curve = DecayCurve(t, np.zeros(3))
     with pytest.raises(ValueError):
         fit_redfield_joint(curve, curve, TABLE2)
-
-
-def test_derived_densities_helper():
-    long_curve, trans_curve = make_joint_curves()
-    result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
-    j = derived_densities(result, C_EXP)
-    assert j.j1 == pytest.approx(3.8 / C_EXP.c, rel=1e-2)
 
 
 # -- Bloch baselines -----------------------------------------------------------

@@ -376,8 +376,10 @@ def test_malformed_curve_exits_3(tmp_path, capsys):
     # a negative time, a zero sigma and a negative sigma
     cases += [plain.format("-0.1,1.0"), weighted.format("0.1,1.0,0"),
               weighted.format("0.1,1.0,-0.1")]
+    # and a byte that is not UTF-8: latin-1 writes '\xff' as the single byte 0xff
+    cases.append(plain.format("0.1,1.0\xff"))
     for text in cases:
-        bad.write_text(text)
+        bad.write_bytes(text.encode("latin-1"))
         assert main(["bloch", "--trans", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
         assert f"{bad}:2:" in capsys.readouterr().err
 
@@ -394,11 +396,13 @@ def test_missing_physics_exits_1(tmp_path, capsys):
         assert "random triple" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("line", ["spin = 7", "j0 = nan", "j0 = inf", "j0 = -inf"])
+@pytest.mark.parametrize("line", ["spin = 7", "j0 = nan", "j0 = inf", "j0 = -inf",
+                                  pytest.param("# caf\xe9", id="latin-1 comment")])
 def test_bad_config_line_exits_3(tmp_path, capsys, line):
-    # spin 7/2 is fixed, so 'spin' is an unknown key like any other
+    # spin 7/2 is fixed, so 'spin' is an unknown key like any other; a latin-1
+    # file is not UTF-8 even where the bad byte sits in a comment
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(THEO_CFG + line + "\n")
+    cfg.write_bytes((THEO_CFG + line + "\n").encode("latin-1"))
     assert main(["rates", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DATA
     assert f"{cfg}:5:" in capsys.readouterr().err
 
@@ -410,6 +414,10 @@ def test_non_finite_population_file_exits_3(tmp_path, theo_cfg, capsys, flag):
     assert main(["evolve", "--config", str(theo_cfg), flag, f"file:{pops}",
                  "--t-max", "1e-3", "--points", "5", "--out", str(tmp_path)]) == EXIT_DATA
     assert f"{pops}:3: non-finite value" in capsys.readouterr().err
+    pops.write_bytes(b"# populations\n1 0 0 0\n0 0 0 \xff\n")
+    assert main(["evolve", "--config", str(theo_cfg), flag, f"file:{pops}",
+                 "--t-max", "1e-3", "--points", "5", "--out", str(tmp_path)]) == EXIT_DATA
+    assert f"{pops}:3: not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("state", ["noon", "pure_top", "uniform", "file"])

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from quadrelax.phys_params import (
-    FitScaleParams,
     QuadrupolarConstant,
     SpectralDensities,
     densities_from_fit,
-    fit_scales_from_densities,
     lorentzian_spectral_densities,
-    quadrupolar_constant_full,
     quadrupolar_constant_simplified,
 )
 
@@ -53,7 +50,6 @@ def test_densities_reject_nonpositive():
 def test_simplified_constant_reference():
     c = quadrupolar_constant_simplified(266e3)
     assert c.c == pytest.approx(2.793e11, rel=1e-3)
-    assert c.provenance == "from_simplified"
 
 
 def test_simplified_constant_experimental_value():
@@ -69,34 +65,16 @@ def test_simplified_quadratic_scaling():
 
 
 def test_full_matches_simplified_for_spin72():
-    # coupling = 4 I (2I-1) omega_Q / 6 = 14 omega_Q for I = 7/2
+    # C = (9/10) (eQ Vzz/hbar)^2 (1 + eta^2/3) / (2I(2I-1))^2 at eta = 0, with
+    # coupling = 4 I (2I-1) omega_Q / 6 = 14 omega_Q and (2I(2I-1))^2 = 42^2 for I = 7/2
     nu_q = 266e3
-    full = quadrupolar_constant_full(7, 14 * nu_q, 0.0)
-    simp = quadrupolar_constant_simplified(nu_q)
-    assert full.c == pytest.approx(simp.c, rel=1e-12)
-
-
-def test_full_asymmetry_factor():
-    base = quadrupolar_constant_full(7, 1e6, 0.0)
-    eta1 = quadrupolar_constant_full(7, 1e6, 1.0)
-    assert eta1.c == pytest.approx(base.c * 4 / 3, rel=1e-12)
-
-
-def test_full_formula_shape_spin32():
-    # regression of the closed form at I = 3/2: C = 0.9 (2 pi k)^2 / 36
-    k = 2.5e6
-    c = quadrupolar_constant_full(3, k, 0.0)
-    assert c.c == pytest.approx(0.9 * (2 * np.pi * k) ** 2 / 36, rel=1e-12)
-
-
-def test_full_rejects_bad_eta():
-    with pytest.raises(ValueError):
-        quadrupolar_constant_full(7, 1e6, 1.5)
+    full = 0.9 * (2 * np.pi * 14 * nu_q) ** 2 / 42 ** 2
+    assert full == pytest.approx(quadrupolar_constant_simplified(nu_q).c, rel=1e-12)
 
 
 def test_densities_from_fit_reference():
     c = quadrupolar_constant_simplified(5969.0)
-    j = densities_from_fit(FitScaleParams(83.0, 3.8, 0.18), c)
+    j = densities_from_fit((83.0, 3.8, 0.18), c)
     assert j.j0 == pytest.approx(5.90e-7, rel=5e-3)
     assert j.j1 == pytest.approx(2.70e-8, rel=5e-3)
     assert j.j2 == pytest.approx(1.28e-9, rel=5e-3)
@@ -104,16 +82,11 @@ def test_densities_from_fit_reference():
 
 def test_densities_from_fit_rejects_all_zero():
     with pytest.raises(ValueError):
-        densities_from_fit(FitScaleParams(0.0, 0.0, 0.0), QuadrupolarConstant(1.0))
+        densities_from_fit((0.0, 0.0, 0.0), QuadrupolarConstant(1.0))
 
 
 def test_scale_density_round_trip():
     c = QuadrupolarConstant(3.7e8)
     j = SpectralDensities(5.9e-7, 2.7e-8, 1.28e-9)
-    back = densities_from_fit(fit_scales_from_densities(j, c), c)
+    back = densities_from_fit(tuple(c.c * v for v in j.as_tuple()), c)
     np.testing.assert_allclose(back.as_tuple(), j.as_tuple(), rtol=1e-15)
-
-
-def test_fit_scales_reject_negative():
-    with pytest.raises(ValueError):
-        FitScaleParams(-1.0, 0.0, 0.0)

@@ -47,7 +47,7 @@ def random_j(rng):
 
 def test_block_dimensions(j_ref):
     for q in range(8):
-        assert assemble_block(q, j_ref).dim == 8 - q
+        assert assemble_block(q, j_ref).matrix.shape == (8 - q, 8 - q)
 
 
 def test_q7_normalization():
