@@ -41,7 +41,6 @@ from .evolution import (
     MagnetizationModel,
     evolve_block,
     propagate,
-    all_eigensystems,
     build_longitudinal_model,
     build_transverse_model,
 )

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, evolution
-from .curves import DataFormatError, DecayCurve, data_lines, parse_finite, read_curve
+from .curves import (DataFormatError, DecayCurve, data_lines, format_table, number_format,
+                     parse_finite, read_curve)
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
@@ -122,18 +123,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def format_number(x: float, raw: bool) -> str:
-    return repr(float(x)) if raw else f"{x:.4g}"
+    return number_format(raw) % float(x)
 
 
-def _table_lines(columns: list[str], rows, raw: bool) -> list[str]:
-    """The '# columns:' header and one line per row, every value through format_number."""
-    return ["# columns: " + " ".join(columns),
-            *(" ".join(format_number(v, raw) for v in row)
-              for row in np.asarray(rows, dtype=float).tolist())]
+def _table_text(columns: list[str], rows, raw: bool) -> str:
+    """The '# columns:' header line and one line per row, each value as format_number
+    writes it; no final newline."""
+    return format_table("# columns: " + " ".join(columns), rows, raw)
 
 
 def write_table(path: Path, columns: list[str], rows, raw: bool = True) -> None:
-    path.write_text("\n".join(_table_lines(columns, rows, raw)) + "\n", encoding="utf-8")
+    path.write_text(_table_text(columns, rows, raw) + "\n", encoding="utf-8")
 
 
 def read_table(path: Path) -> dict[str, np.ndarray]:
@@ -177,17 +177,22 @@ def _cmd_rates(args: argparse.Namespace) -> int:
 
 
 def _parse_elements(spec: str) -> list[tuple[int, int]]:
+    """The one-based (row, col) pairs of an --elements spec 'row,col;row,col', each in 1..8."""
     pairs = []
     for part in spec.split(";"):
         part = part.strip()
         if not part:
             continue
-        bits = part.split(",")
-        if len(bits) != 2:
-            raise ValueError(f"bad element spec {part!r} (use 'row,col;row,col')")
-        pairs.append((int(bits[0]), int(bits[1])))
+        try:
+            row, col = (int(bit) for bit in part.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad element {part!r} (use 'row,col;row,col')") from None
+        if not (1 <= row <= 8 and 1 <= col <= 8):
+            raise argparse.ArgumentTypeError(f"element ({row},{col}) outside 1..8")
+        pairs.append((row, col))
     if not pairs:
-        raise ValueError("no elements requested")
+        raise argparse.ArgumentTypeError(f"no elements in {spec!r}")
     return pairs
 
 
@@ -199,19 +204,15 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             else _diagonal_state(args.state))
     rho_eq = _diagonal_state(cfg.equilibrium)
     times = np.linspace(0.0, args.t_max, args.points)
-    elements = _parse_elements(args.elements)
-    for row, col in elements:
-        if not (1 <= row <= 8 and 1 <= col <= 8):
-            raise ValueError(f"element ({row},{col}) outside 1..8")
-    traj = evolution.propagate(rho0, rho_eq, j, c, times)
+    traj = evolution.propagate(rho0, rho_eq, j, c, times,
+                               [(row - 1, col - 1) for row, col in args.elements])
     columns, values = ["t_seconds"], [times]
-    for row, col in elements:
-        v = traj[:, row - 1, col - 1]
+    for (row, col), v in zip(args.elements, traj.T):
         columns += [f"re_{row}_{col}", f"im_{row}_{col}"]
         values += [v.real, v.imag]
     out = Path(cfg.out) / "trajectory.txt"
     write_table(out, columns, np.column_stack(values), raw=True)
-    print(f"wrote {out} ({len(times)} times, {len(elements)} elements)")
+    print(f"wrote {out} ({len(times)} times, {len(args.elements)} elements)")
     return EXIT_OK
 
 
@@ -260,8 +261,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     for label, scale, curve, model in (("longitudinal", "a1z", long_curve, long_model),
                                        ("transverse", "a1x", trans_curve, trans_model)):
         report += ["", f"[{label}_modes]  # amplitudes include the scale {scale}",
-                   *_table_lines(["n", "amplitude", "time_seconds"], _mode_table(model),
-                                 args.raw)]
+                   _table_text(["n", "amplitude", "time_seconds"], _mode_table(model),
+                               args.raw)]
         dense = np.linspace(curve.times[0], curve.times[-1], 500)
         write_table(out_dir / f"fit_{label}_model.txt", ["t_seconds", "model"],
                     np.column_stack([dense, model.evaluate(dense)]))
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="noon", help="noon | pure_top | uniform | file:PATH")
     p.add_argument("--t-max", type=_positive_float, required=True, help="seconds")
     p.add_argument("--points", type=_int_at_least(1), default=200)
-    p.add_argument("--elements", default="1,1;8,8;8,1",
+    p.add_argument("--elements", type=_parse_elements, default="1,1;8,8;8,1",
                    help="semicolon-separated one-based 'row,col' pairs")
 
     p = command("fit", _cmd_fit, "joint least-squares fit of both curves",

@@ -3,11 +3,14 @@
 Curve files are UTF-8 CSV with header ``t_seconds,amplitude[,sigma]``,
 ``#`` comment lines allowed anywhere, times in seconds (non-negative,
 strictly increasing) and sigmas positive.  Config and population files
-share the UTF-8 and ``#`` comment rules through ``data_lines``.
+share the UTF-8 and ``#`` comment rules through ``data_lines``; a leading
+UTF-8 byte-order mark is skipped.  Every numeric table the program writes,
+curve files included, is formatted by ``format_table``.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,18 +63,21 @@ def parse_finite(token: str, path: Path, lineno: int) -> float:
 
 def data_lines(path: Path) -> Iterator[tuple[int, str]]:
     """(lineno, line) for each line of a UTF-8 file left non-blank once its ``#``
-    comment and whitespace are stripped; an unreadable or non-UTF-8 file is a DataFormatError."""
+    comment and whitespace are stripped; a leading byte-order mark is skipped, and an
+    unreadable or non-UTF-8 file is a DataFormatError."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = data.decode("utf-8")
+        text = data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
+        offset = bom + exc.start  # of the bad byte in the file
         # the bad byte starts a new line exactly when the text before it ends with a break
-        lineno = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        lineno = len((data[bom:offset].decode("utf-8") + ".").splitlines())
         raise DataFormatError(
-            f"{path}:{lineno}: not UTF-8 ({exc.reason} at offset {exc.start})") from exc
+            f"{path}:{lineno}: not UTF-8 ({exc.reason} at offset {offset})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -114,11 +120,31 @@ def read_curve(path: str | Path) -> DecayCurve:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
+def number_format(raw: bool) -> str:
+    """The ``%`` format of one written number: ``%r`` (full precision) or ``%.4g``."""
+    return "%r" if raw else "%.4g"
+
+
+def format_table(header: str, rows, raw: bool = True, sep: str = " ") -> str:
+    """``header`` and then one line per row of the 2-d ``rows``, without a final newline.
+
+    Each value is written as ``number_format(raw) % float(value)``.  The whole body
+    is one ``%`` operation: a row template repeated once per row, applied to the
+    flattened values, so no Python code runs per value.
+    """
+    values = np.asarray(rows, dtype=float)
+    if values.size == 0:
+        return header
+    n_rows, n_cols = values.shape
+    row = sep.join([number_format(raw)] * n_cols)
+    return header + "\n" + "\n".join([row] * n_rows) % tuple(values.ravel().tolist())
+
+
 def write_curve(path: str | Path, curve: DecayCurve) -> None:
-    lines = ["t_seconds,amplitude" + (",sigma" if curve.sigmas is not None else "")]
-    for i in range(len(curve)):
-        row = f"{float(curve.times[i])!r},{float(curve.amplitudes[i])!r}"
-        if curve.sigmas is not None:
-            row += f",{float(curve.sigmas[i])!r}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [curve.times, curve.amplitudes]
+    header = "t_seconds,amplitude"
+    if curve.sigmas is not None:
+        columns.append(curve.sigmas)
+        header += ",sigma"
+    text = format_table(header, np.column_stack(columns), sep=",")
+    Path(path).write_text(text + "\n", encoding="utf-8")

@@ -115,19 +115,15 @@ def evolve_block(eigensystem: BlockEigensystem, rho0: DensityState, rho_eq: Dens
     return eq_vec + np.matmul(eigensystem.w_bar, decay[..., None])[..., 0]
 
 
-def all_eigensystems(j: SpectralDensities,
-                     c: QuadrupolarConstant) -> dict[int, BlockEigensystem]:
-    """Numeric eigensystems for every coherence order 0..7."""
-    return {q: numeric_eigensystem(assemble_block(q, j), c) for q in range(8)}
-
-
 def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
-              c: QuadrupolarConstant, times) -> np.ndarray:
-    """Full density-matrix trajectory over sorted times, as a (T, 8, 8) complex array.
+              c: QuadrupolarConstant, times, elements) -> np.ndarray:
+    """Trajectories of the zero-based (row, col) ``elements`` over sorted times, as a
+    (T, len(elements)) complex array.
 
-    Orders q = 0..7 are evolved independently; elements above the diagonal are
-    filled by Hermitian conjugation (the negative-order blocks are identical
-    real matrices, so this loses nothing).
+    Only the coherence orders |row - col| that the elements lie in are assembled and
+    solved, each once.  An element on or below the diagonal is column ``col`` of its
+    order; one above it is the conjugate of its mirror (the negative-order blocks are
+    identical real matrices, so this loses nothing).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -137,15 +133,18 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
     if rho0.dim != 8 or rho_eq.dim != 8:
         raise ValueError(f"spin 7/2 needs 8x8 density matrices, got {rho0.dim}x{rho0.dim} "
                          f"and {rho_eq.dim}x{rho_eq.dim}")
-    d = rho0.dim
-    systems = all_eigensystems(j, c)
-    out = np.zeros((times.size, d, d), dtype=complex)
-    for q in range(d):
-        vals = evolve_block(systems[q], rho0, rho_eq, times)
-        n = np.arange(d - q)
-        # the conjugate first, so that the q = 0 diagonal keeps its own values
-        out[:, n, q + n] = vals.conj()
-        out[:, q + n, n] = vals
+    for row, col in elements:
+        if not (0 <= row < 8 and 0 <= col < 8):
+            raise ValueError(f"element ({row}, {col}) outside 0..7")
+    by_order = {}
+    out = np.empty((times.size, len(elements)), dtype=complex)
+    for k, (row, col) in enumerate(elements):
+        q = abs(row - col)
+        if q not in by_order:
+            by_order[q] = evolve_block(numeric_eigensystem(assemble_block(q, j), c),
+                                       rho0, rho_eq, times)
+        vals = by_order[q][:, min(row, col)]
+        out[:, k] = vals if row >= col else vals.conj()
     return out
 
 

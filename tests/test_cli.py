@@ -7,12 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadrelax import analysis, cli
+from quadrelax import analysis, cli, evolution
 from quadrelax.cli import (EXIT_DATA, EXIT_OK, build_parser, format_number,
                            load_config, main, read_table)
+from quadrelax.redfield_core import numeric_eigensystem
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
-from quadrelax.curves import (DataFormatError, DecayCurve, read_curve,
+from quadrelax.curves import (DataFormatError, DecayCurve, format_table, read_curve,
                               write_curve)
 
 THEO_CFG = """\
@@ -64,6 +65,72 @@ def test_curve_allows_comments(tmp_path):
     assert len(curve) == 2 and curve.sigmas is None
 
 
+@pytest.mark.parametrize("text", ["t_seconds,amplitude\n0.1,1.0\n0.2,0.5\n",
+                                  "# saved as CSV UTF-8\nt_seconds,amplitude,sigma\n"
+                                  "0.1,1.0,0.1\n0.2,0.5,0.1\n"])
+def test_curve_skips_a_leading_byte_order_mark(tmp_path, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = read_curve(plain), read_curve(marked)
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
+    assert (got.sigmas is None) == (want.sigmas is None)
+
+
+def test_non_utf8_error_after_a_byte_order_mark_names_the_file_offset(tmp_path):
+    # the bad byte 0xff is byte 7 of the file, counting the 3-byte mark
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xef\xbb\xbf# a\n\xff\n")
+    with pytest.raises(DataFormatError, match=r"bad\.csv:2: not UTF-8 \(.* at offset 7\)"):
+        read_curve(path)
+
+
+def _per_value_lines(rows, raw, sep=" "):
+    """The table body written one format_number call per value, the reference form."""
+    return [sep.join(format_number(v, raw) for v in row) for row in rows]
+
+
+TABLE_VALUES = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e16, 1e-5, 7, np.int64(-3),
+                np.float64(2.5e-300), 1.0 / 3.0, 123456.789, -1e-323]
+
+
+@pytest.mark.parametrize("value", TABLE_VALUES)
+def test_format_number_is_repr_or_four_significant_digits(value):
+    assert format_number(value, True) == repr(float(value))
+    assert format_number(value, False) == f"{value:.4g}"
+
+
+@pytest.mark.parametrize("raw", [True, False])
+@pytest.mark.parametrize("shape", [(14, 1), (7, 2), (2, 7), (1, 14)])
+def test_table_is_the_per_value_format_number_join(raw, shape):
+    rows = np.array(TABLE_VALUES, dtype=object).reshape(shape).tolist()
+    text = cli._table_text(["a"] * shape[1], rows, raw)
+    assert text.split("\n") == ["# columns: " + " ".join(["a"] * shape[1]),
+                                *_per_value_lines(rows, raw)]
+    assert format_table("h", rows, raw, sep=",").split("\n") == ["h", *_per_value_lines(
+        rows, raw, sep=",")]
+
+
+@pytest.mark.parametrize("raw", [True, False])
+def test_empty_table_keeps_its_header(raw, tmp_path):
+    assert cli._table_text(["q", "p"], [], raw) == "# columns: q p"
+    path = tmp_path / "t.txt"
+    cli.write_table(path, ["q", "p"], [], raw)
+    assert path.read_text() == "# columns: q p\n"
+
+
+@pytest.mark.parametrize("sigmas", [None, [0.01, 0.5, 1e-5]])
+def test_write_curve_is_the_per_value_repr_join(tmp_path, sigmas):
+    curve = DecayCurve([0.0, 1.0 / 3.0, 1e16], [-0.0, 5e-324, 0.1], sigmas)
+    columns = [curve.times, curve.amplitudes] + ([curve.sigmas] if sigmas else [])
+    want = ["t_seconds,amplitude" + (",sigma" if sigmas else "")]
+    want += [",".join(f"{float(v)!r}" for v in row) for row in zip(*columns)]
+    write_curve(tmp_path / "c.csv", curve)
+    assert (tmp_path / "c.csv").read_text() == "\n".join(want) + "\n"
+
+
 # -- parsing -------------------------------------------------------------------
 
 def test_parse_rates_command():
@@ -100,7 +167,9 @@ def test_unknown_flag_exits_2(capsys):
                  [*fit, "--tau-c", "1e-9"], [*fit, "--equilibrium", "uniform"],
                  ["bloch", "--j0", "1"], ["bloch", "--quad-freq", "1"],
                  ["ilt", "--curve", "c.csv", "--t-min", "1", "--t-max", "2", "--seed", "1"],
-                 ["validate", "--raw"], ["validate", "--quad-freq", "-1"]):
+                 ["validate", "--raw"], ["validate", "--quad-freq", "-1"],
+                 *([*evolve, "--elements", spec]
+                   for spec in ("a,b", "9,1", "1,0", ";", "", "1,2,3", "1", "1,1;8,x"))):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
         assert err.value.code == 2
@@ -184,6 +253,11 @@ def test_cached_parser_matches_a_fresh_parser_across_usage_errors(tmp_path, theo
 def test_config_parsing(tmp_path, theo_cfg):
     cfg = load_config(theo_cfg)
     assert cfg.quad_freq == 266e3
+    marked = tmp_path / "marked.cfg"
+    marked.write_text(THEO_CFG, encoding="utf-8-sig")
+    assert load_config(marked) == cfg
+    marked.write_text("j0 = 8e-9\n", encoding="utf-8-sig")
+    assert load_config(marked).j0 == 8e-9
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 3\n")
     with pytest.raises(DataFormatError):
@@ -434,8 +508,34 @@ def test_evolve_rejects_unknown_state_and_element(tmp_path, theo_cfg, capsys):
               "--out", str(tmp_path)]
     assert main([*common, "--state", "bogus"]) == 1
     assert "unknown state 'bogus'" in capsys.readouterr().err
-    assert main([*common, "--elements", "9,1"]) == 1
-    assert "element (9,1) outside 1..8" in capsys.readouterr().err
+    # a bad --elements spec is a usage error, found before anything is written
+    out = tmp_path / "never"
+    for spec, message in (("9,1", "element (9,1) outside 1..8"),
+                          ("1,1;0,2", "element (0,2) outside 1..8"),
+                          ("1,1;a,b", "bad element 'a,b'"),
+                          ("8,8;1,2,3", "bad element '1,2,3'"),
+                          (";", "no elements in ';'")):
+        with pytest.raises(SystemExit) as err:
+            main([*common[:-1], str(out), "--elements", spec])
+        assert err.value.code == 2
+        assert f"argument --elements: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_default_evolve_solves_two_orders(tmp_path, theo_cfg, monkeypatch):
+    # the default elements 1,1;8,8;8,1 lie in orders 0 and 7 only
+    orders = []
+
+    def counting(block, c=None):
+        orders.append(block.q)
+        return numeric_eigensystem(block, c)
+
+    monkeypatch.setattr(evolution, "numeric_eigensystem", counting)
+    assert main(["evolve", "--config", str(theo_cfg), "--t-max", "1e-3", "--points", "5",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert sorted(orders) == [0, 7]
+    assert read_table(tmp_path / "trajectory.txt").keys() == {
+        "t_seconds", "re_1_1", "im_1_1", "re_8_8", "im_8_8", "re_8_1", "im_8_1"}
 
 
 def test_validate_without_densities_uses_seeded_triple(tmp_path, capsys):

@@ -4,7 +4,6 @@ from scipy.linalg import expm
 
 from quadrelax.evolution import (
     DensityState,
-    all_eigensystems,
     build_longitudinal_model,
     build_transverse_model,
     evolve_block,
@@ -15,6 +14,7 @@ from quadrelax.evolution import (
 from quadrelax.phys_params import (SpectralDensities,
                                    lorentzian_spectral_densities,
                                    quadrupolar_constant_simplified)
+from quadrelax import evolution
 from quadrelax.redfield_core import (CoherenceBlock, analytic_eigensystem,
                                      assemble_block, evaluate_block,
                                      numeric_eigensystem)
@@ -22,6 +22,15 @@ from quadrelax.redfield_core import (CoherenceBlock, analytic_eigensystem,
 J_REF = lorentzian_spectral_densities(47.24e6, 4.1e-9)
 C_REF = quadrupolar_constant_simplified(266e3)
 TABLE2_SCALES = (83.0, 3.8, 0.18)
+#: every element, row-major, so that propagate(...).reshape(-1, 8, 8) is the full matrix
+ALL_PAIRS = [(row, col) for row in range(8) for col in range(8)]
+#: the CLI's default --elements 1,1;8,8;8,1, zero-based
+CLI_PAIRS = [(0, 0), (7, 7), (7, 0)]
+
+
+def all_eigensystems(j, c):
+    """Numeric eigensystems for every coherence order 0..7."""
+    return {q: numeric_eigensystem(assemble_block(q, j), c) for q in range(8)}
 
 
 def random_hermitian_state(rng, dim=8):
@@ -119,8 +128,11 @@ def test_q7_single_exponential_value():
 
 def test_propagate_noon_reference_shape():
     times = np.linspace(0.0, 1e-3, 60)
-    traj = propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, times)
-    assert traj.shape == (60, 8, 8) and traj.dtype == complex
+    traj = propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, times,
+                     ALL_PAIRS)
+    assert traj.shape == (60, 64) and traj.dtype == complex
+    traj = traj.reshape(-1, 8, 8)
+    assert traj.shape == (60, 8, 8)
     rho11 = traj[:, 0, 0].real
     rho88 = traj[:, 7, 7].real
     rho81 = np.abs(traj[:, 7, 0])
@@ -135,7 +147,7 @@ def test_propagate_noon_reference_shape():
 
 def test_propagate_fixed_point():
     eq = DensityState.pure_top()
-    traj = propagate(eq, eq, J_REF, C_REF, np.linspace(0, 1.0, 5))
+    traj = propagate(eq, eq, J_REF, C_REF, np.linspace(0, 1.0, 5), ALL_PAIRS).reshape(-1, 8, 8)
     for m in traj:
         np.testing.assert_allclose(m, eq.matrix, atol=1e-12)
 
@@ -144,7 +156,7 @@ def test_propagate_preserves_hermiticity_and_trace():
     rng = np.random.default_rng(2)
     rho0 = random_hermitian_state(rng)
     eq = DensityState.uniform()
-    traj = propagate(rho0, eq, J_REF, C_REF, np.logspace(-6, 0, 10))
+    traj = propagate(rho0, eq, J_REF, C_REF, np.logspace(-6, 0, 10), ALL_PAIRS).reshape(-1, 8, 8)
     np.testing.assert_allclose(traj, np.conj(np.swapaxes(traj, 1, 2)), rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.trace(traj, axis1=1, axis2=2).real, 1.0, rtol=0, atol=1e-10)
 
@@ -162,20 +174,60 @@ def test_propagate_is_the_per_order_scalar_assembly():
                 want[k, q + n, n] = v
                 if q > 0:
                     want[k, n, q + n] = np.conj(v)
-    got = propagate(rho0, eq, J_REF, C_REF, times)
+    got = propagate(rho0, eq, J_REF, C_REF, times, ALL_PAIRS).reshape(-1, 8, 8)
     np.testing.assert_array_equal(got, want)
     # signed zeros too: the written trajectory prints them
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("state", ["noon", "uniform", "random"])
+def test_propagate_subset_is_bitwise_the_full_columns(state):
+    rho0 = (random_hermitian_state(np.random.default_rng(7)) if state == "random"
+            else getattr(DensityState, state)())
+    eq = DensityState.pure_top()
+    times = np.linspace(0.0, 2e-4, 30)
+    full = propagate(rho0, eq, J_REF, C_REF, times, ALL_PAIRS)
+    for pairs in (CLI_PAIRS, [(0, 7), (3, 3), (2, 5), (5, 2), (0, 7)], [(6, 1)]):
+        got = propagate(rho0, eq, J_REF, C_REF, times, pairs)
+        want = np.ascontiguousarray(full[:, [8 * row + col for row, col in pairs]])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_propagate_solves_only_the_orders_of_its_elements(monkeypatch):
+    orders = []
+
+    def counting(block, c=None):
+        orders.append(block.q)
+        return numeric_eigensystem(block, c)
+
+    monkeypatch.setattr(evolution, "numeric_eigensystem", counting)
+    propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [0.0, 1e-4],
+              [(2, 5), (1, 1), (5, 2), (4, 4)])
+    assert sorted(orders) == [0, 3]
+    orders.clear()
+    propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [0.0, 1e-4],
+              ALL_PAIRS)
+    assert sorted(orders) == list(range(8))
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (8, 0), (0, 8), (-8, -8)])
+def test_propagate_rejects_element_outside_the_matrix(pair):
+    # without the check, (-1, 0) would read element (7, 0) through negative indexing
+    with pytest.raises(ValueError, match="outside 0..7"):
+        propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [0.0],
+                  [(0, 0), pair])
+
+
 def test_propagate_rejects_unsorted_times():
     with pytest.raises(ValueError):
-        propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [1e-3, 1e-4])
+        propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [1e-3, 1e-4],
+                  CLI_PAIRS)
 
 
 def test_propagate_rejects_other_dimensions():
     with pytest.raises(ValueError, match="8x8"):
-        propagate(DensityState.noon(6), DensityState.pure_top(6), J_REF, C_REF, [0.0])
+        propagate(DensityState.noon(6), DensityState.pure_top(6), J_REF, C_REF, [0.0],
+                  CLI_PAIRS)
 
 
 def test_eigen_sum_matches_matrix_exponential():
@@ -202,9 +254,8 @@ def test_deviation_dynamics_superpose():
     a, b = 0.3, 0.7
     mixed = DensityState(a * s1.matrix + b * s2.matrix)
     times = np.logspace(-5, -2, 4)
-    traj_mixed = propagate(mixed, eq, J_REF, C_REF, times)
-    traj_1 = propagate(s1, eq, J_REF, C_REF, times)
-    traj_2 = propagate(s2, eq, J_REF, C_REF, times)
+    traj_mixed, traj_1, traj_2 = (propagate(s, eq, J_REF, C_REF, times, ALL_PAIRS).reshape(-1, 8, 8)
+                                  for s in (mixed, s1, s2))
     for tm, t1, t2 in zip(traj_mixed, traj_1, traj_2):
         dev_mixed = tm - eq.matrix
         dev_sum = a * (t1 - eq.matrix) + b * (t2 - eq.matrix)
