@@ -46,30 +46,63 @@ def _param_vector(params) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=None)
+def _parity_subspace(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fitted order-q signal c . exp(M t) d reduced to the parity subspace of c and d.
+
+    Every coefficient matrix commutes with the reversal n -> dim-1-n (m -> -m),
+    <Iz> is odd under it (q = 0, c = Iz, d = -Iz) and Ix's q = 1 weights and
+    elements are even (c, d = transverse_observable()).  So exp(M t) keeps their
+    subspace, spanned by the normalized columns e_n + s e_{dim-1-n}, n < dim/2, of
+    P (for q = 1, dim 7 and s = +1, the last one is e_3), and the signal is
+    (P^T c) . exp(P^T M P t) (P^T d) with 4 x 4 matrices for both orders.  Returns
+    the stacked P^T A_k P, shape (3, 4, 4), P^T c and P^T d, all read-only.
+    """
+    if q == 0:
+        obs = longitudinal_observable()
+        dev, sign = -obs, -1.0
+    else:
+        obs, dev = transverse_observable()
+        sign = 1.0
+    dim = obs.size
+    p = (np.eye(dim) + sign * np.eye(dim)[::-1])[:, :(dim + 1) // 2]
+    p = p / np.linalg.norm(p, axis=0)
+    mats = np.stack([p.T @ a @ p for a in coefficient_matrices(q)])
+    reduced = ((mats + mats.transpose(0, 2, 1)) / 2, obs @ p, dev @ p)
+    for arr in reduced:
+        arr.flags.writeable = False
+    return reduced
+
+
 @lru_cache(maxsize=1)
 def _joint_eigensystems(b0: float, b1: float,
                         b2: float) -> tuple[BlockEigensystem, BlockEigensystem]:
-    """The q = 0 and q = 1 eigensystems at the rate scales B, with read-only arrays.
+    """The q = 0 and q = 1 eigensystems of the parity-reduced 4 x 4 blocks at the rate
+    scales B (see _parity_subspace), with read-only arrays.
 
-    One entry: the fit's residual and Jacobian at a trial point, and the models
-    built from its result, share one eigensolve per order.
+    One entry: the fit's residual and Jacobian at a trial point share one
+    eigensolve per order.
     """
-    systems = tuple(numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, (b0, b1, b2))))
-                    for q in (0, 1))
-    for es in systems:
+    systems = []
+    for q in (0, 1):
+        a0, a1, a2 = _parity_subspace(q)[0]
+        es = numeric_eigensystem(CoherenceBlock(q, b0 * a0 + b1 * a1 + b2 * a2))
         for arr in (es.eigenvalues, es.w, es.w_bar, es.rates):
             arr.flags.writeable = False
-    return systems
+        systems.append(es)
+    return tuple(systems)
 
 
 def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
-    """Longitudinal and transverse magnetization models at a 7-parameter set.
+    """Longitudinal and transverse magnetization models at a 7-parameter set,
+    with every mode of the full q = 0 and q = 1 blocks.
 
     Rates come out in Hz directly because the blocks are evaluated at the
     rate scales B_k = C J_k (the C = 1 eigensystem convention).
     """
     a1z, a2z, a1x, a2x, b0, b1, b2 = _param_vector(params)
-    es0, es1 = _joint_eigensystems(float(b0), float(b1), float(b2))
+    es0, es1 = (numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, (b0, b1, b2))))
+                for q in (0, 1))
     return build_longitudinal_model(es0, a1z, a2z), build_transverse_model(es1, a1x, a2x)
 
 
@@ -93,35 +126,49 @@ def _exp_divided_differences(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.exp(np.maximum.outer(lam, lam) * t) * ratio
 
 
-def _signal_and_b_derivatives(es: BlockEigensystem, obs: np.ndarray, dev: np.ndarray,
+def _reduced_signal(es: BlockEigensystem, times: np.ndarray) -> np.ndarray:
+    """c . exp(M t) d over the times, shape (T,), from a parity-reduced eigensystem
+    of _joint_eigensystems."""
+    _, obs, dev = _parity_subspace(es.q)
+    return np.exp(np.outer(times, -es.rates)) @ ((obs @ es.w_bar) * (es.w @ dev))
+
+
+def _signal_and_b_derivatives(es: BlockEigensystem,
                               times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """obs . exp(M t) dev over the times, shape (T,), and its derivatives by B, (T, 3).
+    """_reduced_signal and its derivatives by B, shape (T, 3).
 
     With M = sum_k B_k A_k = V diag(lam) V^T, the Daleckii-Krein form of the
-    Frechet derivative of exp gives d/dB_k = obs^T V (G(t) o V^T A_k V) V^T dev.
+    Frechet derivative of exp gives d/dB_k = c^T V (G(t) o V^T A_k V) V^T d.
     """
+    mats, obs, dev = _parity_subspace(es.q)
     lam = -es.rates
-    u, v = obs @ es.w_bar, es.w @ dev
-    signal = np.exp(np.outer(times, lam)) @ (u * v)
-    weights = np.stack([np.outer(u, v) * (es.w @ a @ es.w_bar)
-                        for a in coefficient_matrices(es.q)])
+    weights = np.outer(obs @ es.w_bar, es.w @ dev) * (es.w @ mats @ es.w_bar)
     g = _exp_divided_differences(lam, times)
-    return signal, g.reshape(len(times), -1) @ weights.reshape(3, -1).T
+    return _reduced_signal(es, times), g.reshape(len(times), -1) @ weights.reshape(3, -1).T
+
+
+def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
+    """The longitudinal and transverse signals at x over FIT_NAMES: a1z (Iz.Iz +
+    (1 + a2z) s(t)) with s the response to the deviation -Iz, and a1x (the product
+    a1x*a2x) times the response to Ix; joint_model_curves with a2x = 1."""
+    a1z, a2z, a1x = x[:3]
+    es0, es1 = _joint_eigensystems(*(float(b) for b in x[3:]))
+    iz = longitudinal_observable()
+    return (a1z * (iz @ iz + (1 + a2z) * _reduced_signal(es0, times_long)),
+            a1x * _reduced_signal(es1, times_trans))
 
 
 def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of the longitudinal and transverse signals by the fitted FIT_NAMES.
+    """Derivatives of the signals of _joint_signals by the fitted FIT_NAMES.
 
-    x holds a1z, a2z, a1x (the product a1x*a2x) and b0, b1, b2.  The longitudinal
-    signal is a1z (Iz.Iz + (1 + a2z) s(t)) with s the response to the deviation
-    -Iz, and the transverse one a1x times its response to Ix, so every column
-    but the B ones is closed-form.
+    The signals are linear in a1z and a1x and affine in a2z, so every column but
+    the B ones is closed-form.
     """
     a1z, a2z, a1x = x[:3]
     es0, es1 = _joint_eigensystems(*(float(b) for b in x[3:]))
     iz = longitudinal_observable()
-    sz, dsz = _signal_and_b_derivatives(es0, iz, -iz, times_long)
-    sx, dsx = _signal_and_b_derivatives(es1, *transverse_observable(), times_trans)
+    sz, dsz = _signal_and_b_derivatives(es0, times_long)
+    sx, dsx = _signal_and_b_derivatives(es1, times_trans)
     zz, zx = np.zeros(sz.size), np.zeros(sx.size)
     jz = np.column_stack([iz @ iz + (1 + a2z) * sz, a1z * sz, zz, a1z * (1 + a2z) * dsz])
     jx = np.column_stack([zx, zx, sx, a1x * dsx])
@@ -135,7 +182,8 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     The transverse signal depends on a1x and a2x only through their product,
     so six parameters are fitted: a1z, a2z, a1x*a2x (returned as a1x, with
     a2x = 1) and the rate scales b0, b1, b2 >= 0.  The residual and its exact
-    Jacobian at a trial point share one eigensolve of each coherence block.
+    Jacobian work in the 4-dimensional parity subspaces of the observables (see
+    _parity_subspace) and share one eigensolve of each reduced block per trial point.
     The search restarts from ``restarts`` deterministic perturbations of the
     7-parameter initial guess (best residual wins).  Sigmas come from the
     Jacobian at the best restart, cov = SSR/(n - 6) (J^T J)^-1, as in
@@ -150,8 +198,7 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
               for curve in (long_curve, trans_curve))
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        sz, sx = joint_model_curves(np.insert(x, 3, 1.0), long_curve.times,
-                                    trans_curve.times)
+        sz, sx = _joint_signals(x, long_curve.times, trans_curve.times)
         return np.concatenate([(sz - long_curve.amplitudes) * wz,
                                (sx - trans_curve.amplitudes) * wx])
 

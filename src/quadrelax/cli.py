@@ -65,15 +65,33 @@ class RunConfig:
         raise ValueError("no quadrupolar constant: set quad_freq or c_override")
 
 
-def _diagonal_state(name: str) -> evolution.DensityState:
-    """The state named pure_top, uniform or file:PATH (diagonal populations)."""
-    if name == "pure_top":
-        return evolution.DensityState.pure_top()
-    if name == "uniform":
-        return evolution.DensityState.uniform()
-    if name.startswith("file:"):
-        return _diagonal_state_from_file(Path(name[5:]))
-    raise ValueError(f"unknown state {name!r} (pure_top, uniform, or file:PATH)")
+_NAMED_STATES = {"noon": evolution.DensityState.noon,
+                 "pure_top": evolution.DensityState.pure_top,
+                 "uniform": evolution.DensityState.uniform}
+
+
+def _state_name(*names: str):
+    """An argparse type accepting one of ``names`` or file:PATH with a non-empty PATH."""
+    def parse(text: str) -> str:
+        if text in names or (text.startswith("file:") and len(text) > len("file:")):
+            return text
+        raise argparse.ArgumentTypeError(
+            f"unknown state {text!r} ({', '.join(names)} or file:PATH)")
+    return parse
+
+
+#: --state takes every named preparation, --equilibrium (and the config key) the
+#: diagonal ones
+_initial_state_name = _state_name(*_NAMED_STATES)
+_equilibrium_name = _state_name("pure_top", "uniform")
+
+
+def _state(name: str) -> evolution.DensityState:
+    """The state a checked name gives: a named preparation, or the diagonal
+    populations of file:PATH."""
+    if name in _NAMED_STATES:
+        return _NAMED_STATES[name]()
+    return _diagonal_state_from_file(Path(name[len("file:"):]))
 
 
 def _diagonal_state_from_file(path: Path) -> evolution.DensityState:
@@ -95,8 +113,13 @@ def load_config(path: Path) -> RunConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _CONFIG_KEYS:
             raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in ("equilibrium", "out"):
-            setattr(cfg, key, value)
+        if key == "equilibrium":
+            try:
+                cfg.equilibrium = _equilibrium_name(value)
+            except argparse.ArgumentTypeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        elif key == "out":
+            cfg.out = value
         else:
             setattr(cfg, key, parse_finite(value, path, lineno))
     return cfg
@@ -200,9 +223,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     j = cfg.densities()
     c = cfg.constant()
-    rho0 = (evolution.DensityState.noon() if args.state == "noon"
-            else _diagonal_state(args.state))
-    rho_eq = _diagonal_state(cfg.equilibrium)
+    rho0, rho_eq = _state(args.state), _state(cfg.equilibrium)
     times = np.linspace(0.0, args.t_max, args.points)
     traj = evolution.propagate(rho0, rho_eq, j, c, times,
                                [(row - 1, col - 1) for row, col in args.elements])
@@ -379,7 +400,7 @@ _SHARED_FLAGS = {
     "--j2": dict(type=float, help="seconds"),
     "--quad-freq": dict(type=float, help="Hz"),
     "--c": dict(type=float, dest="c_override", help="Hz^2"),
-    "--equilibrium": dict(help="pure_top | uniform | file:PATH"),
+    "--equilibrium": dict(type=_equilibrium_name, help="pure_top | uniform | file:PATH"),
 }
 _DENSITY_FLAGS = ("--larmor-freq", "--tau-c", "--j0", "--j1", "--j2")
 _CONSTANT_FLAGS = ("--quad-freq", "--c")
@@ -405,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("evolve", _cmd_evolve, "density-matrix element trajectory",
                 "--config", "--out", *_DENSITY_FLAGS, *_CONSTANT_FLAGS, "--equilibrium")
-    p.add_argument("--state", default="noon", help="noon | pure_top | uniform | file:PATH")
+    p.add_argument("--state", type=_initial_state_name, default="noon",
+                   help="noon | pure_top | uniform | file:PATH")
     p.add_argument("--t-max", type=_positive_float, required=True, help="seconds")
     p.add_argument("--points", type=_int_at_least(1), default=200)
     p.add_argument("--elements", type=_parse_elements, default="1,1;8,8;8,1",

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm_frechet
 from scipy.optimize import least_squares
 
@@ -11,6 +13,7 @@ from quadrelax.analysis import (
     PARAM_NAMES,
     _exp_divided_differences,
     _joint_jacobian,
+    _joint_signals,
     fit_bloch_longitudinal,
     fit_bloch_transverse,
     fit_redfield_joint,
@@ -122,21 +125,33 @@ def _bundled_optimum():
     return long_curve, trans_curve, x
 
 
-def test_jacobian_b_columns_are_the_frechet_derivative_of_expm():
-    # d/dB_k of c^T exp(M t) d is c^T L_exp(M t, A_k t) d; scipy's expm_frechet
-    # computes L by scaling and squaring, independently of any eigensolve
-    long_curve, trans_curve, x = _bundled_optimum()
+def _frechet_b_columns(x, times_long, times_trans):
+    """The B columns of both signals' Jacobians from the full 8x8 and 7x7 blocks.
+
+    d/dB_k of c^T exp(M t) d is c^T L_exp(M t, A_k t) d; scipy's expm_frechet
+    computes L by scaling and squaring, independently of any eigensolve.
+    """
     a1z, a2z, a1x = x[:3]
-    jz, jx = _joint_jacobian(x, long_curve.times, trans_curve.times)
     iz = longitudinal_observable()
-    pieces = ((0, iz, -iz, long_curve.times, a1z * (1 + a2z), jz),
-              (1, *transverse_observable(), trans_curve.times[::5], a1x, jx[::5]))
-    for q, obs, dev, times, scale, got in pieces:
+    columns = []
+    for q, obs, dev, times, scale in ((0, iz, -iz, times_long, a1z * (1 + a2z)),
+                                      (1, *transverse_observable(), times_trans, a1x)):
         m = evaluate_block(q, tuple(x[3:]))
-        want = np.array([[scale * obs @ expm_frechet(m * t, a * t, compute_expm=False) @ dev
-                          for a in coefficient_matrices(q)] for t in times])
+        columns.append(np.array([[scale * obs @ expm_frechet(m * t, a * t, compute_expm=False)
+                                  @ dev for a in coefficient_matrices(q)] for t in times]))
+    return columns
+
+
+def _assert_b_columns_match_frechet(x, times_long, times_trans):
+    jz, jx = _joint_jacobian(x, times_long, times_trans)
+    for q, got, want in zip((0, 1), (jz, jx), _frechet_b_columns(x, times_long, times_trans)):
         np.testing.assert_allclose(got[:, 3:], want, rtol=1e-9,
                                    atol=1e-12 * np.max(np.abs(want)), err_msg=f"q={q}")
+
+
+def test_jacobian_b_columns_are_the_frechet_derivative_of_expm():
+    long_curve, trans_curve, x = _bundled_optimum()
+    _assert_b_columns_match_frechet(x, long_curve.times, trans_curve.times[::5])
 
 
 @pytest.mark.parametrize("lam", [[-3.0, -1.0, -1.0, -0.2],          # an exact tie
@@ -179,21 +194,85 @@ def test_jacobian_matches_central_differences():
 
 
 def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
-    calls = []
+    # each trial point solves the 4x4 parity-reduced block of each order once,
+    # and the Jacobian at an accepted point reuses the residual's eigensystems
+    long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
+    blocks = []
     real = analysis.numeric_eigensystem
     monkeypatch.setattr(analysis, "numeric_eigensystem",
-                        lambda block: calls.append(block.q) or real(block))
+                        lambda block: blocks.append(block) or real(block))
     objective = []
-    real_curves = analysis.joint_model_curves
-    monkeypatch.setattr(analysis, "joint_model_curves",
-                        lambda *a: objective.append(1) or real_curves(*a))
+    real_signals = analysis._joint_signals
+    monkeypatch.setattr(analysis, "_joint_signals",
+                        lambda *a: objective.append(1) or real_signals(*a))
     analysis._joint_eigensystems.cache_clear()
-    long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
     result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
     assert len(objective) == result.evaluations
-    assert calls == [0, 1] * result.evaluations
-    model = joint_models(result.params)[0]
-    assert not model.rates.flags.writeable
+    assert [block.q for block in blocks] == [0, 1] * result.evaluations
+    assert {block.matrix.shape for block in blocks} == {(4, 4)}
+    es0, es1 = analysis._joint_eigensystems(*(result.params[k] for k in ("b0", "b1", "b2")))
+    assert not es0.rates.flags.writeable and not es1.w.flags.writeable
+
+
+def test_reduction_rests_on_reversal_symmetry():
+    # every coefficient matrix commutes with the reversal m -> -m exactly;
+    # <Iz> is odd under it and both arrays of the transverse observable are even
+    for q in range(8):
+        for k, a in enumerate(coefficient_matrices(q)):
+            np.testing.assert_array_equal(a[::-1, ::-1], a, err_msg=f"q={q} A{k}")
+    iz = longitudinal_observable()
+    np.testing.assert_array_equal(iz[::-1], -iz)
+    for arr in transverse_observable():
+        np.testing.assert_array_equal(arr[::-1], arr)
+
+
+_LOG_B = st.floats(-2.0, 2.0)
+_B_POINTS = st.one_of(
+    st.tuples(_LOG_B, _LOG_B, _LOG_B).map(lambda e: tuple(10.0 ** np.array(e))),
+    st.tuples(_LOG_B, _LOG_B).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 10.0 ** e[1])),
+    st.tuples(_LOG_B, _LOG_B).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 0.0)),
+    st.tuples(st.floats(-2.0, 0.0), st.floats(3.0, 5.0), _LOG_B).map(
+        lambda e: (10.0 ** (e[0] + e[1]), 10.0 ** e[2], 10.0 ** e[0])),
+)
+_TIMES_LONG = np.logspace(np.log10(2e-3), np.log10(1.5), 24)
+_TIMES_TRANS = np.arange(1, 266) / 5969.0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_B_POINTS)
+def test_reduced_fit_core_matches_the_full_blocks(b):
+    # ordinary points and the corners b1 = b2, b2 = 0 and b0/b2 from 1e3 to 1e5.
+    # The signals agree to 1e-12 of each curve's largest value, or to eps ||M|| t_max
+    # where that is larger: a backward-stable eigensolve of the full block moves each
+    # eigenvalue by up to eps ||M||, and at b0 = 1e5 that error of joint_model_curves
+    # reaches 1e-11 (the reduced signals stay at round-off, see the next test)
+    x = np.array([TABLE2["a1z"], TABLE2["a2z"], TABLE2["a1x"] * TABLE2["a2x"], *b])
+    want = joint_model_curves(np.insert(x, 3, 1.0), _TIMES_LONG, _TIMES_TRANS)
+    got = _joint_signals(x, _TIMES_LONG, _TIMES_TRANS)
+    for q, times, g, ref in zip((0, 1), (_TIMES_LONG, _TIMES_TRANS), got, want):
+        eig_error = np.finfo(float).eps * np.linalg.norm(evaluate_block(q, b), 2) * times[-1]
+        np.testing.assert_allclose(g, ref, rtol=0,
+                                   atol=max(1e-12, eig_error) * np.max(np.abs(ref)))
+    _assert_b_columns_match_frechet(x, _TIMES_LONG[::3], _TIMES_TRANS[::20])
+
+
+@pytest.mark.parametrize("b", [(83.0, 3.8, 0.18), (1e5, 0.01, 1.0), (1e5, 100.0, 1.0)])
+def test_reduced_signals_match_a_30_digit_eigensolve(b):
+    # the mode sum of the full block from mpmath's 30-digit symmetric eigensolve
+    mpmath = pytest.importorskip("mpmath", reason="the 30-digit reference needs mpmath")
+    mpmath.mp.dps = 30
+    es0, es1 = analysis._joint_eigensystems(*b)
+    iz = longitudinal_observable()
+    for es, (obs, dev), times in ((es0, (iz, -iz), _TIMES_LONG),
+                                  (es1, transverse_observable(), _TIMES_TRANS)):
+        lam, vec = mpmath.eigsy(mpmath.matrix(evaluate_block(es.q, b).tolist()))
+        n = obs.size
+        amps = [mpmath.fsum(obs[k] * vec[k, i] for k in range(n))
+                * mpmath.fsum(vec[k, i] * dev[k] for k in range(n)) for i in range(n)]
+        want = np.array([float(mpmath.fsum(a * mpmath.exp(lam[i] * t) for i, a in enumerate(amps)))
+                         for t in times])
+        np.testing.assert_allclose(analysis._reduced_signal(es, times), want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)), err_msg=f"q={es.q}")
 
 
 @pytest.mark.parametrize("seed", range(10))

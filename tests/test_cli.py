@@ -481,6 +481,18 @@ def test_bad_config_line_exits_3(tmp_path, capsys, line):
     assert f"{cfg}:5:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["bogus", "noon", "file:"])
+def test_bad_config_equilibrium_exits_3(tmp_path, capsys, value):
+    # the config value is checked when the file is read, for every subcommand
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(THEO_CFG.replace("equilibrium = pure_top", f"equilibrium = {value}"))
+    out = tmp_path / "never"
+    for command in (["evolve", "--t-max", "1e-3", "--points", "5"], ["rates"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert f"{cfg}:4: unknown state {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--state", "--equilibrium"])
 def test_non_finite_population_file_exits_3(tmp_path, theo_cfg, capsys, flag):
     pops = tmp_path / "pops.txt"
@@ -506,10 +518,19 @@ def test_evolve_state_names(tmp_path, theo_cfg, state):
 def test_evolve_rejects_unknown_state_and_element(tmp_path, theo_cfg, capsys):
     common = ["evolve", "--config", str(theo_cfg), "--t-max", "1e-3", "--points", "5",
               "--out", str(tmp_path)]
-    assert main([*common, "--state", "bogus"]) == 1
-    assert "unknown state 'bogus'" in capsys.readouterr().err
-    # a bad --elements spec is a usage error, found before anything is written
+    # a bad state name or --elements spec is a usage error, found before anything
+    # is written; noon is a preparation, not an equilibrium
     out = tmp_path / "never"
+    for flag, name, allowed in (("--state", "bogus", "noon, pure_top, uniform"),
+                                ("--state", "file:", "noon, pure_top, uniform"),
+                                ("--equilibrium", "bogus", "pure_top, uniform"),
+                                ("--equilibrium", "noon", "pure_top, uniform")):
+        with pytest.raises(SystemExit) as err:
+            main([*common[:-1], str(out), flag, name])
+        assert err.value.code == 2
+        assert (f"argument {flag}: unknown state {name!r} ({allowed} or file:PATH)"
+                in capsys.readouterr().err)
+        assert not out.exists()
     for spec, message in (("9,1", "element (9,1) outside 1..8"),
                           ("1,1;0,2", "element (0,2) outside 1..8"),
                           ("1,1;a,b", "bad element 'a,b'"),
