@@ -12,8 +12,8 @@ import numpy as np
 from .curves import DecayCurve
 from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
                         longitudinal_observable, transverse_observable)
-from .redfield_core import (BlockEigensystem, CoherenceBlock, coefficient_matrices,
-                            evaluate_block, numeric_eigensystem)
+from .redfield_core import (BlockEigensystem, CoherenceBlock, evaluate_block,
+                            numeric_eigensystem, sector_eigensystem, sector_table)
 
 PARAM_NAMES = ("a1z", "a2z", "a1x", "a2x", "b0", "b1", "b2")
 #: the fitted parameters: a2x is held at 1, so a1x carries the product a1x*a2x
@@ -48,28 +48,20 @@ def _param_vector(params) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _parity_subspace(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fitted order-q signal c . exp(M t) d reduced to the parity subspace of c and d.
+    """The fitted order-q signal c . exp(M t) d reduced to the reversal-parity sector
+    of c and d (see redfield_core.SectorTable).
 
-    Every coefficient matrix commutes with the reversal n -> dim-1-n (m -> -m),
-    <Iz> is odd under it (q = 0, c = Iz, d = -Iz) and Ix's q = 1 weights and
-    elements are even (c, d = transverse_observable()).  So exp(M t) keeps their
-    subspace, spanned by the normalized columns e_n + s e_{dim-1-n}, n < dim/2, of
-    P (for q = 1, dim 7 and s = +1, the last one is e_3), and the signal is
-    (P^T c) . exp(P^T M P t) (P^T d) with 4 x 4 matrices for both orders.  Returns
-    the stacked P^T A_k P, shape (3, 4, 4), P^T c and P^T d, all read-only.
+    <Iz> is odd under the reversal (q = 0, c = Iz, d = -Iz) and Ix's q = 1 weights
+    and elements are even (c, d = transverse_observable()).  So exp(M t) keeps the
+    odd q = 0 and the even q = 1 sector, and the signal is (P^T c) . exp(P^T M P t)
+    (P^T d) with 4 x 4 matrices for both orders.  Returns the sector's stacked
+    P^T A_k P, shape (3, 4, 4), P^T c and P^T d, all read-only.
     """
-    if q == 0:
-        obs = longitudinal_observable()
-        dev, sign = -obs, -1.0
-    else:
-        obs, dev = transverse_observable()
-        sign = 1.0
-    dim = obs.size
-    p = (np.eye(dim) + sign * np.eye(dim)[::-1])[:, :(dim + 1) // 2]
-    p = p / np.linalg.norm(p, axis=0)
-    mats = np.stack([p.T @ a @ p for a in coefficient_matrices(q)])
-    reduced = ((mats + mats.transpose(0, 2, 1)) / 2, obs @ p, dev @ p)
-    for arr in reduced:
+    iz = longitudinal_observable()
+    obs, dev = (iz, -iz) if q == 0 else transverse_observable()
+    p, mats = sector_table().sectors[q][q == 0]
+    reduced = (mats, obs @ p, dev @ p)
+    for arr in reduced[1:]:
         arr.flags.writeable = False
     return reduced
 
@@ -77,25 +69,15 @@ def _parity_subspace(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @lru_cache(maxsize=1)
 def _joint_eigensystems(b0: float, b1: float,
                         b2: float) -> tuple[BlockEigensystem, BlockEigensystem]:
-    """The q = 0 and q = 1 eigensystems of the parity-reduced 4 x 4 blocks at the rate
-    scales B (see _parity_subspace), with read-only arrays.
-
-    One entry: the fit's residual and Jacobian at a trial point share one
-    eigensolve per order.
-    """
-    systems = []
-    for q in (0, 1):
-        a0, a1, a2 = _parity_subspace(q)[0]
-        es = numeric_eigensystem(CoherenceBlock(q, b0 * a0 + b1 * a1 + b2 * a2))
-        for arr in (es.eigenvalues, es.w, es.w_bar, es.rates):
-            arr.flags.writeable = False
-        systems.append(es)
-    return tuple(systems)
+    """The q = 0 and q = 1 eigensystems of the 4 x 4 sectors of _parity_subspace at
+    the rate scales B.  One entry: the fit's residual and Jacobian at a trial point
+    share one eigensolve per order."""
+    return tuple(sector_eigensystem(q, q == 0, (b0, b1, b2)) for q in (0, 1))
 
 
 def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
     """Longitudinal and transverse magnetization models at a 7-parameter set,
-    with every mode of the full q = 0 and q = 1 blocks.
+    with every mode of the full q = 0 and q = 1 blocks (both sectors of each).
 
     Rates come out in Hz directly because the blocks are evaluated at the
     rate scales B_k = C J_k (the C = 1 eigensystem convention).

@@ -21,8 +21,11 @@ from .curves import (DataFormatError, DecayCurve, data_lines, format_table, numb
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
-from .redfield_core import (_ZERO_MODE_RTOL, assemble_block, numeric_eigensystem,
+from .redfield_core import (_ZERO_MODE_RTOL, _rates_from_eigenvalues, sector_spectra,
                             validate_against_reference_tables)
+# no subcommand calls it any more; bench/test_bench_stats.py still expects the tracer
+# to patch this name in cli's namespace, so it stays imported until the benchmark changes
+from .redfield_core import numeric_eigensystem  # noqa: F401
 
 EXIT_OK, EXIT_COMPUTE, EXIT_USAGE, EXIT_DATA = 0, 1, 2, 3
 
@@ -149,14 +152,15 @@ def format_number(x: float, raw: bool) -> str:
     return number_format(raw) % float(x)
 
 
-def _table_text(columns: list[str], rows, raw: bool) -> str:
+def _table_text(columns: list[str], rows, raw: bool, int_columns: int = 0) -> str:
     """The '# columns:' header line and one line per row, each value as format_number
-    writes it; no final newline."""
-    return format_table("# columns: " + " ".join(columns), rows, raw)
+    writes it and the first int_columns as integers; no final newline."""
+    return format_table("# columns: " + " ".join(columns), rows, raw, int_columns=int_columns)
 
 
-def write_table(path: Path, columns: list[str], rows, raw: bool = True) -> None:
-    path.write_text(_table_text(columns, rows, raw) + "\n", encoding="utf-8")
+def write_table(path: Path, columns: list[str], rows, raw: bool = True,
+                int_columns: int = 0) -> None:
+    path.write_text(_table_text(columns, rows, raw, int_columns) + "\n", encoding="utf-8")
 
 
 def read_table(path: Path) -> dict[str, np.ndarray]:
@@ -188,13 +192,13 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     j = cfg.densities()
     c = cfg.constant()
     orders = range(8) if args.q == "all" else [int(args.q)]
+    spectra = sector_spectra(j.as_tuple())
     rows = []
     for q in orders:
-        es = numeric_eigensystem(assemble_block(q, j), c)
-        for p, rate in enumerate(es.rates, start=1):
+        for p, rate in enumerate(_rates_from_eigenvalues(spectra[q], c), start=1):
             rows.append((q, p, rate, 1.0 / rate if rate > 0 else np.inf))
     out = Path(cfg.out) / "rates.txt"
-    write_table(out, ["q", "p", "rate_hz", "time_s"], rows, raw=args.raw)
+    write_table(out, ["q", "p", "rate_hz", "time_s"], rows, raw=args.raw, int_columns=2)
     print(f"wrote {out} ({len(rows)} modes; C = {format_number(c.c, args.raw)} Hz^2)")
     return EXIT_OK
 
@@ -283,7 +287,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                                        ("transverse", "a1x", trans_curve, trans_model)):
         report += ["", f"[{label}_modes]  # amplitudes include the scale {scale}",
                    _table_text(["n", "amplitude", "time_seconds"], _mode_table(model),
-                               args.raw)]
+                               args.raw, int_columns=1)]
         dense = np.linspace(curve.times[0], curve.times[-1], 500)
         write_table(out_dir / f"fit_{label}_model.txt", ["t_seconds", "model"],
                     np.column_stack([dense, model.evaluate(dense)]))

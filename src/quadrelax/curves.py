@@ -125,18 +125,21 @@ def number_format(raw: bool) -> str:
     return "%r" if raw else "%.4g"
 
 
-def format_table(header: str, rows, raw: bool = True, sep: str = " ") -> str:
+def format_table(header: str, rows, raw: bool = True, sep: str = " ",
+                 int_columns: int = 0) -> str:
     """``header`` and then one line per row of the 2-d ``rows``, without a final newline.
 
-    Each value is written as ``number_format(raw) % float(value)``.  The whole body
-    is one ``%`` operation: a row template repeated once per row, applied to the
-    flattened values, so no Python code runs per value.
+    The first ``int_columns`` columns hold integers (an order, a mode index) and are
+    written with ``%d`` in both forms; every other value as
+    ``number_format(raw) % float(value)``.  The whole body is one ``%`` operation: a
+    row template repeated once per row, applied to the flattened values, so no
+    Python code runs per value.
     """
     values = np.asarray(rows, dtype=float)
     if values.size == 0:
         return header
     n_rows, n_cols = values.shape
-    row = sep.join([number_format(raw)] * n_cols)
+    row = sep.join(["%d"] * int_columns + [number_format(raw)] * (n_cols - int_columns))
     return header + "\n" + "\n".join([row] * n_rows) % tuple(values.ravel().tolist())
 
 

@@ -31,6 +31,8 @@ from .spin_algebra import QuadrupoleSet, SpinSystem, make_quadrupole_operators
 
 #: relative threshold below which an eigenvalue is treated as the exact zero mode
 _ZERO_MODE_RTOL = 1e-12
+#: where order q's modes start when the modes of all orders are listed by order
+_ORDER_STARTS = (0, 8, 15, 21, 26, 30, 33, 35)
 
 
 class DegenerateSpectrumError(ValueError):
@@ -152,11 +154,79 @@ def liouville_superoperator(quads: QuadrupoleSet, j: SpectralDensities) -> np.nd
 
 
 def _rates_from_eigenvalues(lam: np.ndarray, c: QuadrupolarConstant | None) -> np.ndarray:
-    scale = c.c if c is not None else 1.0
-    rates = -scale * lam
-    near_zero = np.abs(lam) < _ZERO_MODE_RTOL * np.max(np.abs(lam))
-    rates[near_zero] = 0.0
+    """-C lam, with an eigenvalue within _ZERO_MODE_RTOL of the largest |lam| set to 0."""
+    rates = (-c.c if c is not None else -1.0) * lam
+    mag = np.abs(lam)
+    rates[mag < _ZERO_MODE_RTOL * mag.max()] = 0.0
     return rates
+
+
+# ---------------------------------------------------------------------------
+# reversal-parity sectors and numeric eigensystems
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SectorTable:
+    """The reversal-parity sectors of every order, read-only (see sector_table).
+
+    Every coefficient matrix commutes with the reversal n -> dim-1-n (m -> -m), so
+    each block splits into an even and an odd sector, the paper's invariant sets.
+    sectors[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o)): P_e has the columns
+    (e_n + e_{dim-1-n})/sqrt(2), n < dim/2, then the middle e_n of an odd dimension,
+    P_o the columns (e_n - e_{dim-1-n})/sqrt(2).  Listed by order, even first, the
+    sector sizes never increase (4, 4, 4, 3, ..., 1, 0); stacks[i] holds the
+    projections of the sectors of size 4 - i in that order as one (n, s, s, 3)
+    array, and owners the order of each eigenvalue of their concatenated spectra.
+    """
+
+    sectors: tuple
+    stacks: tuple
+    owners: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def sector_table() -> SectorTable:
+    sectors = []
+    for q in range(8):
+        dim, pair = 8 - q, []
+        for sign, k in ((1.0, (dim + 1) // 2), (-1.0, dim // 2)):
+            p = (np.eye(dim) + sign * np.eye(dim)[::-1])[:, :k]
+            p = p / np.linalg.norm(p, axis=0)
+            mats = np.stack([p.T @ a @ p for a in coefficient_matrices(q)])
+            pair.append((p, (mats + mats.transpose(0, 2, 1)) / 2))
+        sectors.append(tuple(pair))
+    flat = [mats for pair in sectors for _, mats in pair]
+    stacks = tuple(np.stack([m.transpose(1, 2, 0) for m in flat if m.shape[-1] == s])
+                   for s in (4, 3, 2, 1))
+    table = SectorTable(tuple(sectors), stacks, np.repeat(np.arange(8), np.arange(8, 0, -1)))
+    for arr in (*(a for pair in sectors for sector in pair for a in sector), *table.stacks,
+                table.owners):
+        arr.flags.writeable = False
+    return table
+
+
+def sector_spectra(weights: tuple[float, float, float]) -> list[np.ndarray]:
+    """The eigenvalues of the blocks of q = 0..7 at the weights (J's or B's), each
+    order's descending, from one eigvalsh call per sector size and no eigenvectors."""
+    table, w = sector_table(), np.array(weights, dtype=float)
+    lam = np.concatenate([(np.linalg.eigvalsh(m) if m.shape[-1] > 1 else m[..., 0]).ravel()
+                          for m in (stack @ w for stack in table.stacks)])
+    lam = lam[np.lexsort((-lam, table.owners))]
+    return [lam[first:first + 8 - q] for q, first in enumerate(_ORDER_STARTS)]
+
+
+def _canonical_eigensystem(q: int, lam: np.ndarray, vec: np.ndarray,
+                           c: QuadrupolarConstant | None) -> BlockEigensystem:
+    """The modes with numeric_eigensystem's signs and order, as read-only arrays."""
+    mag = np.abs(vec)
+    lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    vec = vec * np.where(vec[lead, np.arange(lam.size)] < 0, -1.0, 1.0)
+    order = np.lexsort((*vec[::-1], -lam))
+    lam, w_bar = lam[order], vec[:, order]
+    rates = _rates_from_eigenvalues(lam, c)
+    for arr in (lam, w_bar, rates):
+        arr.flags.writeable = False
+    return BlockEigensystem(q=q, eigenvalues=lam, w=w_bar.T, w_bar=w_bar, rates=rates)
 
 
 def numeric_eigensystem(block: CoherenceBlock,
@@ -164,27 +234,40 @@ def numeric_eigensystem(block: CoherenceBlock,
     """Eigendecomposition of a symmetric block with the canonical ordering and signs.
 
     Every assembled block is real symmetric, so the symmetric solver applies
-    and w = w_bar^T; a block whose asymmetry exceeds 1e-12 of its largest
-    entry (a defective matrix among them) raises np.linalg.LinAlgError.  Each
-    w_bar column's first component of significant magnitude is made positive.
+    and w = w_bar^T; a block whose asymmetry, or whose even-odd coupling
+    P_e^T m P_o (see SectorTable), exceeds 1e-12 of its largest entry (a
+    defective matrix among them) raises np.linalg.LinAlgError.  Each sector is
+    solved apart, w_bar = [P_e V_e | P_o V_o], and each w_bar column's first
+    component of significant magnitude is made positive.
     Ordering is by descending eigenvalue (ascending rate); degenerate pairs are
     ordered lexicographically by their sign-fixed eigenvectors.  Without a
     quadrupolar constant the rates are -lambda (the C = 1 convention, handy
     when the block was evaluated directly at the rate scales B_k = C J_k).
     """
     m = block.matrix
-    asymmetry = np.max(np.abs(m - m.T))
-    if not asymmetry <= 1e-12 * max(1.0, np.max(np.abs(m))):
+    tol = 1e-12 * max(1.0, np.abs(m).max())
+    asymmetry = np.abs(m - m.T).max()
+    if not asymmetry <= tol:
         raise np.linalg.LinAlgError(
             f"block for q={block.q} is not symmetric (max |m - m^T| = {asymmetry:.2e})")
-    lam, vec = np.linalg.eigh(m)
-    mag = np.abs(vec)
-    lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
-    vec = vec * np.where(vec[lead, np.arange(lam.size)] < 0, -1.0, 1.0)
-    order = np.lexsort(np.vstack([vec[::-1], -lam]))
-    lam, w_bar = lam[order], vec[:, order]
-    return BlockEigensystem(q=block.q, eigenvalues=lam, w=w_bar.T, w_bar=w_bar,
-                            rates=_rates_from_eigenvalues(lam, c))
+    (p_even, _), (p_odd, _) = sector_table().sectors[block.q]
+    k, p = p_even.shape[1], np.hstack([p_even, p_odd])
+    r = p.T @ m @ p
+    if not np.abs(r[:k, k:]).max(initial=0.0) <= tol:
+        raise np.linalg.LinAlgError(f"block for q={block.q} couples the even and odd sectors "
+                                    f"(max |P_e^T m P_o| = {np.abs(r[:k, k:]).max():.2e})")
+    (lam_e, v_e), (lam_o, v_o) = np.linalg.eigh(r[:k, :k]), np.linalg.eigh(r[k:, k:])
+    return _canonical_eigensystem(block.q, np.concatenate([lam_e, lam_o]),
+                                  np.hstack([p_even @ v_e, p_odd @ v_o]), c)
+
+
+def sector_eigensystem(q: int, odd: bool,
+                       weights: tuple[float, float, float]) -> BlockEigensystem:
+    """The C = 1 eigensystem of the even or odd sector of the order-q block at the
+    weights, in the sector's basis P (the block's eigenvectors are P w_bar)."""
+    a0, a1, a2 = sector_table().sectors[q][odd][1]
+    lam, vec = np.linalg.eigh(weights[0] * a0 + weights[1] * a1 + weights[2] * a2)
+    return _canonical_eigensystem(q, lam, vec, None)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +590,7 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
 
     The q = 0 and q = 1 blocks are conjugated into the published intermediate
     basis (the constant transformations U, U-bar) before entrywise comparison;
-    orders 2..7 are compared through their sorted spectra.
+    orders 2..7 are compared through their sorted spectra, all from one sector_spectra.
     """
     tables = load_reference_tables()
 
@@ -527,10 +610,9 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
     for (r, kk) in tables.printed_j1_variants.entries:
         printed_dev = max(printed_dev, abs(basis1[r - 1, kk - 1] - variants[r - 1, kk - 1]))
 
-    spectra = []
+    spectra, numeric = [], sector_spectra(j.as_tuple())
     for q in range(2, 8):
-        lam_num = np.sort(np.linalg.eigvalsh(assemble_block(q, j).matrix))
-        lam_ana = np.sort(np.array(analytic_eigenvalues(q, j)))
+        lam_num, lam_ana = np.sort(numeric[q]), np.sort(analytic_eigenvalues(q, j))
         spectra.append((q, float(np.max(np.abs(lam_num - lam_ana)) / np.max(np.abs(lam_num)))))
 
     return TableValidationReport(

@@ -194,13 +194,13 @@ def test_jacobian_matches_central_differences():
 
 
 def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
-    # each trial point solves the 4x4 parity-reduced block of each order once,
-    # and the Jacobian at an accepted point reuses the residual's eigensystems
+    # each trial point solves the 4x4 odd q = 0 and even q = 1 sector once, and
+    # the Jacobian at an accepted point reuses the residual's eigensystems
     long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
-    blocks = []
-    real = analysis.numeric_eigensystem
-    monkeypatch.setattr(analysis, "numeric_eigensystem",
-                        lambda block: blocks.append(block) or real(block))
+    sectors = []
+    real = analysis.sector_eigensystem
+    monkeypatch.setattr(analysis, "sector_eigensystem",
+                        lambda q, odd, b: sectors.append((q, odd)) or real(q, odd, b))
     objective = []
     real_signals = analysis._joint_signals
     monkeypatch.setattr(analysis, "_joint_signals",
@@ -208,9 +208,9 @@ def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
     analysis._joint_eigensystems.cache_clear()
     result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
     assert len(objective) == result.evaluations
-    assert [block.q for block in blocks] == [0, 1] * result.evaluations
-    assert {block.matrix.shape for block in blocks} == {(4, 4)}
+    assert sectors == [(0, True), (1, False)] * result.evaluations
     es0, es1 = analysis._joint_eigensystems(*(result.params[k] for k in ("b0", "b1", "b2")))
+    assert es0.w_bar.shape == es1.w_bar.shape == (4, 4)
     assert not es0.rates.flags.writeable and not es1.w.flags.writeable
 
 
@@ -241,30 +241,31 @@ _TIMES_TRANS = np.arange(1, 266) / 5969.0
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(_B_POINTS)
 def test_reduced_fit_core_matches_the_full_blocks(b):
-    # ordinary points and the corners b1 = b2, b2 = 0 and b0/b2 from 1e3 to 1e5.
-    # The signals agree to 1e-12 of each curve's largest value, or to eps ||M|| t_max
-    # where that is larger: a backward-stable eigensolve of the full block moves each
-    # eigenvalue by up to eps ||M||, and at b0 = 1e5 that error of joint_model_curves
-    # reaches 1e-11 (the reduced signals stay at round-off, see the next test)
+    # ordinary points and the corners b1 = b2, b2 = 0 and b0/b2 from 1e3 to 1e5:
+    # the signals agree to 1e-12 of each curve's largest value
     x = np.array([TABLE2["a1z"], TABLE2["a2z"], TABLE2["a1x"] * TABLE2["a2x"], *b])
     want = joint_model_curves(np.insert(x, 3, 1.0), _TIMES_LONG, _TIMES_TRANS)
     got = _joint_signals(x, _TIMES_LONG, _TIMES_TRANS)
-    for q, times, g, ref in zip((0, 1), (_TIMES_LONG, _TIMES_TRANS), got, want):
-        eig_error = np.finfo(float).eps * np.linalg.norm(evaluate_block(q, b), 2) * times[-1]
-        np.testing.assert_allclose(g, ref, rtol=0,
-                                   atol=max(1e-12, eig_error) * np.max(np.abs(ref)))
+    for g, ref in zip(got, want):
+        np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
     _assert_b_columns_match_frechet(x, _TIMES_LONG[::3], _TIMES_TRANS[::20])
 
 
 @pytest.mark.parametrize("b", [(83.0, 3.8, 0.18), (1e5, 0.01, 1.0), (1e5, 100.0, 1.0)])
 def test_reduced_signals_match_a_30_digit_eigensolve(b):
-    # the mode sum of the full block from mpmath's 30-digit symmetric eigensolve
+    # the mode sum of the full block from mpmath's 30-digit symmetric eigensolve,
+    # against the reduced fit signals and against joint_model_curves, whose full
+    # blocks are solved in their reversal-parity sectors (at b0 = 1e5 a full-block
+    # eigh was off by up to 2e-12 of the transverse curve's largest value)
     mpmath = pytest.importorskip("mpmath", reason="the 30-digit reference needs mpmath")
     mpmath.mp.dps = 30
     es0, es1 = analysis._joint_eigensystems(*b)
+    curves = joint_model_curves(dict(a1z=1.0, a2z=0.0, a1x=1.0, a2x=1.0, b0=b[0], b1=b[1],
+                                     b2=b[2]), _TIMES_LONG, _TIMES_TRANS)
     iz = longitudinal_observable()
-    for es, (obs, dev), times in ((es0, (iz, -iz), _TIMES_LONG),
-                                  (es1, transverse_observable(), _TIMES_TRANS)):
+    for es, (obs, dev), times, offset, curve in (
+            (es0, (iz, -iz), _TIMES_LONG, iz @ iz, curves[0]),
+            (es1, transverse_observable(), _TIMES_TRANS, 0.0, curves[1])):
         lam, vec = mpmath.eigsy(mpmath.matrix(evaluate_block(es.q, b).tolist()))
         n = obs.size
         amps = [mpmath.fsum(obs[k] * vec[k, i] for k in range(n))
@@ -273,6 +274,9 @@ def test_reduced_signals_match_a_30_digit_eigensolve(b):
                          for t in times])
         np.testing.assert_allclose(analysis._reduced_signal(es, times), want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)), err_msg=f"q={es.q}")
+        np.testing.assert_allclose(curve, offset + want, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(offset + want)),
+                                   err_msg=f"joint_model_curves q={es.q}")
 
 
 @pytest.mark.parametrize("seed", range(10))

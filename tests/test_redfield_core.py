@@ -245,6 +245,72 @@ def test_numeric_eigensystem_invariants_over_density_space(weights):
             assert np.all(es.rates > 0)
 
 
+_SECTOR_J = st.one_of(
+    st.tuples(_DECADE, _DECADE, _DECADE).map(lambda e: tuple(10.0 ** np.array(e))),
+    st.tuples(_DECADE, _DECADE).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 10.0 ** e[1])),
+    _DECADE.map(lambda e: (10.0 ** e,) * 3),
+    st.tuples(_DECADE, _DECADE).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 0.0)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_SECTOR_J)
+def test_sector_solves_match_the_full_blocks(weights):
+    # log-uniform J over +-5 decades and the corners J1 = J2, J0 = J1 = J2 and J2 = 0
+    spectra = redfield_core.sector_spectra(weights)
+    for q in range(8):
+        m = evaluate_block(q, weights)
+        full = np.linalg.eigvalsh(m)[::-1]
+        es = numeric_eigensystem(CoherenceBlock(q, m))
+        # a backward-stable solve moves each eigenvalue by a small multiple of
+        # dim eps ||M||, so the sector and full-block spectra agree to a few times that
+        bound = 4 * (8 - q) * np.finfo(float).eps * np.linalg.norm(m, 2)
+        assert np.abs(es.eigenvalues - full).max() <= bound, q
+        assert np.abs(spectra[q] - full).max() <= bound, q
+        assert np.abs(es.w @ es.w_bar - np.eye(8 - q)).max() <= 1e-10, q
+        # every mode is exactly even or exactly odd under the reversal
+        mirrored = es.w_bar[::-1]
+        assert np.all((mirrored == es.w_bar).all(axis=0) | (mirrored == -es.w_bar).all(axis=0))
+        rates = redfield_core._rates_from_eigenvalues(spectra[q], None)
+        assert np.abs(rates - es.rates).max() <= 1e-14 * es.rates.max(), q
+        assert np.array_equal(rates == 0, es.rates == 0), q
+
+
+def test_even_odd_tie_is_ordered_by_the_sign_fixed_vectors():
+    # at J1 = 0 the q = 6 sectors are both 9 J0 + 11 J2 exactly; the tied modes are
+    # ordered lexicographically by their embedded, sign-fixed columns: the odd
+    # (1, -1)/sqrt(2) before the even (1, 1)/sqrt(2)
+    es = numeric_eigensystem(CoherenceBlock(6, evaluate_block(6, (2.0, 0.0, 1.0))))
+    assert es.eigenvalues[0] == es.eigenvalues[1] == pytest.approx(-29.0, rel=1e-14)
+    np.testing.assert_allclose(es.w_bar, np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2),
+                               rtol=0, atol=1e-16)
+    # the q = 2 and q = 4 sectors are isospectral there too, to round-off
+    for q in (2, 4):
+        lam = numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, (2.0, 0.0, 1.0)))).eigenvalues
+        np.testing.assert_allclose(lam[::2], lam[1::2], rtol=1e-14)
+
+
+def test_numeric_rejects_a_block_that_couples_the_sectors(c_ref):
+    # symmetric, but it does not commute with the reversal m -> -m
+    coupled = CoherenceBlock(q=6, matrix=np.array([[1.0, 2.0], [2.0, 5.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="couples the even and odd sectors"):
+        numeric_eigensystem(coupled, c_ref)
+
+
+def test_sector_table_is_orthogonal_and_read_only():
+    table = redfield_core.sector_table()
+    assert [stack.shape for stack in table.stacks] == [(3, 4, 4, 3), (4, 3, 3, 3),
+                                                       (4, 2, 2, 3), (4, 1, 1, 3)]
+    for q, ((p_even, even), (p_odd, odd)) in enumerate(table.sectors):
+        assert (p_even.shape[1], p_odd.shape[1]) == ((9 - q) // 2, (8 - q) // 2)
+        p = np.hstack([p_even, p_odd])
+        np.testing.assert_allclose(p.T @ p, np.eye(8 - q), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(p_even[::-1], p_even)
+        np.testing.assert_array_equal(p_odd[::-1], -p_odd)
+        for arr in (p_even, even, p_odd, odd):
+            assert not arr.flags.writeable
+
+
 def test_numeric_sign_convention(j_ref, c_ref):
     es = numeric_eigensystem(assemble_block(3, j_ref), c_ref)
     for col in es.w_bar.T:
