@@ -31,8 +31,6 @@ from .spin_algebra import QuadrupoleSet, SpinSystem, make_quadrupole_operators
 
 #: relative threshold below which an eigenvalue is treated as the exact zero mode
 _ZERO_MODE_RTOL = 1e-12
-#: where order q's modes start when the modes of all orders are listed by order
-_ORDER_STARTS = (0, 8, 15, 21, 26, 30, 33, 35)
 
 
 class DegenerateSpectrumError(ValueError):
@@ -167,40 +165,33 @@ def _rates_from_eigenvalues(lam: np.ndarray, c: QuadrupolarConstant | None) -> n
 
 @dataclass(frozen=True)
 class SectorTable:
-    """The reversal-parity sectors of every order, read-only (see sector_table).
-
-    Every coefficient matrix commutes with the reversal n -> dim-1-n (m -> -m), so
-    each block splits into an even and an odd sector, the paper's invariant sets.
-    sectors[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o)): P_e has the columns
-    (e_n + e_{dim-1-n})/sqrt(2), n < dim/2, then the middle e_n of an odd dimension,
-    P_o the columns (e_n - e_{dim-1-n})/sqrt(2).  Listed by order, even first, the
-    sector sizes never increase (4, 4, 4, 3, ..., 1, 0); stacks[i] holds the
-    projections of the sectors of size 4 - i in that order as one (n, s, s, 3)
-    array, and owners the order of each eigenvalue of their concatenated spectra.
-    """
+    """The read-only reversal-parity sectors of q = 0..7 (README, "Reversal-parity
+    sectors"): sectors[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o)), and
+    stacks[i] holds the projections of every sector of size 4 - i, by q, as one
+    (n, s, s, 3) array."""
 
     sectors: tuple
     stacks: tuple
-    owners: np.ndarray
 
 
 @lru_cache(maxsize=1)
 def sector_table() -> SectorTable:
+    """Built on the first call; raises RuntimeError if some P_e^T A_k P_o is not 0."""
     sectors = []
     for q in range(8):
-        dim, pair = 8 - q, []
+        dim, coefs, pair = 8 - q, coefficient_matrices(q), []
         for sign, k in ((1.0, (dim + 1) // 2), (-1.0, dim // 2)):
             p = (np.eye(dim) + sign * np.eye(dim)[::-1])[:, :k]
-            p = p / np.linalg.norm(p, axis=0)
-            mats = np.stack([p.T @ a @ p for a in coefficient_matrices(q)])
-            pair.append((p, (mats + mats.transpose(0, 2, 1)) / 2))
-        sectors.append(tuple(pair))
+            pair.append(p / np.linalg.norm(p, axis=0))
+        coupling = max(np.abs(pair[0].T @ a @ pair[1]).max(initial=0.0) for a in coefs)
+        if not coupling <= 1e-12 * max(1.0, *(np.abs(a).max() for a in coefs)):
+            raise RuntimeError(f"the q={q} A_k couple the sectors ({coupling:.2e})")
+        mats = [np.stack([p.T @ a @ p for a in coefs]) for p in pair]
+        sectors.append(tuple((p, (m + m.transpose(0, 2, 1)) / 2) for p, m in zip(pair, mats)))
     flat = [mats for pair in sectors for _, mats in pair]
-    stacks = tuple(np.stack([m.transpose(1, 2, 0) for m in flat if m.shape[-1] == s])
-                   for s in (4, 3, 2, 1))
-    table = SectorTable(tuple(sectors), stacks, np.repeat(np.arange(8), np.arange(8, 0, -1)))
-    for arr in (*(a for pair in sectors for sector in pair for a in sector), *table.stacks,
-                table.owners):
+    table = SectorTable(tuple(sectors), tuple(
+        np.stack([m.transpose(1, 2, 0) for m in flat if m.shape[-1] == s]) for s in (4, 3, 2, 1)))
+    for arr in (*(a for pair in sectors for sector in pair for a in sector), *table.stacks):
         arr.flags.writeable = False
     return table
 
@@ -208,11 +199,13 @@ def sector_table() -> SectorTable:
 def sector_spectra(weights: tuple[float, float, float]) -> list[np.ndarray]:
     """The eigenvalues of the blocks of q = 0..7 at the weights (J's or B's), each
     order's descending, from one eigvalsh call per sector size and no eigenvectors."""
-    table, w = sector_table(), np.array(weights, dtype=float)
+    w = np.array(weights, dtype=float)
+    # listed by q, even first, the sector sizes never increase (4, 4, 4, 3, ..., 1, 0),
+    # so the stacks' spectra concatenate order by order
     lam = np.concatenate([(np.linalg.eigvalsh(m) if m.shape[-1] > 1 else m[..., 0]).ravel()
-                          for m in (stack @ w for stack in table.stacks)])
-    lam = lam[np.lexsort((-lam, table.owners))]
-    return [lam[first:first + 8 - q] for q, first in enumerate(_ORDER_STARTS)]
+                          for m in (stack @ w for stack in sector_table().stacks)])
+    ends = np.cumsum(np.arange(8, 0, -1)).tolist()
+    return [np.sort(lam[end - 8 + q:end])[::-1] for q, end in enumerate(ends)]
 
 
 def _canonical_eigensystem(q: int, lam: np.ndarray, vec: np.ndarray,

@@ -10,7 +10,7 @@ import pytest
 from quadrelax import analysis, cli, evolution
 from quadrelax.cli import (EXIT_DATA, EXIT_OK, build_parser, format_number,
                            load_config, main, read_table)
-from quadrelax.redfield_core import numeric_eigensystem
+from quadrelax.redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 from quadrelax.curves import (DataFormatError, DecayCurve, format_table, read_curve,
@@ -441,10 +441,20 @@ def test_fit_report_prints_amplitudes_zero_by_symmetry_as_zero(tmp_path):
             shown = 0.0 if n in zeros else amps[n - 1]
             assert row == " ".join([str(n), *(format_number(v, True) for v in
                                               (shown, 1.0 / rate if rate > 0 else np.inf))])
-        # the models solve each sector apart, so an amplitude zero by symmetry is 0 or
-        # round-off there, and the report prints it as 0 either way
+        # an amplitude zero by symmetry is an exact 0 or round-off, and the report prints
+        # it as 0 either way
         tiny = np.abs(amps) <= 1e-12 * np.max(np.abs(amps))
         assert set(np.flatnonzero(tiny) + 1) == zeros
+        # only the report rounds: the model keeps the eigensystem's amplitudes bit for bit
+        q = 0 if label == "longitudinal" else 1
+        b = tuple(params[name] for name in ("b0", "b1", "b2"))
+        es = numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, b)))
+        iz = evolution.longitudinal_observable()
+        weights, dev = ((iz, -params["a2z"] * iz - iz) if q == 0 else
+                        (evolution.transverse_observable()[0],
+                         params["a2x"] * evolution.transverse_observable()[1]))
+        np.testing.assert_array_equal(
+            model.amplitudes, evolution._mode_amplitudes_for_observable(es, weights, dev))
         table = read_table(out / f"fit_{label}_model.txt")
         np.testing.assert_array_equal(table["model"], model.evaluate(table["t_seconds"]))
 

@@ -227,47 +227,35 @@ _J_TRIPLES = st.one_of(
     _DECADE.map(lambda e: (10.0 ** e,) * 3),
     st.tuples(_DECADE, _DECADE, st.floats(-1e-9, 1e-9)).map(
         lambda e: (10.0 ** e[0], 10.0 ** e[1], 10.0 ** e[1] * (1.0 + e[2]))),
+    st.tuples(_DECADE, _DECADE).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 10.0 ** e[1])),
+    st.tuples(_DECADE, _DECADE).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 0.0)),
 )
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(_J_TRIPLES)
 def test_numeric_eigensystem_invariants_over_density_space(weights):
+    # log-uniform J over +-5 decades and the corners J1 = J2, J0 = J1 = J2 and J2 = 0
+    spectra = redfield_core.sector_spectra(weights)
     for q in range(8):
-        es = numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, weights)))
+        m = evaluate_block(q, weights)
+        es = numeric_eigensystem(CoherenceBlock(q, m))
         np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), rtol=0, atol=1e-10)
         np.testing.assert_array_equal(es.w, es.w_bar.T)
         assert np.all(np.diff(es.eigenvalues) <= 0)
         assert np.all(es.rates >= 0)
         if q == 0:
-            assert np.sum(es.rates == 0.0) == 1
+            # J2 = 0 cuts the population chain at m = +-1/2, whose Q_1 element vanishes,
+            # and leaves one zero mode per half
+            assert np.sum(es.rates == 0.0) == (1 if weights[2] > 0 else 2)
         else:
             assert np.all(es.rates > 0)
-
-
-_SECTOR_J = st.one_of(
-    st.tuples(_DECADE, _DECADE, _DECADE).map(lambda e: tuple(10.0 ** np.array(e))),
-    st.tuples(_DECADE, _DECADE).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 10.0 ** e[1])),
-    _DECADE.map(lambda e: (10.0 ** e,) * 3),
-    st.tuples(_DECADE, _DECADE).map(lambda e: (10.0 ** e[0], 10.0 ** e[1], 0.0)),
-)
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(_SECTOR_J)
-def test_sector_solves_match_the_full_blocks(weights):
-    # log-uniform J over +-5 decades and the corners J1 = J2, J0 = J1 = J2 and J2 = 0
-    spectra = redfield_core.sector_spectra(weights)
-    for q in range(8):
-        m = evaluate_block(q, weights)
+        # the sectors are solved apart, and a backward-stable solve moves each eigenvalue
+        # by a small multiple of dim eps ||M||, so they agree with the full block to that
         full = np.linalg.eigvalsh(m)[::-1]
-        es = numeric_eigensystem(CoherenceBlock(q, m))
-        # a backward-stable solve moves each eigenvalue by a small multiple of
-        # dim eps ||M||, so the sector and full-block spectra agree to a few times that
         bound = 4 * (8 - q) * np.finfo(float).eps * np.linalg.norm(m, 2)
         assert np.abs(es.eigenvalues - full).max() <= bound, q
         assert np.abs(spectra[q] - full).max() <= bound, q
-        assert np.abs(es.w @ es.w_bar - np.eye(8 - q)).max() <= 1e-10, q
         # every mode is exactly even or exactly odd under the reversal
         mirrored = es.w_bar[::-1]
         assert np.all((mirrored == es.w_bar).all(axis=0) | (mirrored == -es.w_bar).all(axis=0))
@@ -295,6 +283,18 @@ def test_numeric_rejects_a_block_that_couples_the_sectors(c_ref):
     coupled = CoherenceBlock(q=6, matrix=np.array([[1.0, 2.0], [2.0, 5.0]]))
     with pytest.raises(np.linalg.LinAlgError, match="couples the even and odd sectors"):
         numeric_eigensystem(coupled, c_ref)
+
+
+def test_sector_table_rejects_coefficients_that_couple_the_sectors(monkeypatch):
+    real = redfield_core.coefficient_matrices
+
+    def coupled(q):
+        a0, a1, a2 = real(q)
+        return a0, a1, a2 + 1e-6 * np.diag(np.arange(8.0 - q))  # not reversal-symmetric
+
+    monkeypatch.setattr(redfield_core, "coefficient_matrices", coupled)
+    with pytest.raises(RuntimeError, match="q=0 A_k couple the sectors"):
+        redfield_core.sector_table.__wrapped__()
 
 
 def test_sector_table_is_orthogonal_and_read_only():
