@@ -13,7 +13,7 @@ from .curves import DecayCurve
 from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
                         longitudinal_observable, transverse_observable)
 from .redfield_core import (BlockEigensystem, CoherenceBlock, evaluate_block,
-                            numeric_eigensystem, sector_eigensystem, sector_table)
+                            numeric_eigensystem, sector_table)
 
 PARAM_NAMES = ("a1z", "a2z", "a1x", "a2x", "b0", "b1", "b2")
 #: the fitted parameters: a2x is held at 1, so a1x carries the product a1x*a2x
@@ -70,9 +70,16 @@ def _parity_subspace(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _joint_eigensystems(b0: float, b1: float,
                         b2: float) -> tuple[BlockEigensystem, BlockEigensystem]:
     """The q = 0 and q = 1 eigensystems of the 4 x 4 sectors of _parity_subspace at
-    the rate scales B.  One entry: the fit's residual and Jacobian at a trial point
-    share one eigensolve per order."""
-    return tuple(sector_eigensystem(q, q == 0, (b0, b1, b2)) for q in (0, 1))
+    the rate scales B, from one stacked eigh.  One entry: the fit's residual and
+    Jacobian at a trial point share one eigensolve.  The modes keep eigh's order
+    and signs, which neither the signals nor their derivatives depend on."""
+    # the size-4 sectors by q, even first: q = 0 even, q = 0 odd, q = 1 even
+    lam, vec = np.linalg.eigh(sector_table().stacks[0][1:] @ np.array([b0, b1, b2]))
+    rates = -lam
+    for arr in (lam, vec, rates):
+        arr.flags.writeable = False
+    return tuple(BlockEigensystem(q=q, eigenvalues=lam[q], w=vec[q].T, w_bar=vec[q],
+                                  rates=rates[q]) for q in (0, 1))
 
 
 def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
@@ -163,13 +170,21 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
 
     The transverse signal depends on a1x and a2x only through their product,
     so six parameters are fitted: a1z, a2z, a1x*a2x (returned as a1x, with
-    a2x = 1) and the rate scales b0, b1, b2 >= 0.  The residual and its exact
-    Jacobian work in the 4-dimensional parity subspaces of the observables (see
-    _parity_subspace) and share one eigensolve of each reduced block per trial point.
-    The search restarts from ``restarts`` deterministic perturbations of the
-    7-parameter initial guess (best residual wins).  Sigmas come from the
-    Jacobian at the best restart, cov = SSR/(n - 6) (J^T J)^-1, as in
-    ``curve_fit``.
+    a2x = 1) and the rate scales b0, b1, b2 >= 0.  The signals of _joint_signals
+    are linear in u = (a1z, a1z (1 + a2z), a1x), so the search runs over B alone
+    by variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10:413,
+    1973): at each trial B, u is the weighted linear least-squares solution, and
+    the Jacobian is Kaufman's P_perp (dPhi/dB) u (BIT 15:49, 1975), with Phi the
+    weighted design matrix of u.  The residual and the Jacobian at a trial point
+    share one stacked eigensolve (see _joint_eigensystems).
+
+    ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
+    b1 and b2 are read.  The search restarts from ``restarts`` deterministic
+    perturbations of that B (best residual wins).  Sigmas of all six parameters
+    come from the full Jacobian of _joint_jacobian at the best restart,
+    cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``.  A fitted a1z of exactly 0
+    leaves a2z undetermined: it is returned as nan and without a sigma, and the
+    other sigmas come from the Jacobian without the a2z column.
     """
     from scipy.optimize import least_squares
 
@@ -178,34 +193,74 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
             raise ValueError(f"{label} curve needs at least 4 samples for fitting")
     wz, wx = (1.0 / curve.sigmas if curve.sigmas is not None else np.ones(len(curve))
               for curve in (long_curve, trans_curve))
+    # Phi_z = [w Iz.Iz, w s_z] and Phi_x = [w s_x].  The QR of Phi_z starts with the
+    # unit vector f along its B-free first column, which is projected out of the data
+    # once, so that each curve is left with one B-dependent column to project on.
+    curves = []
+    for curve, w, fixed in ((long_curve, wz, True), (trans_curve, wx, False)):
+        f = (w / np.linalg.norm(w))[:, None] if fixed else np.zeros((len(curve), 0))
+        y = w * curve.amplitudes
+        curves.append((curve.times, w, f, y - f @ (f.T @ y)))
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        sz, sx = _joint_signals(x, long_curve.times, trans_curve.times)
-        return np.concatenate([(sz - long_curve.amplitudes) * wz,
-                               (sx - trans_curve.amplitudes) * wx])
+    def solve_linear(b: np.ndarray, derivatives: bool = False) -> list:
+        """Per curve: the coefficient u of its column w s(t; B), the residual
+        Phi u - y and, with derivatives, Kaufman's Jacobian by B."""
+        out = []
+        for es, (times, w, f, y) in zip(_joint_eigensystems(*(float(v) for v in b)), curves):
+            s, ds = (_signal_and_b_derivatives(es, times) if derivatives
+                     else (_reduced_signal(es, times), None))
+            v = w * s
+            v -= f @ (f.T @ v)
+            norm = np.linalg.norm(v)
+            inv = 1.0 / norm if norm > 0 else 0.0  # a zero column fits nothing
+            v_hat = v * inv
+            coef = v_hat @ y
+            jac = None
+            if derivatives:
+                dv = w[:, None] * ds
+                dv -= f @ (f.T @ dv)
+                jac = coef * inv * (dv - np.outer(v_hat, v_hat @ dv))
+            out.append((coef * inv, v_hat * coef - y, jac))
+        return out
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        jz, jx = _joint_jacobian(x, long_curve.times, trans_curve.times)
-        return np.vstack([jz * wz[:, None], jx * wx[:, None]])
+    def residuals(b: np.ndarray) -> np.ndarray:
+        return np.concatenate([r for _, r, _ in solve_linear(b)])
 
-    x_init = np.array(_param_vector(init))
-    x_init[4:] = np.abs(x_init[4:])
-    bounds = ([-np.inf] * 3 + [0.0] * 3, np.inf)
+    def jacobian(b: np.ndarray) -> np.ndarray:
+        return np.vstack([j for _, _, j in solve_linear(b, derivatives=True)])
+
+    b_init = np.abs(np.array([init[name] for name in PARAM_NAMES[4:]], dtype=float)
+                    if isinstance(init, Mapping) else _param_vector(init)[4:])
     rng = np.random.default_rng(seed)
     best = None
     evaluations = 0
     for attempt in range(max(1, restarts)):
-        start = x_init if attempt == 0 else x_init * (1 + 0.3 * rng.standard_normal(x_init.size))
-        x0 = np.concatenate([start[:2], [start[2] * start[3]], np.abs(start[4:])])
-        result = least_squares(residuals, x0, jac=jacobian, bounds=bounds)
+        # seven normals per restart, the stream of the earlier seven-parameter starts
+        start = b_init if attempt == 0 else np.abs(
+            b_init * (1 + 0.3 * rng.standard_normal(len(PARAM_NAMES))[4:]))
+        result = least_squares(residuals, start, jac=jacobian, bounds=(0.0, np.inf))
         evaluations += result.nfev
         if best is None or result.cost < best.cost:
             best = result
+    (u2, _, _), (u3, _, _) = solve_linear(best.x)
+    sz = _reduced_signal(_joint_eigensystems(*(float(v) for v in best.x))[0], long_curve.times)
+    iz = longitudinal_observable()
+    u1 = wz @ (wz * (long_curve.amplitudes - u2 * sz)) / ((iz @ iz) * (wz @ wz))
+    undetermined = u1 == 0
+    # with u1 = 0, u2 = a1z (1 + a2z) is 0 as well (all-zero longitudinal data), and
+    # a2z = -1 makes the a1z column the derivative by u1
+    x = np.array([u1, -1.0 if undetermined else u2 / u1 - 1, u3, *best.x])
+    jz, jx = _joint_jacobian(x, long_curve.times, trans_curve.times)
+    jac = np.vstack([jz * wz[:, None], jx * wx[:, None]])
+    names = list(FIT_NAMES)
+    if undetermined:
+        jac, x[1] = np.delete(jac, 1, axis=1), np.nan
+        names.remove("a2z")
     ssr = float(best.fun @ best.fun)
-    jac_pinv = np.linalg.pinv(best.jac)
-    cov = ssr / (best.fun.size - best.x.size) * (jac_pinv @ jac_pinv.T)
-    params = dict(zip(PARAM_NAMES, (float(v) for v in np.insert(best.x, 3, 1.0))))
-    uncertainties = dict(zip(FIT_NAMES, (float(s) for s in np.sqrt(np.diag(cov)))))
+    jac_pinv = np.linalg.pinv(jac)
+    cov = ssr / (best.fun.size - jac.shape[1]) * (jac_pinv @ jac_pinv.T)
+    params = dict(zip(PARAM_NAMES, (float(v) for v in np.insert(x, 3, 1.0))))
+    uncertainties = dict(zip(names, (float(s) for s in np.sqrt(np.diag(cov)))))
     return FitResult(params=params, uncertainties=uncertainties,
                      residual_norm=float(np.sqrt(ssr)),
                      evaluations=evaluations, converged=best.status > 0)

@@ -145,7 +145,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# table emission / parsing (the documented round-trip format)
+# table emission (the documented format)
 # ---------------------------------------------------------------------------
 
 def format_number(x: float, raw: bool) -> str:
@@ -161,26 +161,6 @@ def _table_text(columns: list[str], rows, raw: bool, int_columns: int = 0) -> st
 def write_table(path: Path, columns: list[str], rows, raw: bool = True,
                 int_columns: int = 0) -> None:
     path.write_text(_table_text(columns, rows, raw, int_columns) + "\n", encoding="utf-8")
-
-
-def read_table(path: Path) -> dict[str, np.ndarray]:
-    """Parse a table written by write_table back into named columns."""
-    columns: list[str] | None = None
-    data: list[list[float]] = []
-    for raw_line in Path(path).read_text(encoding="utf-8").splitlines():
-        if raw_line.startswith("# columns:"):
-            columns = raw_line[len("# columns:"):].split()
-            continue
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        data.append([float(tok) for tok in line.split()])
-    if columns is None:
-        raise DataFormatError(f"{path}: missing '# columns:' header")
-    arr = np.array(data)
-    if arr.size and arr.shape[1] != len(columns):
-        raise DataFormatError(f"{path}: row width does not match header")
-    return {name: arr[:, i] if arr.size else np.array([]) for i, name in enumerate(columns)}
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +238,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         curves = [DecayCurve(curve.times, curve.amplitudes / np.max(np.abs(curve.amplitudes)),
                              curve.sigmas) for curve in curves]
     long_curve, trans_curve = curves
-    init = dict(a1z=args.init_a1z, a2z=args.init_a2z, a1x=args.init_a1x,
-                a2x=1.0, b0=args.init_b0, b1=args.init_b1, b2=args.init_b2)
+    init = dict(b0=args.init_b0, b1=args.init_b1, b2=args.init_b2)
     result = analysis.fit_redfield_joint(long_curve, trans_curve, init,
                                          restarts=args.restarts, seed=args.seed)
     densities = densities_from_fit(result.scales(), c)
-    long_model, trans_model = analysis.joint_models(result.params)
+    # an undetermined a2z (nan) comes with a1z = 0, where the longitudinal model is 0
+    # for every a2z
+    long_model, trans_model = analysis.joint_models(
+        dict(result.params, a2z=np.nan_to_num(result.params["a2z"])))
 
     out_dir = Path(cfg.out)
     report = [
@@ -276,7 +258,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     ]
     for name in analysis.PARAM_NAMES:
         value = f"{name} = {format_number(result.params[name], args.raw)}"
-        if name in result.uncertainties:
+        if np.isnan(result.params[name]):
+            report.append(f"{name} = undetermined")
+        elif name in result.uncertainties:
             report.append(f"{value} +/- {format_number(result.uncertainties[name], args.raw)}")
         else:
             report.append(f"{value}  # fixed: the data determine only a1x*a2x, reported as a1x")
@@ -444,9 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--normalize", action="store_true",
                    help="max-abs normalize both curves before fitting")
-    p.add_argument("--init-a1z", type=float, default=0.03)
-    p.add_argument("--init-a2z", type=float, default=1.0)
-    p.add_argument("--init-a1x", type=float, default=0.03)
     p.add_argument("--init-b0", type=float, default=100.0)
     p.add_argument("--init-b1", type=float, default=5.0)
     p.add_argument("--init-b2", type=float, default=0.3)

@@ -254,15 +254,6 @@ def numeric_eigensystem(block: CoherenceBlock,
                                   np.hstack([p_even @ v_e, p_odd @ v_o]), c)
 
 
-def sector_eigensystem(q: int, odd: bool,
-                       weights: tuple[float, float, float]) -> BlockEigensystem:
-    """The C = 1 eigensystem of the even or odd sector of the order-q block at the
-    weights, in the sector's basis P (the block's eigenvectors are P w_bar)."""
-    a0, a1, a2 = sector_table().sectors[q][odd][1]
-    lam, vec = np.linalg.eigh(weights[0] * a0 + weights[1] * a1 + weights[2] * a2)
-    return _canonical_eigensystem(q, lam, vec, None)
-
-
 # ---------------------------------------------------------------------------
 # closed forms (orders 2..7)
 # ---------------------------------------------------------------------------

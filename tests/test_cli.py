@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from quadrelax import analysis, cli, evolution
-from quadrelax.cli import (EXIT_DATA, EXIT_OK, build_parser, format_number,
-                           load_config, main, read_table)
+from quadrelax.cli import EXIT_DATA, EXIT_OK, build_parser, format_number, load_config, main
 from quadrelax.redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -22,6 +21,15 @@ quad_freq = 266e3
 correlation_time = 4.1e-9
 equilibrium = pure_top
 """
+
+
+def read_table(path: Path) -> dict[str, np.ndarray]:
+    """The named columns of a table written by cli.write_table."""
+    header, *rows = Path(path).read_text(encoding="utf-8").splitlines()
+    assert header.startswith("# columns: ")
+    columns = header.removeprefix("# columns: ").split()
+    data = np.array([row.split() for row in rows], dtype=float).reshape(len(rows), len(columns))
+    return dict(zip(columns, data.T))
 
 
 @pytest.fixture()
@@ -154,13 +162,15 @@ def test_parse_fit_command():
 
 def test_unknown_flag_exits_2(capsys):
     # spin 7/2 is fixed, so --spin is an unknown flag like any other; the fit
-    # determines only a1x*a2x, so --init-a2x is gone too.  A subcommand takes
-    # only the flags it reads.  Impossible orders, counts and times are usage
-    # errors as well.
+    # searches only b0, b1 and b2, so the --init-a* flags are gone too.  A
+    # subcommand takes only the flags it reads.  Impossible orders, counts and
+    # times are usage errors as well.
     fit = ["fit", "--long", "l.csv", "--trans", "t.csv"]
     evolve = ["evolve", "--t-max", "1e-3"]
     for argv in (["rates", "--frobnicate"], ["rates", "--spin", "7"],
-                 [*fit, "--init-a2x", "1"], [*fit, "--restarts", "0"],
+                 *([*fit, flag, "1"] for flag in ("--init-a1z", "--init-a2z", "--init-a1x",
+                                                  "--init-a2x")),
+                 [*fit, "--restarts", "0"],
                  [*evolve, "--points", "0"], ["evolve", "--t-max", "-1"],
                  ["rates", "--q", "8"], ["rates", "--q", "-1"], ["rates", "--q", "x"],
                  ["rates", "--seed", "1"], [*evolve, "--seed", "1"], [*evolve, "--raw"],
@@ -183,8 +193,7 @@ SUBCOMMAND_OPTIONS = {
                "--quad-freq", "--c", "--equilibrium", "--state", "--t-max", "--points",
                "--elements"},
     "fit": {"--config", "--out", "--seed", "--raw", "--quad-freq", "--c", "--long",
-            "--trans", "--restarts", "--normalize", "--init-a1z", "--init-a2z",
-            "--init-a1x", "--init-b0", "--init-b1", "--init-b2"},
+            "--trans", "--restarts", "--normalize", "--init-b0", "--init-b1", "--init-b2"},
     "bloch": {"--config", "--out", "--raw", "--long", "--trans"},
     "ilt": {"--config", "--out", "--raw", "--curve", "--t-min", "--t-max", "--points",
             "--alpha", "--kernel"},
@@ -391,7 +400,6 @@ def test_fit_command_on_bundled_data(tmp_path):
                  "--trans", str(DATA_DIR / "synthetic_transverse.csv"),
                  "--quad-freq", "5969", "--restarts", "2",
                  "--init-b0", "90", "--init-b1", "4", "--init-b2", "0.2",
-                 "--init-a1z", "0.025", "--init-a1x", "0.02",
                  "--out", str(out)])
     assert code == EXIT_OK
     report = (out / "fit_report.txt").read_text()
@@ -410,6 +418,25 @@ def test_fit_command_on_bundled_data(tmp_path):
     for name in ("fit_longitudinal_model.txt", "fit_transverse_model.txt",
                  "fit_longitudinal_data.txt", "fit_transverse_data.txt"):
         assert (out / name).exists()
+
+
+def test_fit_reports_a2z_undetermined_for_an_all_zero_longitudinal_curve(tmp_path):
+    zero = tmp_path / "zero.csv"
+    long_curve = read_curve(DATA_DIR / "synthetic_longitudinal.csv")
+    write_curve(zero, DecayCurve(long_curve.times, np.zeros(len(long_curve))))
+    out = tmp_path / "o"
+    assert main(["fit", "--long", str(zero), "--trans", str(DATA_DIR / "synthetic_transverse.csv"),
+                 "--quad-freq", "5969", "--restarts", "2", "--out", str(out)]) == EXIT_OK
+    lines = (out / "fit_report.txt").read_text().splitlines()
+    assert "a2z = undetermined" in lines
+    for name in ("a1z", "a1x", "b0", "b1", "b2"):
+        line = next(line for line in lines if line.startswith(f"{name} = "))
+        assert "+/-" in line and "nan" not in line, line
+    assert any(line.startswith("a1z = 0 +/- ") for line in lines)
+    # a1z = 0 makes the longitudinal model 0 whatever a2z is
+    assert not read_table(out / "fit_longitudinal_model.txt")["model"].any()
+    rows = _report_section("\n".join(lines), "longitudinal_modes")
+    assert all(row.split()[1] == "0" for row in rows)
 
 
 def _report_section(report: str, name: str) -> list[str]:
