@@ -122,9 +122,8 @@ def _reduced_signal(es: BlockEigensystem, times: np.ndarray) -> np.ndarray:
     return np.exp(np.outer(times, -es.rates)) @ ((obs @ es.w_bar) * (es.w @ dev))
 
 
-def _signal_and_b_derivatives(es: BlockEigensystem,
-                              times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_reduced_signal and its derivatives by B, shape (T, 3).
+def _b_derivatives(es: BlockEigensystem, times: np.ndarray) -> np.ndarray:
+    """The derivatives of _reduced_signal by B, shape (T, 3).
 
     With M = sum_k B_k A_k = V diag(lam) V^T, the Daleckii-Krein form of the
     Frechet derivative of exp gives d/dB_k = c^T V (G(t) o V^T A_k V) V^T d.
@@ -133,22 +132,14 @@ def _signal_and_b_derivatives(es: BlockEigensystem,
     lam = -es.rates
     weights = np.outer(obs @ es.w_bar, es.w @ dev) * (es.w @ mats @ es.w_bar)
     g = _exp_divided_differences(lam, times)
-    return _reduced_signal(es, times), g.reshape(len(times), -1) @ weights.reshape(3, -1).T
-
-
-def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
-    """The longitudinal and transverse signals at x over FIT_NAMES: a1z (Iz.Iz +
-    (1 + a2z) s(t)) with s the response to the deviation -Iz, and a1x (the product
-    a1x*a2x) times the response to Ix; joint_model_curves with a2x = 1."""
-    a1z, a2z, a1x = x[:3]
-    es0, es1 = _joint_eigensystems(*(float(b) for b in x[3:]))
-    iz = longitudinal_observable()
-    return (a1z * (iz @ iz + (1 + a2z) * _reduced_signal(es0, times_long)),
-            a1x * _reduced_signal(es1, times_trans))
+    return g.reshape(len(times), -1) @ weights.reshape(3, -1).T
 
 
 def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of the signals of _joint_signals by the fitted FIT_NAMES.
+    """Derivatives of the longitudinal and transverse signals at x by the fitted
+    FIT_NAMES.  The signals are a1z (Iz.Iz + (1 + a2z) s_z(t)), with s_z the
+    response to the deviation -Iz, and a1x (the product a1x*a2x) times the
+    response s_x to Ix: joint_model_curves with a2x = 1.
 
     The signals are linear in a1z and a1x and affine in a2z, so every column but
     the B ones is closed-form.
@@ -156,8 +147,8 @@ def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray,
     a1z, a2z, a1x = x[:3]
     es0, es1 = _joint_eigensystems(*(float(b) for b in x[3:]))
     iz = longitudinal_observable()
-    sz, dsz = _signal_and_b_derivatives(es0, times_long)
-    sx, dsx = _signal_and_b_derivatives(es1, times_trans)
+    sz, dsz = _reduced_signal(es0, times_long), _b_derivatives(es0, times_long)
+    sx, dsx = _reduced_signal(es1, times_trans), _b_derivatives(es1, times_trans)
     zz, zx = np.zeros(sz.size), np.zeros(sx.size)
     jz = np.column_stack([iz @ iz + (1 + a2z) * sz, a1z * sz, zz, a1z * (1 + a2z) * dsz])
     jx = np.column_stack([zx, zx, sx, a1x * dsx])
@@ -170,13 +161,14 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
 
     The transverse signal depends on a1x and a2x only through their product,
     so six parameters are fitted: a1z, a2z, a1x*a2x (returned as a1x, with
-    a2x = 1) and the rate scales b0, b1, b2 >= 0.  The signals of _joint_signals
+    a2x = 1) and the rate scales b0, b1, b2 >= 0.  The signals (see _joint_jacobian)
     are linear in u = (a1z, a1z (1 + a2z), a1x), so the search runs over B alone
     by variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10:413,
     1973): at each trial B, u is the weighted linear least-squares solution, and
     the Jacobian is Kaufman's P_perp (dPhi/dB) u (BIT 15:49, 1975), with Phi the
     weighted design matrix of u.  The residual and the Jacobian at a trial point
-    share one stacked eigensolve (see _joint_eigensystems).
+    share one stacked eigensolve (see _joint_eigensystems) and one projection of
+    the signal columns, so the Jacobian adds only dPhi/dB.
 
     ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
     b1 and b2 are read.  The search restarts from ``restarts`` deterministic
@@ -202,32 +194,35 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         y = w * curve.amplitudes
         curves.append((curve.times, w, f, y - f @ (f.T @ y)))
 
-    def solve_linear(b: np.ndarray, derivatives: bool = False) -> list:
-        """Per curve: the coefficient u of its column w s(t; B), the residual
-        Phi u - y and, with derivatives, Kaufman's Jacobian by B."""
+    @lru_cache(maxsize=1)
+    def project(b0: float, b1: float, b2: float) -> list:
+        """Per curve at B: its eigensystem, the unit column v_hat along the projected
+        w s(t; B), the inverse norm of that column and the coefficient v_hat . y.
+        One entry: the Jacobian at a trial point reuses what its residual computed."""
         out = []
-        for es, (times, w, f, y) in zip(_joint_eigensystems(*(float(v) for v in b)), curves):
-            s, ds = (_signal_and_b_derivatives(es, times) if derivatives
-                     else (_reduced_signal(es, times), None))
-            v = w * s
+        for es, (times, w, f, y) in zip(_joint_eigensystems(b0, b1, b2), curves):
+            v = w * _reduced_signal(es, times)
             v -= f @ (f.T @ v)
             norm = np.linalg.norm(v)
             inv = 1.0 / norm if norm > 0 else 0.0  # a zero column fits nothing
             v_hat = v * inv
-            coef = v_hat @ y
-            jac = None
-            if derivatives:
-                dv = w[:, None] * ds
-                dv -= f @ (f.T @ dv)
-                jac = coef * inv * (dv - np.outer(v_hat, v_hat @ dv))
-            out.append((coef * inv, v_hat * coef - y, jac))
+            out.append((es, v_hat, inv, v_hat @ y))
         return out
 
     def residuals(b: np.ndarray) -> np.ndarray:
-        return np.concatenate([r for _, r, _ in solve_linear(b)])
+        """Phi u - y for both curves, u the linear least-squares coefficients at B."""
+        return np.concatenate([v_hat * coef - y for (_, v_hat, _, coef), (*_, y)
+                               in zip(project(*(float(v) for v in b)), curves)])
 
     def jacobian(b: np.ndarray) -> np.ndarray:
-        return np.vstack([j for _, _, j in solve_linear(b, derivatives=True)])
+        """Kaufman's Jacobian of residuals by B."""
+        blocks = []
+        for (es, v_hat, inv, coef), (times, w, f, _) in zip(
+                project(*(float(v) for v in b)), curves):
+            dv = w[:, None] * _b_derivatives(es, times)
+            dv -= f @ (f.T @ dv)
+            blocks.append(coef * inv * (dv - np.outer(v_hat, v_hat @ dv)))
+        return np.vstack(blocks)
 
     b_init = np.abs(np.array([init[name] for name in PARAM_NAMES[4:]], dtype=float)
                     if isinstance(init, Mapping) else _param_vector(init)[4:])
@@ -242,7 +237,8 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         evaluations += result.nfev
         if best is None or result.cost < best.cost:
             best = result
-    (u2, _, _), (u3, _, _) = solve_linear(best.x)
+    (_, _, inv2, coef2), (_, _, inv3, coef3) = project(*(float(v) for v in best.x))
+    u2, u3 = coef2 * inv2, coef3 * inv3
     sz = _reduced_signal(_joint_eigensystems(*(float(v) for v in best.x))[0], long_curve.times)
     iz = longitudinal_observable()
     u1 = wz @ (wz * (long_curve.amplitudes - u2 * sz)) / ((iz @ iz) * (wz @ wz))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, evolution
 from .curves import (DataFormatError, DecayCurve, data_lines, format_table, number_format,
-                     parse_finite, read_curve)
+                     parse_finite, read_curve, write_text)
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
@@ -160,7 +160,7 @@ def _table_text(columns: list[str], rows, raw: bool, int_columns: int = 0) -> st
 
 def write_table(path: Path, columns: list[str], rows, raw: bool = True,
                 int_columns: int = 0) -> None:
-    path.write_text(_table_text(columns, rows, raw, int_columns) + "\n", encoding="utf-8")
+    write_text(path, _table_text(columns, rows, raw, int_columns) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,13 @@ def _mode_table(model: evolution.MagnetizationModel) -> list[tuple[int, float, f
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     c = cfg.constant()
-    curves = [read_curve(args.long), read_curve(args.trans)]
+    paths = (args.long, args.trans)
+    curves = [read_curve(path) for path in paths]
     if args.normalize:
+        for path, curve in zip(paths, curves):
+            if not curve.amplitudes.any():
+                raise DataFormatError(f"{path}: every amplitude is 0, so --normalize "
+                                      "has no maximum to divide by")
         curves = [DecayCurve(curve.times, curve.amplitudes / np.max(np.abs(curve.amplitudes)),
                              curve.sigmas) for curve in curves]
     long_curve, trans_curve = curves
@@ -280,7 +285,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                     np.column_stack([curve.times, curve.amplitudes, fitted,
                                      curve.amplitudes - fitted]))
     report_path = out_dir / "fit_report.txt"
-    report_path.write_text("\n".join(report) + "\n", encoding="utf-8")
+    write_text(report_path, "\n".join(report) + "\n")
     print(f"wrote {report_path} (residual_norm = {format_number(result.residual_norm, args.raw)})")
     print(f"B = ({format_number(result.params['b0'], args.raw)}, "
           f"{format_number(result.params['b1'], args.raw)}, "
@@ -305,7 +310,7 @@ def _cmd_bloch(args: argparse.Namespace) -> int:
                   f"a1x = {format_number(fit.a1, args.raw)} +/- {format_number(fit.uncertainties[0], args.raw)}",
                   f"t2_seconds = {format_number(fit.t2, args.raw)} +/- {format_number(fit.uncertainties[1], args.raw)}"]
     out = Path(cfg.out) / "bloch_report.txt"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -350,7 +355,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     lines.append(f"printed_variant_max_abs = {report.printed_variant_max_abs!r}"
                  "  # five as-published q=1 row-6 cells, see README")
     out = Path(cfg.out) / "validate_report.txt"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out, "\n".join(lines) + "\n")
     ok = report.max_relative_deviation < 1e-10
     print(f"max relative deviation {'<' if ok else '>='} 1e-10 "
           f"({report.max_relative_deviation:.3e}); wrote {out}")

@@ -14,7 +14,6 @@ from quadrelax.analysis import (
     PARAM_NAMES,
     _exp_divided_differences,
     _joint_jacobian,
-    _joint_signals,
     fit_bloch_longitudinal,
     fit_bloch_transverse,
     fit_redfield_joint,
@@ -35,6 +34,18 @@ TABLE2 = dict(a1z=0.0230, a2z=1.00, a1x=0.019, a2x=0.99, b0=83.0, b1=3.8, b2=0.1
 CLI_START = dict(a1z=0.03, a2z=1.0, a1x=0.03, a2x=1.0, b0=100.0, b1=5.0, b2=0.3)
 C_EXP = quadrupolar_constant_simplified(5969.0)
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+
+
+def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
+    """The longitudinal and transverse signals at x over FIT_NAMES from the fit's
+    parity-reduced eigensystems: a1z (Iz.Iz + (1 + a2z) s(t)) with s the response
+    to the deviation -Iz, and a1x (the product a1x*a2x) times the response to Ix;
+    joint_model_curves with a2x = 1."""
+    a1z, a2z, a1x = x[:3]
+    es0, es1 = analysis._joint_eigensystems(*(float(b) for b in x[3:]))
+    iz = longitudinal_observable()
+    return (a1z * (iz @ iz + (1 + a2z) * analysis._reduced_signal(es0, times_long)),
+            a1x * analysis._reduced_signal(es1, times_trans))
 
 
 # -- joint fit -----------------------------------------------------------------

@@ -13,7 +13,7 @@ from quadrelax.redfield_core import CoherenceBlock, evaluate_block, numeric_eige
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 from quadrelax.curves import (DataFormatError, DecayCurve, format_table, read_curve,
-                              write_curve)
+                              write_curve, write_text)
 
 THEO_CFG = """\
 larmor_freq = 47.24e6
@@ -95,6 +95,75 @@ def test_non_utf8_error_after_a_byte_order_mark_names_the_file_offset(tmp_path):
         read_curve(path)
 
 
+_PLAIN, _WEIGHTED = "t_seconds,amplitude", "t_seconds,amplitude,sigma"
+
+
+@pytest.mark.parametrize("header, body, lineno, message", [
+    # one bad line, in each way a body line can fail
+    (_PLAIN, ["0.1,1.0", "0.2,0.5,0.1"], 4, "expected 2 fields, got 3"),
+    (_WEIGHTED, ["0.1,1.0,0.1", "0.2,0.5"], 4, "expected 3 fields, got 2"),
+    (_PLAIN, ["0.1,1.0", "0.2"], 4, "expected 2 fields, got 1"),
+    (_PLAIN, ["0.1,1.0", "0.2, abc  # comment"], 4, "could not convert string to float: 'abc'"),
+    (_PLAIN, ["0.1,1.0", "0.2,"], 4, "could not convert string to float: ''"),
+    (_PLAIN, ["0.1,1.0", "0.2,nan"], 4, "non-finite value 'nan'"),
+    (_PLAIN, ["0.1,1.0", "inf,0.5"], 4, "non-finite value 'inf'"),
+    (_PLAIN, ["0.1,1.0", "0.2,-1e999"], 4, "non-finite value '-1e999'"),
+    (_PLAIN, ["0.1,1.0", "-0.2,0.5"], 4, "negative time '-0.2'"),
+    (_WEIGHTED, ["0.1,1.0,0.1", "0.2,0.5,0"], 4, "sigma must be positive, got '0'"),
+    (_WEIGHTED, ["0.1,1.0,0.1", "0.2,0.5,-0.1"], 4, "sigma must be positive, got '-0.1'"),
+    # within a line: the field count, then each token from the left, then the time,
+    # then the sigma
+    (_PLAIN, ["-0.1,abc,1"], 3, "expected 2 fields, got 3"),
+    (_PLAIN, ["-0.1,abc"], 3, "could not convert string to float: 'abc'"),
+    (_PLAIN, ["nan,abc"], 3, "non-finite value 'nan'"),
+    (_WEIGHTED, ["0.1,abc,0"], 3, "could not convert string to float: 'abc'"),
+    (_WEIGHTED, ["-0.1,1.0,0"], 3, "negative time '-0.1'"),
+    # across lines: the first bad line in file order, whatever the later ones hold
+    (_PLAIN, ["0.1,1.0", "-0.2,0.5", "0.3,abc"], 4, "negative time '-0.2'"),
+    (_PLAIN, ["0.1,1.0", "0.2,abc", "0.3,0.2,0.1"], 4, "could not convert string to float: 'abc'"),
+    (_PLAIN, ["0.1,1.0", "0.2", "0.3,nan"], 4, "expected 2 fields, got 1"),
+    (_WEIGHTED, ["0.1,1.0,0", "0.2,inf,0.1"], 3, "sigma must be positive, got '0'"),
+    (_WEIGHTED, ["0.1,1.0,0.1", "0.2,inf,0.1", "-0.3,0.5,0"], 4, "non-finite value 'inf'"),
+    # a line error is found before the times are checked for order
+    (_PLAIN, ["0.3,1.0", "0.2,0.5", "0.4,abc"], 5, "could not convert string to float: 'abc'"),
+])
+def test_curve_error_names_the_first_bad_line(tmp_path, header, body, lineno, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["# a comment line", header, *body]) + "\n")
+    with pytest.raises(DataFormatError) as info:
+        read_curve(path)
+    assert str(info.value) == f"{path}:{lineno}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n", "empty curve file"),
+    ("t_seconds,amplitude\n", "no samples"),
+    ("t_seconds,amplitude\n0.2,1.0\n0.2,0.5\n", "sample times must be strictly increasing"),
+])
+def test_curve_file_errors_without_a_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as info:
+        read_curve(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_curve_reader_keeps_every_value_bit_for_bit(tmp_path):
+    # spaces around fields, signed zeros, subnormals and the float() spellings a
+    # bulk parse must read exactly as the per-token parse does
+    path = tmp_path / "c.csv"
+    path.write_text("t_seconds , amplitude , sigma\n"
+                    " 0 , -0.0 , 5e-324\n"
+                    "1_0.5,+1E-3 ,1e308  # note\n"
+                    "\n"
+                    "1e2,\t-.5e-310 ,0.25\n")
+    curve = read_curve(path)
+    np.testing.assert_array_equal(curve.times, [0.0, 10.5, 100.0])
+    np.testing.assert_array_equal(curve.amplitudes, [-0.0, 1e-3, -0.5e-310])
+    assert np.signbit(curve.amplitudes[0])
+    np.testing.assert_array_equal(curve.sigmas, [5e-324, 1e308, 0.25])
+
+
 def _per_value_lines(rows, raw, sep=" "):
     """The table body written one format_number call per value, the reference form."""
     return [sep.join(format_number(v, raw) for v in row) for row in rows]
@@ -137,6 +206,59 @@ def test_write_curve_is_the_per_value_repr_join(tmp_path, sigmas):
     want += [",".join(f"{float(v)!r}" for v in row) for row in zip(*columns)]
     write_curve(tmp_path / "c.csv", curve)
     assert (tmp_path / "c.csv").read_text() == "\n".join(want) + "\n"
+
+
+# -- writing files in place ---------------------------------------------------
+
+def test_write_text_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("old line\n" * 50)
+    inode = path.stat().st_ino
+    write_text(path, "new é\n")
+    assert path.read_bytes() == "new é\n".encode("utf-8")
+    assert path.stat().st_ino == inode
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_write_text_writes_through_a_symlink_and_keeps_it(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("a longer old text\n")
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_text() == "new\n"
+
+
+def test_write_text_keeps_the_mode(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("old old old\n")
+    path.chmod(0o640)
+    write_text(path, "new\n")
+    assert path.stat().st_mode & 0o777 == 0o640 and path.read_text() == "new\n"
+
+
+def test_write_text_to_a_directory_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        write_text(tmp_path, "x")
+    with pytest.raises(OSError):
+        tmp_path.write_text("x")
+
+
+def test_fit_rewrites_longer_outputs_to_the_fresh_bytes(tmp_path):
+    args = ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
+            "--trans", str(DATA_DIR / "synthetic_transverse.csv"), "--quad-freq", "5969"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    names = ["fit_report.txt"] + [f"fit_{label}_{kind}.txt" for label in ("longitudinal",
+                                  "transverse") for kind in ("model", "data")]
+    reused.mkdir()
+    for name in names:
+        (reused / name).write_text("old row\n" * 20000)
+    for out in (reused, fresh):
+        assert main(args + ["--restarts", "1", "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in fresh.iterdir()) == sorted(names)
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # -- parsing -------------------------------------------------------------------
@@ -437,6 +559,23 @@ def test_fit_reports_a2z_undetermined_for_an_all_zero_longitudinal_curve(tmp_pat
     assert not read_table(out / "fit_longitudinal_model.txt")["model"].any()
     rows = _report_section("\n".join(lines), "longitudinal_modes")
     assert all(row.split()[1] == "0" for row in rows)
+
+
+def test_fit_normalize_of_an_all_zero_curve_is_a_data_error(tmp_path, capsys):
+    zero = tmp_path / "zero.csv"
+    long_curve = read_curve(DATA_DIR / "synthetic_longitudinal.csv")
+    write_curve(zero, DecayCurve(long_curve.times, np.zeros(len(long_curve))))
+    trans = str(DATA_DIR / "synthetic_transverse.csv")
+    for long, tr in ((str(zero), trans), (str(DATA_DIR / "synthetic_longitudinal.csv"), str(zero))):
+        assert main(["fit", "--long", long, "--trans", tr, "--quad-freq", "5969",
+                     "--restarts", "1", "--normalize", "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {zero}: every amplitude is 0, so --normalize has no maximum "
+            "to divide by\n")
+    # without --normalize the same file fits, and a2z is left undetermined
+    assert main(["fit", "--long", str(zero), "--trans", trans, "--quad-freq", "5969",
+                 "--restarts", "1", "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert "a2z = undetermined" in (tmp_path / "o" / "fit_report.txt").read_text().splitlines()
 
 
 def _report_section(report: str, name: str) -> list[str]:
