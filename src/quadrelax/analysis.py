@@ -237,9 +237,9 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         evaluations += result.nfev
         if best is None or result.cost < best.cost:
             best = result
-    (_, _, inv2, coef2), (_, _, inv3, coef3) = project(*(float(v) for v in best.x))
+    (es0, _, inv2, coef2), (_, _, inv3, coef3) = project(*(float(v) for v in best.x))
     u2, u3 = coef2 * inv2, coef3 * inv3
-    sz = _reduced_signal(_joint_eigensystems(*(float(v) for v in best.x))[0], long_curve.times)
+    sz = _reduced_signal(es0, long_curve.times)
     iz = longitudinal_observable()
     u1 = wz @ (wz * (long_curve.amplitudes - u2 * sz)) / ((iz @ iz) * (wz @ wz))
     undetermined = u1 == 0

@@ -174,10 +174,9 @@ def write_text(path: str | Path, text: str) -> None:
     The file is opened without truncation, written from the start and then cut at
     the end of the new bytes.  Its bytes, inode, mode, owner and symlink target
     come out as with ``Path.write_text``, but an existing file is never first
-    truncated to zero, which on ext4 costs a flush on close (0.1-0.4 ms for a
-    20-60 KB table).  A write cut off part-way can leave the start of the new
-    text followed by the rest of the old file, where ``Path.write_text`` would
-    leave a short file.
+    truncated to zero, which on ext4 makes the next close flush the file to disk.
+    A write cut off part-way can leave the start of the new text followed by the
+    rest of the old file, where ``Path.write_text`` would leave a short file.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(text.encode("utf-8"))
