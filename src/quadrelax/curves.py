@@ -14,8 +14,8 @@ from __future__ import annotations
 import codecs
 import math
 import os
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
