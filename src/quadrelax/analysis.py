@@ -171,8 +171,9 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     the signal columns, so the Jacobian adds only dPhi/dB.
 
     ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
-    b1 and b2 are read.  The search restarts from ``restarts`` deterministic
-    perturbations of that B (best residual wins).  Sigmas of all six parameters
+    b1 and b2 are read.  The search starts once from that B and once from each
+    of ``restarts - 1`` perturbations of it drawn from ``seed``, each b_k times
+    |1 + 0.3 N(0, 1)| (best residual wins).  Sigmas of all six parameters
     come from the full Jacobian of _joint_jacobian at the best restart,
     cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``.  A fitted a1z of exactly 0
     leaves a2z undetermined: it is returned as nan and without a sigma, and the

@@ -380,19 +380,30 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """float(text); a non-number, nan or +-inf is a usage error with one message."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 #: the flags several subcommands share; each subcommand adds only those it reads
 _SHARED_FLAGS = {
     "--config": dict(help="key = value config file"),
     "--out": dict(help="output directory (default '.')"),
     "--seed": dict(type=int, default=0, help="deterministic seed"),
     "--raw": dict(action="store_true", help="full-precision numbers in reports"),
-    "--larmor-freq": dict(type=float, help="Hz"),
-    "--tau-c": dict(type=float, dest="correlation_time", help="seconds"),
-    "--j0": dict(type=float, help="seconds"),
-    "--j1": dict(type=float, help="seconds"),
-    "--j2": dict(type=float, help="seconds"),
-    "--quad-freq": dict(type=float, help="Hz"),
-    "--c": dict(type=float, dest="c_override", help="Hz^2"),
+    "--larmor-freq": dict(type=_finite_float, help="Hz"),
+    "--tau-c": dict(type=_finite_float, dest="correlation_time", help="seconds"),
+    "--j0": dict(type=_finite_float, help="seconds"),
+    "--j1": dict(type=_finite_float, help="seconds"),
+    "--j2": dict(type=_finite_float, help="seconds"),
+    "--quad-freq": dict(type=_finite_float, help="Hz"),
+    "--c": dict(type=_finite_float, dest="c_override", help="Hz^2"),
     "--equilibrium": dict(type=_equilibrium_name, help="pure_top | uniform | file:PATH"),
 }
 _DENSITY_FLAGS = ("--larmor-freq", "--tau-c", "--j0", "--j1", "--j2")
@@ -433,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--normalize", action="store_true",
                    help="max-abs normalize both curves before fitting")
-    p.add_argument("--init-b0", type=float, default=100.0)
-    p.add_argument("--init-b1", type=float, default=5.0)
-    p.add_argument("--init-b2", type=float, default=0.3)
+    p.add_argument("--init-b0", type=_finite_float, default=100.0)
+    p.add_argument("--init-b1", type=_finite_float, default=5.0)
+    p.add_argument("--init-b2", type=_finite_float, default=0.3)
 
     p = command("bloch", _cmd_bloch, "mono-exponential T1/T2 baselines",
                 "--config", "--out", "--raw")
@@ -448,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=_positive_float, required=True, help="seconds")
     p.add_argument("--t-max", type=_positive_float, required=True, help="seconds, above --t-min")
     p.add_argument("--points", type=_int_at_least(2), default=64)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_finite_float, default=None,
                    help="Tikhonov weight (default: discrepancy principle)")
     p.add_argument("--kernel", choices=("decay", "recovery"), default="decay")
 

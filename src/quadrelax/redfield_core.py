@@ -20,6 +20,7 @@ element trajectories follow  rho(t) = w_bar exp(lambda C t) w rho(0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +35,12 @@ _ZERO_MODE_RTOL = 1e-12
 
 
 class DegenerateSpectrumError(ValueError):
-    """Closed-form construction hit a (near-)degenerate denominator; use numeric_eigensystem."""
+    """A closed form does not apply at these J; use numeric_eigensystem.
+
+    Raised by analytic_eigensystem where a denominator of an eigenvalue or w_bar
+    formula is within 1e-12 of zero (the q = 5 a1/b1 denominator, q = 4 J1 - J2,
+    a q = 2 or 3 Cartesian vector's norm, a zero cubic root), where the q = 2 or
+    3 companion roots come out complex, or where |det w_bar| <= 1e-12."""
 
 
 @dataclass(frozen=True)
@@ -373,33 +379,22 @@ def _degenerate_guard(value: float, what: str, scale: float = 1.0) -> None:
         raise DegenerateSpectrumError(f"{what} within 1e-12 of zero; fall back to numeric_eigensystem")
 
 
-def _analytic_w_pair(q: int, j: SpectralDensities,
-                     lam: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(w, w_bar) in the published mode order; lam is analytic_eigenvalues(q, j)."""
-    sq = np.sqrt
+def _analytic_w_bar(q: int, j: SpectralDensities, lam: list[float]) -> np.ndarray:
+    """The published w_bar in the published mode order; lam is analytic_eigenvalues(q, j)."""
+    sq = math.sqrt  # every argument is positive; as exact as np.sqrt and faster on scalars
     j0, j1, j2 = j.as_tuple()
     if q == 7:
-        return np.array([[1.0]]), np.array([[1.0]])
+        return np.array([[1.0]])
     if q == 6:
-        w = np.array([[-1.0, 1.0], [1.0, 1.0]]) / sq(2)
-        return w, w.copy()
+        return np.array([[-1.0, 1.0], [1.0, 1.0]]) / sq(2)
     if q == 5:
         a1, b1 = _q5_pair(j)
-        _degenerate_guard(a1 - b1, "q=5 (a1 - b1)")
         na, nb = sq(a1 ** 2 + 1), sq(b1 ** 2 + 1)
-        w = np.array([
-            [(sq(6) - sq(7) * b1) / (a1 - b1) * na, -(sq(12) * b1 + sq(14)) / (a1 - b1) * na,
-             (sq(6) - sq(7) * b1) / (a1 - b1) * na],
-            [-sq(13), 0.0, sq(13)],
-            [-(sq(6) - sq(7) * a1) / (a1 - b1) * nb, (sq(12) * a1 + sq(14)) / (a1 - b1) * nb,
-             -(sq(6) - sq(7) * a1) / (a1 - b1) * nb],
-        ]) / sq(26)
-        w_bar = np.array([
+        return np.array([
             [(sq(7) + sq(6) * a1) / na, -sq(13), (sq(7) + sq(6) * b1) / nb],
             [(sq(12) - sq(14) * a1) / na, 0.0, (sq(12) - sq(14) * b1) / nb],
             [(sq(7) + sq(6) * a1) / na, sq(13), (sq(7) + sq(6) * b1) / nb],
         ]) / sq(26)
-        return w, w_bar
     if q == 4:
         sa, sb = _q4_roots(j0, j1, j2)
         _degenerate_guard(j1 - j2, "q=4 (J1 - J2)", scale=j1)
@@ -407,27 +402,31 @@ def _analytic_w_pair(q: int, j: SpectralDensities,
         b1 = (16 * j0 - 16 * j1 - sa) / (sq(105) * (j1 - j2))
         a2 = (-16 * j0 + sb) / (sq(105) * (j1 + j2))
         b2 = (-16 * j0 - sb) / (sq(105) * (j1 + j2))
-        _degenerate_guard(a1 - b1, "q=4 (a1 - b1)")
-        _degenerate_guard(a2 - b2, "q=4 (a2 - b2)")
         n1a, n1b = sq(a1 ** 2 + 1), sq(b1 ** 2 + 1)
         n2a, n2b = sq(a2 ** 2 + 1), sq(b2 ** 2 + 1)
-        w = np.array([
-            [n1a / (a1 - b1), -b1 * n1a / (a1 - b1), -b1 * n1a / (a1 - b1), n1a / (a1 - b1)],
-            [-n1b / (a1 - b1), a1 * n1b / (a1 - b1), a1 * n1b / (a1 - b1), -n1b / (a1 - b1)],
-            [b2 * n2a / (a2 - b2), -n2a / (a2 - b2), n2a / (a2 - b2), -b2 * n2a / (a2 - b2)],
-            [-a2 * n2b / (a2 - b2), n2b / (a2 - b2), -n2b / (a2 - b2), a2 * n2b / (a2 - b2)],
-        ]) / sq(2)
-        w_bar = np.array([
+        return np.array([
             [a1 / n1a, b1 / n1b, -1 / n2a, -1 / n2b],
             [1 / n1a, 1 / n1b, -a2 / n2a, -b2 / n2b],
             [1 / n1a, 1 / n1b, a2 / n2a, b2 / n2b],
             [a1 / n1a, b1 / n1b, 1 / n2a, 1 / n2b],
         ]) / sq(2)
-        return w, w_bar
     if q == 3:
-        return _q3_w_pair(j, dict(enumerate(lam, start=1)))
+        xi = {1: -12 * j0 - 29 * j1 - 9 * j2,
+              3: (-90 * j0 - 113 * j1 - 161 * j2) / 13,
+              4: sq(208 / 11) * (-3 * j0 + 2 * j1 + j2),
+              5: -sq(210 / 1859) * (27 * j0 + 4 * j1 - 31 * j2)}
+        return _cartesian_w_bar(_q3_constant_basis(), lam, ((xi, "q3", (1, 3, 5)),))
     if q == 2:
-        return _q2_w_pair(j, dict(enumerate(lam, start=1)))
+        xi_a = {1: -(107 * j0 + 294 * j1 + 369 * j2) / 11,
+                2: -(55 * j0 + 102 * j1 + 39 * j2) / 7,
+                4: -56 / 11 * sq(2) * (j0 + j1 - 2 * j2),
+                5: -4 / 7 * sq(55) * (2 * j0 - j1 - j2)}
+        xi_b = {1: -(51 * j0 + 32 * j1 + 67 * j2) / 3,
+                2: -(45 * j0 + 168 * j1 + 151 * j2) / 13,
+                4: -4 / 33 * sq(143) * (6 * j0 + j1 - 7 * j2),
+                5: -24 / 143 * sq(770) * (j0 + 2 * j1 - 3 * j2)}
+        return _cartesian_w_bar(_q2_constant_basis(), lam,
+                                ((xi_a, "q2", (1, 2, 5)), (xi_b, "q2", (3, 4, 6))))
     raise ValueError(f"no closed-form transformation for q={q} (only 2..7)")
 
 
@@ -445,32 +444,23 @@ def _cartesian_vector(lam: float, xi: dict, arrangement: str) -> np.ndarray:
     return v / norm
 
 
-def _cross3(a: list[float], b: list[float]) -> list[float]:
-    """a x b for 3-vectors, in np.cross's operation order (so bitwise equal to it)."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+def _cartesian_w_bar(basis: np.ndarray, lam: list[float], systems: tuple) -> np.ndarray:
+    """basis @ R for q = 3 and 2: R is the identity but for each (xi, arrangement,
+    modes) 3x3 system, whose published Cartesian vectors of the (1-based) modes
+    fill the rows and columns modes - 1."""
+    r = np.eye(basis.shape[1])
+    for xi, arrangement, modes in systems:
+        idx = [k - 1 for k in modes]
+        for k in modes:
+            r[idx, k - 1] = _cartesian_vector(lam[k - 1], xi, arrangement)
+    return basis @ r
 
 
-def _inv3_adjugate(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> np.ndarray:
-    """Inverse of [r1 | r2 | r3] via cross products over the 3x3 determinant."""
-    r1, r2, r3 = r1.tolist(), r2.tolist(), r3.tolist()
-    c23 = _cross3(r2, r3)
-    det = float(np.dot(r1, c23))
-    _degenerate_guard(det, "cartesian-parameter matrix determinant")
-    return np.array([c23, _cross3(r3, r1), _cross3(r1, r2)]) / det
-
-
-def _q3_w_pair(j: SpectralDensities, lams: dict) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _q3_constant_basis() -> np.ndarray:
+    """Orthogonal: symmetric-subspace images of x, y, z in columns 0, 2, 4 and the
+    two antisymmetric modes in columns 1 and 3."""
     sq = np.sqrt
-    j0, j1, j2 = j.as_tuple()
-    xi = {1: -12 * j0 - 29 * j1 - 9 * j2,
-          3: (-90 * j0 - 113 * j1 - 161 * j2) / 13,
-          4: sq(208 / 11) * (-3 * j0 + 2 * j1 + j2),
-          5: -sq(210 / 1859) * (27 * j0 + 4 * j1 - 31 * j2)}
-    r = {k: _cartesian_vector(lams[k], xi, "q3") for k in (1, 3, 5)}
-    # orthogonal constant basis: symmetric-subspace images of x, y, z plus the
-    # two antisymmetric modes (columns 2 and 4)
     basis = np.zeros((5, 5))
     fx, fy, fz = sq(462) / 66, sq(546) / 39, sq(715) / 143
     gx, gy, gz = sq(264) / 33, -sq(78) / 78, -sq(5005) / 143
@@ -480,44 +470,8 @@ def _q3_w_pair(j: SpectralDensities, lams: dict) -> tuple[np.ndarray, np.ndarray
     basis[:, 4] = (fz, gz, hz, gz, fz)
     basis[:, 1] = np.array([0, -1, 0, 1, 0]) / sq(2)
     basis[:, 3] = np.array([-1, 0, 0, 0, 1]) / sq(2)
-    r_embed = np.zeros((5, 5))
-    for col, k in ((0, 1), (2, 3), (4, 5)):
-        r_embed[0, col], r_embed[2, col], r_embed[4, col] = r[k]
-    r_embed[1, 1] = r_embed[3, 3] = 1.0
-    w_bar = basis @ r_embed
-    r_inv = np.eye(5)
-    r_inv[np.ix_((0, 2, 4), (0, 2, 4))] = _inv3_adjugate(r[1], r[3], r[5])
-    w = r_inv @ basis.T
-    return w, w_bar
-
-
-def _q2_w_pair(j: SpectralDensities, lams: dict) -> tuple[np.ndarray, np.ndarray]:
-    sq = np.sqrt
-    j0, j1, j2 = j.as_tuple()
-    xi_a = {1: -(107 * j0 + 294 * j1 + 369 * j2) / 11,
-            2: -(55 * j0 + 102 * j1 + 39 * j2) / 7,
-            4: -56 / 11 * sq(2) * (j0 + j1 - 2 * j2),
-            5: -4 / 7 * sq(55) * (2 * j0 - j1 - j2)}
-    xi_b = {1: -(51 * j0 + 32 * j1 + 67 * j2) / 3,
-            2: -(45 * j0 + 168 * j1 + 151 * j2) / 13,
-            4: -4 / 33 * sq(143) * (6 * j0 + j1 - 7 * j2),
-            5: -24 / 143 * sq(770) * (j0 + 2 * j1 - 3 * j2)}
-    r = {k: _cartesian_vector(lams[k], xi_a, "q2") for k in (1, 2, 5)}
-    r.update({k: _cartesian_vector(lams[k], xi_b, "q2") for k in (3, 4, 6)})
-    c_bar = _q2_constant_basis()
-    r_embed = np.zeros((6, 6))
-    for k in (1, 2, 5):
-        r_embed[0, k - 1], r_embed[1, k - 1], r_embed[4, k - 1] = r[k]
-    for k in (3, 4, 6):
-        r_embed[2, k - 1], r_embed[3, k - 1], r_embed[5, k - 1] = r[k]
-    w_bar = c_bar @ r_embed
-    inv_a = _inv3_adjugate(r[1], r[2], r[5])
-    inv_b = _inv3_adjugate(r[3], r[4], r[6])
-    r_inv = np.zeros((6, 6))
-    r_inv[np.ix_((0, 1, 4), (0, 1, 4))] = inv_a
-    r_inv[np.ix_((2, 3, 5), (2, 3, 5))] = inv_b
-    w = r_inv @ c_bar.T
-    return w, w_bar
+    basis.flags.writeable = False
+    return basis
 
 
 @lru_cache(maxsize=1)
@@ -537,17 +491,21 @@ def analytic_eigensystem(q: int, j: SpectralDensities,
                          c: QuadrupolarConstant | None = None) -> BlockEigensystem:
     """Closed-form eigensystem for q in 2..7 with modes reordered by ascending rate.
 
-    The transformation pair keeps the published signs; without a quadrupolar
-    constant the rates are reported as -lambda (the C = 1 convention).
+    w_bar is the published closed form, with its published signs; w is its
+    inverse, np.linalg.inv(w_bar).  Every w_bar column is a unit vector, so a
+    |det w_bar| of at most 1e-12 means two modes (nearly) coincide and raises
+    DegenerateSpectrumError, as does a vanishing denominator of a w_bar entry or
+    of an eigenvalue formula.  Without a quadrupolar constant the rates are
+    reported as -lambda (the C = 1 convention).
     """
     values = analytic_eigenvalues(q, j)
-    w, w_bar = _analytic_w_pair(q, j, values)
+    w_bar = _analytic_w_bar(q, j, values)
+    _degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
     lam = np.array(values, dtype=float)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     w_bar = w_bar[:, order]
-    w = w[order, :]
-    return BlockEigensystem(q=q, eigenvalues=lam, w=w, w_bar=w_bar,
+    return BlockEigensystem(q=q, eigenvalues=lam, w=np.linalg.inv(w_bar), w_bar=w_bar,
                             rates=_rates_from_eigenvalues(lam, c))
 
 

@@ -516,6 +516,30 @@ def test_ilt_impossible_grid_exits_2(tmp_path, grid):
     assert not (tmp_path / "distribution.txt").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "abc"])
+@pytest.mark.parametrize("flag, argv", [
+    *((flag, ["rates"]) for flag in ("--larmor-freq", "--tau-c", "--j0", "--j1", "--j2",
+                                     "--quad-freq", "--c")),
+    *((flag, ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
+              "--trans", str(DATA_DIR / "synthetic_transverse.csv")])
+      for flag in ("--quad-freq", "--init-b0", "--init-b1", "--init-b2")),
+    ("--alpha", ["ilt", "--curve", str(DATA_DIR / "synthetic_transverse.csv"),
+                 "--t-min", "1e-4", "--t-max", "1"]),
+])
+def test_non_finite_number_flag_exits_2(tmp_path, capsys, flag, argv, value):
+    # a usage error found by argparse before the output directory is made;
+    # negative and zero values still parse and reach the command
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, f"{flag}={value}", "--out", str(out)])
+    assert err.value.code == 2
+    assert f"argument {flag}: expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+    for number in (-2.5, 0.0):
+        parsed = build_parser().parse_args([*argv, f"{flag}={number!r}"])
+        assert number in vars(parsed).values()
+
+
 def test_fit_command_on_bundled_data(tmp_path):
     out = tmp_path / "o"
     code = main(["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),

@@ -321,13 +321,26 @@ def test_numeric_sign_convention(j_ref, c_ref):
 def test_equal_j_degenerate_falls_back(c_ref):
     # closed-form transformations divide by quantities that vanish at equal J
     j = SpectralDensities(2.0, 2.0, 2.0)
-    with pytest.raises(DegenerateSpectrumError):
-        analytic_eigensystem(4, j)
+    for q in (2, 3, 4, 5):
+        with pytest.raises(DegenerateSpectrumError):
+            analytic_eigensystem(q, j)
+    for q in (6, 7):
+        es = analytic_eigensystem(q, j)
+        np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), rtol=0, atol=1e-12)
     # numeric path still works and matches the closed-form eigenvalue lists
     for q in range(2, 8):
         lam_num = np.sort(numeric_eigensystem(assemble_block(q, j), c_ref).eigenvalues)
         lam_ana = np.sort(analytic_eigenvalues(q, j))
         np.testing.assert_allclose(lam_num, lam_ana, rtol=1e-9)
+
+
+def test_equal_w_bar_columns_raise(j_ref, monkeypatch):
+    # two coinciding modes give two equal w_bar columns; the determinant guard,
+    # not np.linalg.inv, rejects the singular transformation
+    monkeypatch.setattr(redfield_core, "_analytic_w_bar",
+                        lambda q, j, lam: np.array([[1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2))
+    with pytest.raises(DegenerateSpectrumError, match="determinant"):
+        analytic_eigensystem(6, j_ref)
 
 
 # -- analytic eigensystems ----------------------------------------------------
@@ -400,32 +413,14 @@ def test_analytic_transformations_diagonalize():
             assert np.max(np.abs(d - np.diag(np.diag(d)))) < 1e-8 * scale
 
 
-def _inv3_with_np_cross(r1, r2, r3):
-    """The np.cross form of _inv3_adjugate, kept as the reference."""
-    det = float(np.dot(r1, np.cross(r2, r3)))
-    return np.vstack([np.cross(r2, r3), np.cross(r3, r1), np.cross(r1, r2)]) / det
-
-
-def test_inv3_adjugate_matches_np_cross_bitwise():
-    # the closed forms pass unit vectors; a near-singular triple puts r3 within
-    # 1e-10..1e-5 of the plane of r1 and r2, where the determinant guard may raise
-    rng = np.random.default_rng(7)
-    for trial in range(400):
-        r = rng.standard_normal((3, 3))
-        near_singular = trial % 2 == 1
-        if near_singular:
-            r[2] = (rng.uniform(-2, 2, 2) @ r[:2]
-                    + 10.0 ** rng.uniform(-10, -5) * rng.standard_normal(3))
-        r1, r2, r3 = r / np.linalg.norm(r, axis=1, keepdims=True)
-        try:
-            got = redfield_core._inv3_adjugate(r1, r2, r3)
-        except DegenerateSpectrumError:
-            assert abs(np.dot(r1, np.cross(r2, r3))) <= 1e-12
-            continue
-        np.testing.assert_array_equal(got, _inv3_with_np_cross(r1, r2, r3))
-        if not near_singular:
-            np.testing.assert_allclose(got @ np.column_stack([r1, r2, r3]), np.eye(3),
-                                       rtol=0, atol=1e-12)
+def test_published_w_bar_is_orthonormal():
+    # w is computed as inv(w_bar), so a mistyped w_bar entry shows up here
+    rng = np.random.default_rng(18)
+    for _ in range(1000):
+        j = random_j(rng)
+        for q in range(2, 8):
+            w_bar = analytic_eigensystem(q, j).w_bar
+            np.testing.assert_allclose(w_bar.T @ w_bar, np.eye(8 - q), rtol=0, atol=1e-9)
 
 
 # -- published-table conformance ---------------------------------------------
