@@ -3,13 +3,14 @@
 The fixture encodes, per matrix entry, exact coefficients of the spectral
 densities (or plain constants for the basis transformations) in the form
 ``value = COEFF * sqrt(RADICAND)`` with both tokens rational ``p/q``.
-Lines prefixed PRINTED record as-published variants of entries that are
+Lines prefixed PRINTED record as-published variants of J1T entries that are
 inconsistent with the double-commutator assembly; they are kept for
 documentation and loaded separately (see README).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,27 +25,19 @@ _TERMS = ("J0", "J1", "J2")
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Entries of one matrix: (row, col) -> {term: value}, rows/cols 1-based."""
+    """One matrix linear in (J0, J1, J2): stack[k] holds the J_k coefficients, as
+    one read-only (3, rows, cols) array; cells is the 0-based (rows, cols) index
+    of the entries the fixture lists."""
 
     name: str
-    shape: tuple[int, int]
-    entries: dict
+    stack: np.ndarray
+    cells: tuple
 
     def evaluate(self, j: SpectralDensities) -> np.ndarray:
-        coeffs = {"J0": j.j0, "J1": j.j1, "J2": j.j2, "CONST": 1.0}
-        out = np.zeros(self.shape)
-        for (r, c), terms in self.entries.items():
-            out[r - 1, c - 1] = sum(v * coeffs[t] for t, v in terms.items())
-        return out
-
-    def constant_matrix(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for (r, c), terms in self.entries.items():
-            extra = [t for t in terms if t != "CONST"]
-            if extra:
-                raise ValueError(f"{self.name} is not a constant table (has {extra})")
-            out[r - 1, c - 1] = terms["CONST"]
-        return out
+        # every fixture entry lists its terms in J0, J1, J2 order, so this sums
+        # each entry as the file lists it
+        s = self.stack
+        return j.j0 * s[0] + j.j1 * s[1] + j.j2 * s[2]
 
 
 @dataclass(frozen=True)
@@ -59,28 +52,25 @@ class ReferenceTables:
     printed_j1_variants: CoefficientTable
 
 
-def _rational(token: str) -> Fraction:
-    return Fraction(token)
-
-
 def _parse_value(coeff_tok: str, rad_tok: str) -> float:
-    coeff = _rational(coeff_tok)
-    rad = _rational(rad_tok)
+    rad = Fraction(rad_tok)
     if rad < 0:
         raise ValueError(f"negative radicand {rad_tok}")
-    return float(coeff) * np.sqrt(float(rad))
+    return float(Fraction(coeff_tok)) * math.sqrt(float(rad))
 
 
 _SHAPES = {"J0T": (8, 8), "J1T": (7, 7), "U0": (8, 8), "U0BAR": (8, 8),
            "U1": (7, 7), "U1BAR": (7, 7)}
+#: the terms each table's entries may carry; a CONST table loads as a plain matrix
+_TABLE_TERMS = {name: _TERMS if name.startswith("J") else ("CONST",) for name in _SHAPES}
 
 
 @lru_cache(maxsize=1)
 def load_reference_tables() -> ReferenceTables:
     text = resources.files("quadrelax").joinpath("_table_data/reference_tables.txt").read_text()
     version = None
-    raw: dict[str, dict] = {name: {} for name in _SHAPES}
-    printed: dict = {}
+    stacks = {name: np.zeros((len(_TABLE_TERMS[name]), *shape)) for name, shape in _SHAPES.items()}
+    stacks["J1T-printed"], listed = np.zeros((3, *_SHAPES["J1T"])), set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -89,40 +79,41 @@ def load_reference_tables() -> ReferenceTables:
         if parts[0] == "version":
             version = int(parts[1])
             continue
-        target = raw
-        if parts[0] == "PRINTED":
+        is_printed = parts[0] == "PRINTED"
+        if is_printed:
             parts = parts[1:]
-            target = None
         if len(parts) != 6:
             raise ValueError(f"reference-table fixture line {lineno}: expected 6 fields, got {len(parts)}")
         name, row_s, col_s, term, coeff_tok, rad_tok = parts
-        if name not in _SHAPES:
+        if name not in _SHAPES or (is_printed and name != "J1T"):
             raise ValueError(f"reference-table fixture line {lineno}: unknown table {name}")
-        if term not in _TERMS and term != "CONST":
+        if term not in _TABLE_TERMS[name]:
             raise ValueError(f"reference-table fixture line {lineno}: unknown term {term}")
         r, c = int(row_s), int(col_s)
         nrows, ncols = _SHAPES[name]
         if not (1 <= r <= nrows and 1 <= c <= ncols):
             raise ValueError(f"reference-table fixture line {lineno}: index ({r},{c}) outside {name}")
-        value = _parse_value(coeff_tok, rad_tok)
-        store = printed if target is None else raw[name]
-        store.setdefault((r, c), {})
-        if term in store[(r, c)] and store is not printed:
+        target = name + "-printed" if is_printed else name
+        if (target, r - 1, c - 1, term) in listed and not is_printed:
             raise ValueError(f"reference-table fixture line {lineno}: duplicate {name}({r},{c}) {term}")
-        store[(r, c)][term] = value
+        listed.add((target, r - 1, c - 1, term))
+        stacks[target][_TABLE_TERMS[name].index(term), r - 1, c - 1] = _parse_value(coeff_tok, rad_tok)
     if version is None:
         raise ValueError("reference-table fixture missing version line")
+    for arr in stacks.values():
+        arr.flags.writeable = False
 
     def table(name: str) -> CoefficientTable:
-        return CoefficientTable(name=name, shape=_SHAPES[name], entries=raw[name])
+        cells = sorted({(r, c) for target, r, c, _ in listed if target == name})
+        return CoefficientTable(name, stacks[name], tuple(zip(*cells)))
 
     return ReferenceTables(
         version=version,
         j0_block=table("J0T"),
         j1_block=table("J1T"),
-        u0=table("U0").constant_matrix(),
-        u0_bar=table("U0BAR").constant_matrix(),
-        u1=table("U1").constant_matrix(),
-        u1_bar=table("U1BAR").constant_matrix(),
-        printed_j1_variants=CoefficientTable(name="J1T-printed", shape=(7, 7), entries=printed),
+        u0=stacks["U0"][0],
+        u0_bar=stacks["U0BAR"][0],
+        u1=stacks["U1"][0],
+        u1_bar=stacks["U1BAR"][0],
+        printed_j1_variants=table("J1T-printed"),
     )

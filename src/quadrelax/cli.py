@@ -365,16 +365,30 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _int_at_least(minimum: int):
+    """An argparse type: int(text); a non-integer or one below minimum is a usage
+    error with one message."""
     def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
         return value
     return parse
 
 
+def _float_or_nan(text: str) -> float:
+    """float(text), or nan for a non-number, so that one check rejects both."""
+    try:
+        return float(text)
+    except ValueError:
+        return np.nan
+
+
 def _positive_float(text: str) -> float:
-    value = float(text)
+    """float(text); a non-number, nan, +inf or a value <= 0 is a usage error with one message."""
+    value = _float_or_nan(text)
     if not 0 < value < np.inf:
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
@@ -382,10 +396,7 @@ def _positive_float(text: str) -> float:
 
 def _finite_float(text: str) -> float:
     """float(text); a non-number, nan or +-inf is a usage error with one message."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
+    value = _float_or_nan(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value

@@ -274,11 +274,11 @@ def _cubic_root(alpha: float, beta: float, gamma: float) -> float:
             - alpha * beta * gamma / 6 + beta ** 3 / 27 + gamma ** 2 / 4)
     base = -alpha ** 3 / 27 + beta * alpha / 6 - gamma / 2
     if disc >= 0:
-        s = np.sqrt(disc)
-        return alpha / 3 - np.cbrt(base + s) - np.cbrt(base - s)
+        s = math.sqrt(disc)
+        return float(alpha / 3 - np.cbrt(base + s) - np.cbrt(base - s))
     # three distinct real roots: the two cube roots are complex conjugates
     z = (base + np.sqrt(complex(disc))) ** (1 / 3.0)
-    return alpha / 3 - 2 * z.real
+    return alpha / 3 - 2 * float(z.real)
 
 
 def _companion_roots(alpha: float, beta: float, gamma: float, lam: float) -> tuple[float, float]:
@@ -289,11 +289,11 @@ def _companion_roots(alpha: float, beta: float, gamma: float, lam: float) -> tup
     rad = np.sqrt(complex(half * half - gamma / lam))
     if abs(rad.imag) > 1e-8 * max(1.0, abs(rad.real)):
         raise DegenerateSpectrumError(f"companion roots came out complex: {rad}")
-    return half + rad.real, half - rad.real
+    root = float(rad.real)
+    return half + root, half - root
 
 
-def _q3_cubic_coefficients(j: SpectralDensities) -> tuple[float, float, float]:
-    j0, j1, j2 = j.as_tuple()
+def _q3_cubic_coefficients(j0: float, j1: float, j2: float) -> tuple[float, float, float]:
     gamma = (-6804 * j0 ** 2 * j1 - 8748 * j0 ** 2 * j2 - 12573 * j0 * j1 ** 2
              - 35100 * j0 * j1 * j2 - 12303 * j0 * j2 ** 2 - 3653 * j1 ** 3
              - 16002 * j1 ** 2 * j2 - 13947 * j1 * j2 ** 2 - 2870 * j2 ** 3)
@@ -303,8 +303,7 @@ def _q3_cubic_coefficients(j: SpectralDensities) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
-def _q2_cubic_coefficients(j: SpectralDensities) -> tuple[tuple, tuple]:
-    j0, j1, j2 = j.as_tuple()
+def _q2_cubic_coefficients(j0: float, j1: float, j2: float) -> tuple[tuple, tuple]:
     gamma_a = (-225 * j0 ** 3 - 4764 * j0 ** 2 * j1 - 7753 * j0 ** 2 * j2
                - 13188 * j0 * j1 ** 2 - 37020 * j0 * j1 * j2 - 15783 * j0 * j2 ** 2
                - 6048 * j1 ** 3 - 26292 * j1 ** 2 * j2 - 21552 * j1 * j2 ** 2
@@ -323,20 +322,23 @@ def _q2_cubic_coefficients(j: SpectralDensities) -> tuple[tuple, tuple]:
 
 
 def _q5_root(j0: float, j1: float, j2: float) -> float:
-    """Square root of the q = 5 discriminant, shared by eigenvalues and eigenvectors."""
-    return np.sqrt(625 * j0 ** 2 - 800 * j0 * j1 - 250 * j0 * j2
-                   + 2944 * j1 ** 2 + 160 * j1 * j2 + 25 * j2 ** 2)
+    """Square root of the q = 5 discriminant, shared by eigenvalues and eigenvectors.
+
+    The discriminant is (25 J0 - 16 J1 - 5 J2)^2 + 2688 J1^2 >= 0; where round-off
+    takes it below zero (J2 near 5 J0 with J1 << J0), the root is 0."""
+    return math.sqrt(max(0.0, 625 * j0 ** 2 - 800 * j0 * j1 - 250 * j0 * j2
+                         + 2944 * j1 ** 2 + 160 * j1 * j2 + 25 * j2 ** 2))
 
 
 def _q4_roots(j0: float, j1: float, j2: float) -> tuple[float, float]:
     """Square roots of the two q = 4 discriminants, shared by eigenvalues and eigenvectors."""
-    return (np.sqrt(256 * (j0 - j1) ** 2 + 105 * (j1 - j2) ** 2),
-            np.sqrt(256 * j0 ** 2 + 105 * (j1 + j2) ** 2))
+    return (math.sqrt(256 * (j0 - j1) ** 2 + 105 * (j1 - j2) ** 2),
+            math.sqrt(256 * j0 ** 2 + 105 * (j1 + j2) ** 2))
 
 
 def analytic_eigenvalues(q: int, j: SpectralDensities) -> list[float]:
-    """Closed-form eigenvalues for q in 2..7, in the published index order."""
-    j0, j1, j2 = j.as_tuple()
+    """Closed-form eigenvalues for q in 2..7, as Python floats in the published index order."""
+    j0, j1, j2 = map(float, j.as_tuple())
     if q == 7:
         return [-(21 * j1 + 7 * j2)]
     if q == 6:
@@ -350,13 +352,13 @@ def analytic_eigenvalues(q: int, j: SpectralDensities) -> list[float]:
         return [-20 * j0 - 29 * j1 - 21 * j2 - sa, -20 * j0 - 29 * j1 - 21 * j2 + sa,
                 -20 * j0 - 13 * j1 - 21 * j2 - sb, -20 * j0 - 13 * j1 - 21 * j2 + sb]
     if q == 3:
-        alpha, beta, gamma = _q3_cubic_coefficients(j)
+        alpha, beta, gamma = _q3_cubic_coefficients(j0, j1, j2)
         lam3 = _cubic_root(alpha, beta, gamma)
         iota, sigma = _companion_roots(alpha, beta, gamma, lam3)
         return [iota, -(9 * j0 + 21 * j1 + 40 * j2), lam3,
                 -(36 * j0 + 13 * j1 + 21 * j2), sigma]
     if q == 2:
-        set_a, set_b = _q2_cubic_coefficients(j)
+        set_a, set_b = _q2_cubic_coefficients(j0, j1, j2)
         lam2 = _cubic_root(*set_a)
         iota_a, sigma_a = _companion_roots(*set_a, lam2)
         lam4 = _cubic_root(*set_b)
@@ -368,7 +370,7 @@ def analytic_eigenvalues(q: int, j: SpectralDensities) -> list[float]:
 def _q5_pair(j: SpectralDensities) -> tuple[float, float]:
     j0, j1, j2 = j.as_tuple()
     s = _q5_root(j0, j1, j2)
-    den = 10 * np.sqrt(42) * (-5 * j0 + 4 * j1 + j2)
+    den = 10 * math.sqrt(42) * (-5 * j0 + 4 * j1 + j2)
     _degenerate_guard(den, "q=5 a1/b1 denominator", scale=j0)
     num = 25 * j0 + 656 * j1 - 5 * j2
     return (num - 13 * s) / den, (num + 13 * s) / den
@@ -430,30 +432,29 @@ def _analytic_w_bar(q: int, j: SpectralDensities, lam: list[float]) -> np.ndarra
     raise ValueError(f"no closed-form transformation for q={q} (only 2..7)")
 
 
-def _cartesian_vector(lam: float, xi: dict, arrangement: str) -> np.ndarray:
-    """Published eigenvector pattern of the symmetric-subspace 3x3 system."""
+def _cartesian_vector(lam: float, xi: dict, arrangement: str) -> list[float]:
+    """Published eigenvector pattern of the symmetric-subspace 3x3 system, as a unit vector."""
     mid = xi[3] if arrangement == "q3" else xi[2]
-    if arrangement == "q3":
-        v = np.array([xi[4] * (lam - mid), (lam - xi[1]) * (lam - mid), xi[5] * (lam - xi[1])])
-    else:
-        v = np.array([xi[4] * (lam - mid), xi[5] * (lam - xi[1]), (lam - xi[1]) * (lam - mid)])
-    norm = np.linalg.norm(v)
+    x, cross, z = xi[4] * (lam - mid), (lam - xi[1]) * (lam - mid), xi[5] * (lam - xi[1])
+    v = (x, cross, z) if arrangement == "q3" else (x, z, cross)
+    norm = math.hypot(*v)
     # components are products of two rate-scale quantities; guard relative to that
     magnitude = (abs(lam - xi[1]) + abs(lam - mid) + abs(xi[4]) + abs(xi[5])) ** 2
     _degenerate_guard(norm, "cartesian-parameter normalization", scale=magnitude)
-    return v / norm
+    return [u / norm for u in v]
 
 
 def _cartesian_w_bar(basis: np.ndarray, lam: list[float], systems: tuple) -> np.ndarray:
     """basis @ R for q = 3 and 2: R is the identity but for each (xi, arrangement,
     modes) 3x3 system, whose published Cartesian vectors of the (1-based) modes
     fill the rows and columns modes - 1."""
-    r = np.eye(basis.shape[1])
+    n = basis.shape[1]
+    r = [[float(row == col) for col in range(n)] for row in range(n)]
     for xi, arrangement, modes in systems:
-        idx = [k - 1 for k in modes]
         for k in modes:
-            r[idx, k - 1] = _cartesian_vector(lam[k - 1], xi, arrangement)
-    return basis @ r
+            for row, value in zip(modes, _cartesian_vector(lam[k - 1], xi, arrangement)):
+                r[row - 1][k - 1] = value
+    return basis @ np.array(r)
 
 
 @lru_cache(maxsize=1)
@@ -501,10 +502,8 @@ def analytic_eigensystem(q: int, j: SpectralDensities,
     values = analytic_eigenvalues(q, j)
     w_bar = _analytic_w_bar(q, j, values)
     _degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
-    lam = np.array(values, dtype=float)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    w_bar = w_bar[:, order]
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable
+    lam, w_bar = np.array([values[k] for k in order]), w_bar[:, order]
     return BlockEigensystem(q=q, eigenvalues=lam, w=np.linalg.inv(w_bar), w_bar=w_bar,
                             rates=_rates_from_eigenvalues(lam, c))
 
@@ -535,29 +534,20 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
     orders 2..7 are compared through their sorted spectra, all from one sector_spectra.
     """
     tables = load_reference_tables()
-
-    b0 = assemble_block(0, j).matrix
-    t0 = tables.j0_block.evaluate(j)
-    d0 = np.abs(tables.u0 @ b0 @ tables.u0_bar - t0)
-    q0_scale = np.max(np.abs(t0))
-
-    b1 = assemble_block(1, j).matrix
-    t1 = tables.j1_block.evaluate(j)
-    basis1 = tables.u1 @ b1 @ tables.u1_bar
+    t0, t1 = tables.j0_block.evaluate(j), tables.j1_block.evaluate(j)
+    d0 = np.abs(tables.u0 @ assemble_block(0, j).matrix @ tables.u0_bar - t0)
+    basis1 = tables.u1 @ assemble_block(1, j).matrix @ tables.u1_bar
     d1 = np.abs(basis1 - t1)
-    q1_scale = np.max(np.abs(t1))
-
-    variants = tables.printed_j1_variants.evaluate(j)
-    printed_dev = 0.0
-    for (r, kk) in tables.printed_j1_variants.entries:
-        printed_dev = max(printed_dev, abs(basis1[r - 1, kk - 1] - variants[r - 1, kk - 1]))
+    cells = tables.printed_j1_variants.cells
+    printed_dev = np.abs(basis1[cells] - tables.printed_j1_variants.evaluate(j)[cells]).max()
 
     spectra, numeric = [], sector_spectra(j.as_tuple())
     for q in range(2, 8):
-        lam_num, lam_ana = np.sort(numeric[q]), np.sort(analytic_eigenvalues(q, j))
-        spectra.append((q, float(np.max(np.abs(lam_num - lam_ana)) / np.max(np.abs(lam_num)))))
+        lam_num, lam_ana = sorted(numeric[q].tolist()), sorted(analytic_eigenvalues(q, j))
+        dev = max(abs(a - b) for a, b in zip(lam_num, lam_ana)) / max(map(abs, lam_num))
+        spectra.append((q, dev))
 
     return TableValidationReport(
-        q0_max_rel=float(np.max(d0) / q0_scale), q1_max_rel=float(np.max(d1) / q1_scale),
+        q0_max_rel=float(d0.max() / np.abs(t0).max()), q1_max_rel=float(d1.max() / np.abs(t1).max()),
         spectra_max_rel=tuple(spectra), printed_variant_max_abs=float(printed_dev),
     )

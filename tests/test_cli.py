@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,37 @@ def test_unknown_flag_exits_2(capsys):
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
         assert err.value.code == 2
+
+
+
+def _typed_flags() -> list[tuple[str, str]]:
+    """(subcommand, flag) for every option that converts or checks its value."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [(name, action.option_strings[0]) for name, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.option_strings and (action.type is not None or action.choices)]
+
+
+def test_typed_flags_cover_the_counts_and_times():
+    assert {("ilt", "--t-min"), ("evolve", "--t-max"), ("evolve", "--points"),
+            ("fit", "--restarts"), ("rates", "--q")} <= set(_typed_flags())
+
+
+@pytest.mark.parametrize("command, flag", _typed_flags())
+def test_non_value_of_a_typed_flag_names_no_private_function(tmp_path, capsys, command, flag):
+    # argparse words a bare ValueError as "invalid <type function> value"; every
+    # type function raises its own message, so none of its names reach the user
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as err:
+        main([command, flag, "abc", "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert message.startswith(f"quadrelax {command}: error: argument {flag}: ")
+    named = re.search(r"invalid (\w+) value", message)
+    assert named is None or named.group(1) in ("int", "float"), message
+    assert not re.search(r"(?<![\w-])_\w", message), message
+    assert not out.exists()
 
 
 #: the options each subcommand declares: the flags its code reads, and no others

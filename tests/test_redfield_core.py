@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from quadrelax.redfield_core import (
     evaluate_block,
     liouville_superoperator,
     numeric_eigensystem,
+    sector_spectra,
     validate_against_reference_tables,
 )
 from quadrelax.spin_algebra import QuadrupoleSet, SpinSystem, make_quadrupole_operators
@@ -334,6 +339,22 @@ def test_equal_j_degenerate_falls_back(c_ref):
         np.testing.assert_allclose(lam_num, lam_ana, rtol=1e-9)
 
 
+def test_q5_discriminant_rounded_below_zero_is_a_double_root():
+    # near J2 = 5 J0 with J1 << J0 the q = 5 discriminant, a sum of squares, rounds
+    # below zero; its root is 0, not nan (a silently wrong eigensystem) or a math
+    # domain error, and the two coinciding modes raise through the determinant
+    j = SpectralDensities(3.062973780756768, 6.633918380418473e-09, 15.314868889723979)
+    j0, j1, j2 = j.as_tuple()
+    assert (625 * j0 ** 2 - 800 * j0 * j1 - 250 * j0 * j2
+            + 2944 * j1 ** 2 + 160 * j1 * j2 + 25 * j2 ** 2) < 0
+    lam = analytic_eigenvalues(5, j)
+    assert lam[0] == lam[2]
+    np.testing.assert_allclose(sorted(lam), np.linalg.eigvalsh(assemble_block(5, j).matrix),
+                               rtol=1e-8)
+    with pytest.raises(DegenerateSpectrumError, match="determinant"):
+        analytic_eigensystem(5, j)
+
+
 def test_equal_w_bar_columns_raise(j_ref, monkeypatch):
     # two coinciding modes give two equal w_bar columns; the determinant guard,
     # not np.linalg.inv, rejects the singular transformation
@@ -423,6 +444,49 @@ def test_published_w_bar_is_orthonormal():
             np.testing.assert_allclose(w_bar.T @ w_bar, np.eye(8 - q), rtol=0, atol=1e-9)
 
 
+def _sweep_draws(n, seed):
+    """Criterion-3 triples, J1 = J2, J0/J2 up to 1e5, J0 = J1 = J2, and triples
+    within 1e-12 to 1e-2 of it, in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        j = random_j(rng)
+        j0, j1, j2 = j.as_tuple()
+        kind = i % 5
+        if kind == 1:
+            j2 = j1
+        elif kind == 2:
+            j2 = rng.uniform(0.05, 1.0)
+            ratio = 10 ** rng.uniform(0.0, 5.0)
+            j0, j1 = j2 * ratio, j2 * 10 ** rng.uniform(0.0, np.log10(ratio))
+        elif kind == 3:
+            j0 = j1 = j2
+        elif kind == 4:
+            d1, d2 = 10 ** rng.uniform(-12, -2, 2)
+            j1 = j2 * (1 + d1)
+            j0 = j1 * (1 + d2)
+        yield SpectralDensities(float(j0), float(j1), float(j2))
+
+
+def test_closed_form_sweep():
+    # the eigenvalues are Python floats, the eigensystem orders exactly those
+    # values by descending lambda (ties keep the published order), and w inverts
+    # w_bar wherever no DegenerateSpectrumError is raised
+    outcomes = {"raised": 0, "passed": 0}
+    for j in _sweep_draws(500, seed=41):
+        for q in range(2, 8):
+            try:
+                values = analytic_eigenvalues(q, j)
+                es = analytic_eigensystem(q, j)
+            except DegenerateSpectrumError:
+                outcomes["raised"] += 1
+                continue
+            outcomes["passed"] += 1
+            assert all(type(v) is float for v in values), (q, j)
+            assert es.eigenvalues.tobytes() == np.array(sorted(values, reverse=True)).tobytes()
+            np.testing.assert_allclose(es.w @ es.w_bar, np.eye(8 - q), rtol=0, atol=1e-10)
+    assert min(outcomes.values()) > 0, outcomes
+
+
 # -- published-table conformance ---------------------------------------------
 
 def test_validate_report():
@@ -450,3 +514,79 @@ def test_printed_variants_are_inconsistent_with_assembly():
         assert abs(printed[r - 1, c - 1]) > 0.5
     assert basis1[5, 5] == pytest.approx(-12 / 13 * j.j0 - 209 / 13 * j.j1 - 11 * j.j2, rel=1e-10)
     assert abs(printed[5, 5] - (-6197 / 429 * j.j1)) < 1e-12
+
+
+def _file_order_entries():
+    """The J0T, J1T and PRINTED J1T entries of the fixture, each cell's terms in
+    the order the file lists them; a PRINTED line overwrites an earlier one."""
+    text = resources.files("quadrelax").joinpath("_table_data/reference_tables.txt").read_text()
+    entries = {"J0T": {}, "J1T": {}, "J1T-printed": {}}
+    for line in text.splitlines():
+        parts = line.split("#", 1)[0].split()
+        printed = parts[:1] == ["PRINTED"]
+        parts = parts[printed:]
+        if len(parts) == 6 and parts[0] in ("J0T", "J1T"):
+            cell = entries[parts[0] + "-printed" * printed].setdefault(
+                (int(parts[1]) - 1, int(parts[2]) - 1), {})
+            cell[parts[3]] = float(Fraction(parts[4])) * math.sqrt(float(Fraction(parts[5])))
+    return entries
+
+
+def _file_order_sum(cells, shape, j):
+    coeffs = {"J0": j.j0, "J1": j.j1, "J2": j.j2}
+    out = np.zeros(shape)
+    for (r, c), terms in cells.items():
+        out[r, c] = sum(v * coeffs[t] for t, v in terms.items())
+    return out
+
+
+def _table_triples():
+    """Criterion-3 triples scaled from 1e-10 to 1 (data/theoretical.cfg gives J near
+    1e-9), and triples with J0/J2 up to 1e5."""
+    rng = np.random.default_rng(23)
+    for i in range(60):
+        j0, j1, j2 = random_j(rng).as_tuple()
+        if i % 3 == 2:
+            j2 = rng.uniform(0.05, 1.0)
+            j0, j1 = j2 * 10 ** rng.uniform(4.0, 5.0), j2 * 10 ** rng.uniform(0.0, 4.0)
+        scale = 10 ** rng.uniform(-10.0, 0.0)
+        yield SpectralDensities(j0 * scale, j1 * scale, j2 * scale)
+
+
+def test_coefficient_stacks_sum_each_entry_in_file_order():
+    # the stacked evaluation j0 S0 + j1 S1 + j2 S2 is bit-identical to summing each
+    # entry's terms as the fixture lists them, J0T, J1T and the printed variants alike
+    tables = load_reference_tables()
+    entries = _file_order_entries()
+    pairs = {"J0T": tables.j0_block, "J1T": tables.j1_block,
+             "J1T-printed": tables.printed_j1_variants}
+    for name, table in pairs.items():
+        assert table.stack.shape[0] == 3 and not table.stack.flags.writeable
+        assert set(zip(*table.cells)) == set(entries[name])
+    for j in _table_triples():
+        for name, table in pairs.items():
+            want = _file_order_sum(entries[name], table.stack.shape[1:], j)
+            assert table.evaluate(j).tobytes() == want.tobytes(), (name, j)
+
+
+def test_validate_report_is_the_numpy_formula_bit_for_bit():
+    tables = load_reference_tables()
+    entries = _file_order_entries()
+    for j in _table_triples():
+        report = validate_against_reference_tables(j)
+        t0 = _file_order_sum(entries["J0T"], (8, 8), j)
+        t1 = _file_order_sum(entries["J1T"], (7, 7), j)
+        d0 = np.abs(tables.u0 @ assemble_block(0, j).matrix @ tables.u0_bar - t0)
+        assert report.q0_max_rel.hex() == float(np.max(d0) / np.max(np.abs(t0))).hex()
+        basis1 = tables.u1 @ assemble_block(1, j).matrix @ tables.u1_bar
+        d1 = np.abs(basis1 - t1)
+        assert report.q1_max_rel.hex() == float(np.max(d1) / np.max(np.abs(t1))).hex()
+        printed = _file_order_sum(entries["J1T-printed"], (7, 7), j)
+        assert report.printed_variant_max_abs.hex() == float(max(
+            abs(basis1[cell] - printed[cell]) for cell in entries["J1T-printed"])).hex()
+        numeric, spectra = sector_spectra(j.as_tuple()), []
+        for q in range(2, 8):
+            lam_num, lam_ana = np.sort(numeric[q]), np.sort(analytic_eigenvalues(q, j))
+            spectra.append(
+                (q, float(np.max(np.abs(lam_num - lam_ana)) / np.max(np.abs(lam_num))).hex()))
+        assert [(q, d.hex()) for q, d in report.spectra_max_rel] == spectra
