@@ -308,7 +308,6 @@ def test_unknown_flag_exits_2(capsys):
         assert err.value.code == 2
 
 
-
 def _typed_flags() -> list[tuple[str, str]]:
     """(subcommand, flag) for every option that converts or checks its value."""
     subparsers = next(action for action in build_parser()._actions
