@@ -21,7 +21,7 @@ from .curves import (DataFormatError, DecayCurve, data_lines, format_table, numb
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
-from .redfield_core import (_ZERO_MODE_RTOL, _rates_from_eigenvalues, sector_spectra,
+from .redfield_core import (_ZERO_MODE_RTOL, sector_spectra, sector_table,
                             validate_against_reference_tables)
 # no subcommand calls it any more; bench/test_bench_stats.py still expects the tracer
 # to patch this name in cli's namespace, so it stays imported until the benchmark changes
@@ -98,8 +98,12 @@ def _state(name: str) -> evolution.DensityState:
 
 
 def _diagonal_state_from_file(path: Path) -> evolution.DensityState:
-    values = [parse_finite(tok, path, lineno) for lineno, line in data_lines(path)
-              for tok in line.replace(",", " ").split()]
+    values = []
+    for lineno, line in data_lines(path):
+        for tok in line.replace(",", " ").split():
+            values.append(parse_finite(tok, path, lineno))
+            if values[-1] < 0:
+                raise DataFormatError(f"{path}:{lineno}: negative population {tok!r}")
     if len(values) != 8:
         raise DataFormatError(f"{path}: expected 8 diagonal populations, got {len(values)}")
     diag = np.array(values)
@@ -171,12 +175,19 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     j = cfg.densities()
     c = cfg.constant()
-    orders = range(8) if args.q == "all" else [int(args.q)]
-    spectra = sector_spectra(j.as_tuple())
-    rows = []
-    for q in orders:
-        for p, rate in enumerate(_rates_from_eigenvalues(spectra[q], c), start=1):
-            rows.append((q, p, rate, 1.0 / rate if rate > 0 else np.inf))
+    table = sector_table()
+    orders, starts = table.orders, table.starts
+    # every order's rates in one pass; the zero-mode threshold stays per order, as in
+    # _rates_from_eigenvalues
+    lam = np.concatenate(sector_spectra(j.as_tuple()))
+    mag = np.abs(lam)
+    rates = -c.c * lam
+    rates[mag < _ZERO_MODE_RTOL * np.maximum.reduceat(mag, starts)[orders]] = 0.0
+    times = np.divide(1.0, rates, out=np.full_like(rates, np.inf), where=rates > 0)
+    modes = np.arange(lam.size) - np.take(starts, orders) + 1
+    rows = np.column_stack([orders, modes, rates, times])
+    if args.q != "all":
+        rows = rows[orders == int(args.q)]
     out = Path(cfg.out) / "rates.txt"
     write_table(out, ["q", "p", "rate_hz", "time_s"], rows, raw=args.raw, int_columns=2)
     print(f"wrote {out} ({len(rows)} modes; C = {format_number(c.c, args.raw)} Hz^2)")

@@ -19,7 +19,10 @@ from functools import lru_cache
 import numpy as np
 
 from .phys_params import QuadrupolarConstant, SpectralDensities
-from .redfield_core import BlockEigensystem, assemble_block, numeric_eigensystem
+from .redfield_core import BlockEigensystem, _rates_from_eigenvalues, sector_modes
+# propagate no longer calls it; bench/test_bench_stats.py still expects the tracer to
+# patch this name in evolution's namespace, so it stays imported until the benchmark changes
+from .redfield_core import numeric_eigensystem  # noqa: F401
 from .spin_algebra import make_spin_operators
 
 _HERM_TOL = 1e-12
@@ -120,10 +123,13 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
     """Trajectories of the zero-based (row, col) ``elements`` over sorted times, as a
     (T, len(elements)) complex array.
 
-    Only the coherence orders |row - col| that the elements lie in are assembled and
-    solved, each once.  An element on or below the diagonal is column ``col`` of its
-    order; one above it is the conjugate of its mirror (the negative-order blocks are
-    identical real matrices, so this loses nothing).
+    Only the coherence orders |row - col| that the elements lie in are solved, all
+    at once from their reversal-parity sectors (sector_modes), and only the requested
+    elements are synthesised: element n of order q is
+    eq[n] + sum_m u[n, m] exp(-R_m t) (u^T dev)_m, and at t = 0, where the propagator
+    is the identity, exactly rho0's element.  An element on or below the diagonal is
+    column ``col`` of its order; one above it is the conjugate of its mirror (the
+    negative-order blocks are identical real matrices, so this loses nothing).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -136,15 +142,24 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
     for row, col in elements:
         if not (0 <= row < 8 and 0 <= col < 8):
             raise ValueError(f"element ({row}, {col}) outside 0..7")
+    if times[0] < 0:
+        raise ValueError(f"elapsed time must be non-negative, got {float(times[0])}")
+    at_zero = np.searchsorted(times, 0.0, side="right")
     by_order = {}
-    out = np.empty((times.size, len(elements)), dtype=complex)
     for k, (row, col) in enumerate(elements):
-        q = abs(row - col)
-        if q not in by_order:
-            by_order[q] = evolve_block(numeric_eigensystem(assemble_block(q, j), c),
-                                       rho0, rho_eq, times)
-        vals = by_order[q][:, min(row, col)]
-        out[:, k] = vals if row >= col else vals.conj()
+        by_order.setdefault(abs(row - col), []).append(k)
+    modes = sector_modes(sorted(by_order), j.as_tuple())
+    out = np.empty((times.size, len(elements)), dtype=complex)
+    for q, ks in by_order.items():
+        lam, u = modes[q]
+        start, eq = rho0.coherence_vector(q), rho_eq.coherence_vector(q)
+        decay = np.exp(-_rates_from_eigenvalues(lam, c) * times[:, None]) * ((start - eq) @ u)
+        for k in ks:
+            row, col = elements[k]
+            n = min(row, col)
+            vals = eq[n] + decay @ u[n]
+            vals[:at_zero] = start[n]
+            out[:, k] = vals if row >= col else vals.conj()
     return out
 
 

@@ -40,7 +40,8 @@ class DegenerateSpectrumError(ValueError):
     Raised by analytic_eigensystem where a denominator of an eigenvalue or w_bar
     formula is within 1e-12 of zero (the q = 5 a1/b1 denominator, q = 4 J1 - J2,
     a q = 2 or 3 Cartesian vector's norm, a zero cubic root), where the q = 2 or
-    3 companion roots come out complex, or where |det w_bar| <= 1e-12."""
+    3 companion roots come out complex, or where |det w_bar| <= 1e-12 (q = 2..5;
+    the q = 6 and 7 w_bar are constants)."""
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,14 @@ class SectorTable:
     """The read-only reversal-parity sectors of q = 0..7 (README, "Reversal-parity
     sectors"): sectors[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o)), and
     stacks[i] holds the projections of every sector of size 4 - i, by q, as one
-    (n, s, s, 3) array."""
+    (n, s, s, 3) array.  The 36 eigenvalues of the stacks, concatenated, run order
+    by order: orders[v] is the q of value v and starts[q] the index of order q's
+    first value."""
 
     sectors: tuple
     stacks: tuple
+    orders: np.ndarray
+    starts: tuple
 
 
 @lru_cache(maxsize=1)
@@ -195,9 +200,16 @@ def sector_table() -> SectorTable:
         mats = [np.stack([p.T @ a @ p for a in coefs]) for p in pair]
         sectors.append(tuple((p, (m + m.transpose(0, 2, 1)) / 2) for p, m in zip(pair, mats)))
     flat = [mats for pair in sectors for _, mats in pair]
-    table = SectorTable(tuple(sectors), tuple(
-        np.stack([m.transpose(1, 2, 0) for m in flat if m.shape[-1] == s]) for s in (4, 3, 2, 1)))
-    for arr in (*(a for pair in sectors for sector in pair for a in sector), *table.stacks):
+    # listed by q, even first, the sector sizes never increase (4, 4, 4, 3, ..., 1, 0),
+    # so the stacks' eigenvalues concatenate order by order
+    dims = np.arange(8, 0, -1)
+    table = SectorTable(
+        tuple(sectors),
+        tuple(np.stack([m.transpose(1, 2, 0) for m in flat if m.shape[-1] == s])
+              for s in (4, 3, 2, 1)),
+        np.repeat(np.arange(8), dims), tuple((np.cumsum(dims) - dims).tolist()))
+    for arr in (*(a for pair in sectors for sector in pair for a in sector), *table.stacks,
+                table.orders):
         arr.flags.writeable = False
     return table
 
@@ -205,13 +217,40 @@ def sector_table() -> SectorTable:
 def sector_spectra(weights: tuple[float, float, float]) -> list[np.ndarray]:
     """The eigenvalues of the blocks of q = 0..7 at the weights (J's or B's), each
     order's descending, from one eigvalsh call per sector size and no eigenvectors."""
-    w = np.array(weights, dtype=float)
-    # listed by q, even first, the sector sizes never increase (4, 4, 4, 3, ..., 1, 0),
-    # so the stacks' spectra concatenate order by order
+    w, table = np.array(weights, dtype=float), sector_table()
     lam = np.concatenate([(np.linalg.eigvalsh(m) if m.shape[-1] > 1 else m[..., 0]).ravel()
-                          for m in (stack @ w for stack in sector_table().stacks)])
-    ends = np.cumsum(np.arange(8, 0, -1)).tolist()
-    return [np.sort(lam[end - 8 + q:end])[::-1] for q, end in enumerate(ends)]
+                          for m in (stack @ w for stack in table.stacks)])
+    lam = lam[np.lexsort((-lam, table.orders))]
+    return [lam[a:b] for a, b in zip(table.starts, (*table.starts[1:], lam.size))]
+
+
+def sector_modes(orders, weights: tuple[float, float, float]) -> dict:
+    """{q: (lam, u)} for each order q in orders, with block(q) = u diag(lam) u^T at the
+    weights (J's or B's) and u = [P_e V_e | P_o V_o]: one eigh call per sector size over
+    just those orders' sectors.  The modes of an order are its even sector's and then
+    its odd sector's, each ascending, with eigh's signs; the arrays are read-only."""
+    sectors = sector_table().sectors
+    by_size = {}
+    for q in orders:
+        for p, mats in sectors[q]:
+            if p.shape[1]:  # the q = 7 odd sector is empty
+                by_size.setdefault(p.shape[1], []).append((q, p, mats))
+    parts = {q: [] for q in orders}
+    # largest first, so that each order lists its even sector before its odd one
+    for size, group in sorted(by_size.items(), reverse=True):
+        a = np.stack([mats for _, _, mats in group])
+        # elementwise, as evaluate_block, so that a sector's matrix does not depend on
+        # which other sectors share its stack
+        m = weights[0] * a[:, 0] + weights[1] * a[:, 1] + weights[2] * a[:, 2]
+        lam, vec = np.linalg.eigh(m) if size > 1 else (m[..., 0], np.ones_like(m))
+        for (q, p, _), lam_s, vec_s in zip(group, lam, vec):
+            parts[q].append((lam_s, p @ vec_s))
+    modes = {}
+    for q, pair in parts.items():
+        lam, u = np.concatenate([lam for lam, _ in pair]), np.hstack([u for _, u in pair])
+        lam.flags.writeable = u.flags.writeable = False
+        modes[q] = (lam, u)
+    return modes
 
 
 def _canonical_eigensystem(q: int, lam: np.ndarray, vec: np.ndarray,
@@ -381,14 +420,22 @@ def _degenerate_guard(value: float, what: str, scale: float = 1.0) -> None:
         raise DegenerateSpectrumError(f"{what} within 1e-12 of zero; fall back to numeric_eigensystem")
 
 
+@lru_cache(maxsize=None)
+def _constant_transformation(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The published (w_bar, w = inv(w_bar)) of q = 6 or 7, which do not depend on J,
+    as read-only arrays.  They are already in ascending-rate order: the q = 6
+    eigenvalues differ by 42 J1 > 0, and a tie keeps the published order."""
+    w_bar = np.array([[1.0]]) if q == 7 else np.array([[-1.0, 1.0], [1.0, 1.0]]) / math.sqrt(2)
+    w = np.linalg.inv(w_bar)
+    w_bar.flags.writeable = w.flags.writeable = False
+    return w_bar, w
+
+
 def _analytic_w_bar(q: int, j: SpectralDensities, lam: list[float]) -> np.ndarray:
-    """The published w_bar in the published mode order; lam is analytic_eigenvalues(q, j)."""
+    """The published w_bar of q = 2..5 in the published mode order; lam is
+    analytic_eigenvalues(q, j)."""
     sq = math.sqrt  # every argument is positive; as exact as np.sqrt and faster on scalars
     j0, j1, j2 = j.as_tuple()
-    if q == 7:
-        return np.array([[1.0]])
-    if q == 6:
-        return np.array([[-1.0, 1.0], [1.0, 1.0]]) / sq(2)
     if q == 5:
         a1, b1 = _q5_pair(j)
         na, nb = sq(a1 ** 2 + 1), sq(b1 ** 2 + 1)
@@ -429,7 +476,7 @@ def _analytic_w_bar(q: int, j: SpectralDensities, lam: list[float]) -> np.ndarra
                 5: -24 / 143 * sq(770) * (j0 + 2 * j1 - 3 * j2)}
         return _cartesian_w_bar(_q2_constant_basis(), lam,
                                 ((xi_a, "q2", (1, 2, 5)), (xi_b, "q2", (3, 4, 6))))
-    raise ValueError(f"no closed-form transformation for q={q} (only 2..7)")
+    raise ValueError(f"no J-dependent closed-form transformation for q={q} (only 2..5)")
 
 
 def _cartesian_vector(lam: float, xi: dict, arrangement: str) -> list[float]:
@@ -493,18 +540,24 @@ def analytic_eigensystem(q: int, j: SpectralDensities,
     """Closed-form eigensystem for q in 2..7 with modes reordered by ascending rate.
 
     w_bar is the published closed form, with its published signs; w is its
-    inverse, np.linalg.inv(w_bar).  Every w_bar column is a unit vector, so a
-    |det w_bar| of at most 1e-12 means two modes (nearly) coincide and raises
-    DegenerateSpectrumError, as does a vanishing denominator of a w_bar entry or
-    of an eigenvalue formula.  Without a quadrupolar constant the rates are
-    reported as -lambda (the C = 1 convention).
+    inverse, np.linalg.inv(w_bar).  For q = 2..5 every w_bar column is a unit
+    vector, so a |det w_bar| of at most 1e-12 means two modes (nearly) coincide
+    and raises DegenerateSpectrumError, as does a vanishing denominator of a w_bar
+    entry or of an eigenvalue formula.  The q = 6 and 7 w_bar and w are constants,
+    built once and returned read-only.  Without a quadrupolar constant the rates
+    are reported as -lambda (the C = 1 convention).
     """
     values = analytic_eigenvalues(q, j)
-    w_bar = _analytic_w_bar(q, j, values)
-    _degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
-    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable
-    lam, w_bar = np.array([values[k] for k in order]), w_bar[:, order]
-    return BlockEigensystem(q=q, eigenvalues=lam, w=np.linalg.inv(w_bar), w_bar=w_bar,
+    if q >= 6:
+        w_bar, w = _constant_transformation(q)
+        lam = np.array(values)
+    else:
+        w_bar = _analytic_w_bar(q, j, values)
+        _degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
+        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable
+        lam, w_bar = np.array([values[k] for k in order]), w_bar[:, order]
+        w = np.linalg.inv(w_bar)
+    return BlockEigensystem(q=q, eigenvalues=lam, w=w, w_bar=w_bar,
                             rates=_rates_from_eigenvalues(lam, c))
 
 

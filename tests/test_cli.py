@@ -10,7 +10,8 @@ import pytest
 
 from quadrelax import analysis, cli, evolution
 from quadrelax.cli import EXIT_DATA, EXIT_OK, build_parser, format_number, load_config, main
-from quadrelax.redfield_core import CoherenceBlock, evaluate_block, numeric_eigensystem
+from quadrelax.redfield_core import (CoherenceBlock, evaluate_block, numeric_eigensystem,
+                                     sector_modes)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 from quadrelax.curves import (DataFormatError, DecayCurve, format_table, read_curve,
@@ -748,6 +749,18 @@ def test_non_finite_population_file_exits_3(tmp_path, theo_cfg, capsys, flag):
     assert f"{pops}:3: not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--state", "--equilibrium"])
+def test_negative_population_file_exits_3(tmp_path, theo_cfg, capsys, flag):
+    # the populations sum to 1, but -0.5 is no probability
+    pops = tmp_path / "pops.txt"
+    pops.write_text("# populations\n1.5 -0.5 0 0\n0 0 0 0\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(theo_cfg), flag, f"file:{pops}",
+                 "--t-max", "1e-3", "--points", "5", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {pops}:2: negative population '-0.5'" in capsys.readouterr().err
+    assert not (out / "trajectory.txt").exists()
+
+
 @pytest.mark.parametrize("state", ["noon", "pure_top", "uniform", "file"])
 def test_evolve_state_names(tmp_path, theo_cfg, state):
     if state == "file":
@@ -789,11 +802,11 @@ def test_default_evolve_solves_two_orders(tmp_path, theo_cfg, monkeypatch):
     # the default elements 1,1;8,8;8,1 lie in orders 0 and 7 only
     orders = []
 
-    def counting(block, c=None):
-        orders.append(block.q)
-        return numeric_eigensystem(block, c)
+    def counting(qs, weights):
+        orders.extend(qs)
+        return sector_modes(qs, weights)
 
-    monkeypatch.setattr(evolution, "numeric_eigensystem", counting)
+    monkeypatch.setattr(evolution, "sector_modes", counting)
     assert main(["evolve", "--config", str(theo_cfg), "--t-max", "1e-3", "--points", "5",
                  "--out", str(tmp_path)]) == EXIT_OK
     assert sorted(orders) == [0, 7]

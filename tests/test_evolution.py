@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quadrelax.evolution import (
@@ -17,7 +19,9 @@ from quadrelax.phys_params import (SpectralDensities,
 from quadrelax import evolution
 from quadrelax.redfield_core import (CoherenceBlock, analytic_eigensystem,
                                      assemble_block, evaluate_block,
-                                     numeric_eigensystem)
+                                     liouville_superoperator, numeric_eigensystem,
+                                     sector_modes)
+from quadrelax.spin_algebra import SpinSystem, make_quadrupole_operators
 
 J_REF = lorentzian_spectral_densities(47.24e6, 4.1e-9)
 C_REF = quadrupolar_constant_simplified(266e3)
@@ -162,22 +166,28 @@ def test_propagate_preserves_hermiticity_and_trace():
 
 
 def test_propagate_is_the_per_order_scalar_assembly():
-    rng = np.random.default_rng(6)
-    rho0 = random_hermitian_state(rng)
+    # the sector solve agrees with evolve_block on the canonical numeric eigensystems
     eq = DensityState.pure_top()
     times = np.linspace(0.0, 2e-4, 25)
     systems = all_eigensystems(J_REF, C_REF)
-    want = np.zeros((times.size, 8, 8), dtype=complex)
-    for k, t in enumerate(times):
-        for q in range(8):
-            for n, v in enumerate(evolve_block(systems[q], rho0, eq, float(t))):
-                want[k, q + n, n] = v
-                if q > 0:
-                    want[k, n, q + n] = np.conj(v)
-    got = propagate(rho0, eq, J_REF, C_REF, times, ALL_PAIRS).reshape(-1, 8, 8)
-    np.testing.assert_array_equal(got, want)
-    # signed zeros too: the written trajectory prints them
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for state in ("noon", "pure_top", "uniform", "random"):
+        rho0 = (random_hermitian_state(np.random.default_rng(6)) if state == "random"
+                else getattr(DensityState, state)())
+        want = np.zeros((times.size, 8, 8), dtype=complex)
+        for k, t in enumerate(times):
+            for q in range(8):
+                for n, v in enumerate(evolve_block(systems[q], rho0, eq, float(t))):
+                    want[k, q + n, n] = v
+                    if q > 0:
+                        want[k, n, q + n] = np.conj(v)
+        got = propagate(rho0, eq, J_REF, C_REF, times, ALL_PAIRS).reshape(-1, 8, 8)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        if state != "random":
+            # every exact zero keeps its sign: the written trajectory prints them
+            for part in (np.real, np.imag):
+                zero = part(want) == 0
+                assert np.array_equal(part(got)[zero].view(np.uint64),
+                                      part(want)[zero].view(np.uint64)), state
 
 
 @pytest.mark.parametrize("state", ["noon", "uniform", "random"])
@@ -196,11 +206,11 @@ def test_propagate_subset_is_bitwise_the_full_columns(state):
 def test_propagate_solves_only_the_orders_of_its_elements(monkeypatch):
     orders = []
 
-    def counting(block, c=None):
-        orders.append(block.q)
-        return numeric_eigensystem(block, c)
+    def counting(qs, weights):
+        orders.extend(qs)
+        return sector_modes(qs, weights)
 
-    monkeypatch.setattr(evolution, "numeric_eigensystem", counting)
+    monkeypatch.setattr(evolution, "sector_modes", counting)
     propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [0.0, 1e-4],
               [(2, 5), (1, 1), (5, 2), (4, 4)])
     assert sorted(orders) == [0, 3]
@@ -222,6 +232,57 @@ def test_propagate_rejects_unsorted_times():
     with pytest.raises(ValueError):
         propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [1e-3, 1e-4],
                   CLI_PAIRS)
+
+
+def test_propagate_rejects_negative_time():
+    with pytest.raises(ValueError, match="non-negative"):
+        propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [-1e-6, 0.0],
+                  CLI_PAIRS)
+
+
+def test_propagate_starts_exactly_at_rho0():
+    # the propagator at t = 0 is the identity: every element of rho0, zeros included
+    rho0 = random_hermitian_state(np.random.default_rng(8))
+    traj = propagate(rho0, DensityState.pure_top(), J_REF, C_REF, [0.0, 0.0, 1e-4],
+                     ALL_PAIRS).reshape(-1, 8, 8)
+    lower = np.tril(rho0.matrix)
+    want = lower + np.tril(lower, -1).conj().T
+    assert np.array_equal(traj[0], want) and np.array_equal(traj[1], want)
+    noon = propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [0.0],
+                     ALL_PAIRS).reshape(8, 8)
+    assert np.array_equal(noon, DensityState.noon().matrix)
+
+
+#: forward-workload physics: Lorentzian J at omega0 tau_c from 1e-3 to 1e2, and the
+#: corners J1 = J2 and J0/J2 up to 1e5 built on a Lorentzian J
+_LARMOR = st.floats(np.log10(20e6), np.log10(200e6)).map(lambda e: 10.0 ** e)
+_W0_TAU = st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)
+_LORENTZIAN = st.tuples(_LARMOR, _W0_TAU).map(
+    lambda x: lorentzian_spectral_densities(x[0], x[1] / (2 * np.pi * x[0])))
+_FORWARD_J = st.one_of(
+    _LORENTZIAN,
+    _LORENTZIAN.map(lambda j: SpectralDensities(j.j0, j.j1, j.j1)),
+    st.tuples(_LORENTZIAN, st.floats(0.0, 5.0)).map(
+        lambda x: SpectralDensities(x[0].j2 * 10.0 ** x[1], x[0].j1, x[0].j2)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_FORWARD_J, st.floats(np.log10(5e3), np.log10(500e3)).map(lambda e: 10.0 ** e),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["pure_top", "uniform"]))
+def test_propagate_matches_the_liouville_exponential(j, quad_freq, fractions, seed, eq_name):
+    # every element against expm(C L t) of the full 64 x 64 superoperator, at times up
+    # to 20 q = 7 relaxation times
+    c = quadrupolar_constant_simplified(quad_freq)
+    times = np.sort(fractions) * 20.0 / (c.c * (21 * j.j1 + 7 * j.j2))
+    rho0, eq = random_hermitian_state(np.random.default_rng(seed)), getattr(DensityState, eq_name)()
+    generator = c.c * liouville_superoperator(make_quadrupole_operators(SpinSystem(7)), j)
+    got = propagate(rho0, eq, j, c, times, ALL_PAIRS).reshape(-1, 8, 8)
+    dev = (rho0.matrix - eq.matrix).reshape(-1)
+    for t, traj in zip(times, got):
+        want = eq.matrix + (expm(generator * t) @ dev).reshape(8, 8)
+        np.testing.assert_allclose(traj, want, rtol=0, atol=1e-12)
 
 
 def test_propagate_rejects_other_dimensions():

@@ -357,11 +357,12 @@ def test_q5_discriminant_rounded_below_zero_is_a_double_root():
 
 def test_equal_w_bar_columns_raise(j_ref, monkeypatch):
     # two coinciding modes give two equal w_bar columns; the determinant guard,
-    # not np.linalg.inv, rejects the singular transformation
-    monkeypatch.setattr(redfield_core, "_analytic_w_bar",
-                        lambda q, j, lam: np.array([[1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2))
+    # not np.linalg.inv, rejects the singular transformation (q = 2..5; the q = 6
+    # and 7 transformations are constants)
+    monkeypatch.setattr(redfield_core, "_analytic_w_bar", lambda q, j, lam: np.array(
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2)]]) / np.sqrt(2))
     with pytest.raises(DegenerateSpectrumError, match="determinant"):
-        analytic_eigensystem(6, j_ref)
+        analytic_eigensystem(5, j_ref)
 
 
 # -- analytic eigensystems ----------------------------------------------------
