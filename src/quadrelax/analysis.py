@@ -3,7 +3,8 @@ regularized inverse-Laplace time distributions, and residual diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
@@ -12,12 +13,17 @@ import numpy as np
 from .curves import DecayCurve
 from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
                         longitudinal_observable, transverse_observable)
-from .redfield_core import (BlockEigensystem, CoherenceBlock, evaluate_block,
-                            numeric_eigensystem, sector_table)
+from .redfield_core import _canonical_eigensystem, sector_modes, sector_table
+# the fit no longer calls it; bench/test_bench_stats.py calls it through analysis, so it
+# stays imported until the benchmark changes
+from .redfield_core import numeric_eigensystem  # noqa: F401
 
 PARAM_NAMES = ("a1z", "a2z", "a1x", "a2x", "b0", "b1", "b2")
 #: the fitted parameters: a2x is held at 1, so a1x carries the product a1x*a2x
 FIT_NAMES = ("a1z", "a2z", "a1x", "b0", "b1", "b2")
+#: eigenvalue pairs of a fitted sector closer than this times its largest |lambda| keep
+#: their divided difference in _b_derivatives
+_GAP_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -46,53 +52,64 @@ def _param_vector(params) -> np.ndarray:
     return vec
 
 
-@lru_cache(maxsize=None)
-def _parity_subspace(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fitted order-q signal c . exp(M t) d reduced to the reversal-parity sector
-    of c and d (see redfield_core.SectorTable).
+@lru_cache(maxsize=1)
+def _parity_subspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fitted signals c . exp(M t) d of q = 0 and q = 1 reduced to the
+    reversal-parity sector of their c and d (see redfield_core.SectorTable).
 
     <Iz> is odd under the reversal (q = 0, c = Iz, d = -Iz) and Ix's q = 1 weights
     and elements are even (c, d = transverse_observable()).  So exp(M t) keeps the
-    odd q = 0 and the even q = 1 sector, and the signal is (P^T c) . exp(P^T M P t)
-    (P^T d) with 4 x 4 matrices for both orders.  Returns the sector's stacked
-    P^T A_k P, shape (3, 4, 4), P^T c and P^T d, all read-only.
+    odd q = 0 and the even q = 1 sector, and each signal is (P^T c) . exp(P^T M P t)
+    (P^T d) with 4 x 4 matrices.  Returns both sectors' P^T A_k P, shape
+    (2, 3, 4, 4), P^T c and P^T d, shape (2, 4), indexed by q and read-only.
     """
     iz = longitudinal_observable()
-    obs, dev = (iz, -iz) if q == 0 else transverse_observable()
-    p, mats = sector_table().sectors[q][q == 0]
-    reduced = (mats, obs @ p, dev @ p)
-    for arr in reduced[1:]:
+    parts = []
+    for q, (obs, dev) in ((0, (iz, -iz)), (1, transverse_observable())):
+        p, mats = sector_table().sectors[q][q == 0]
+        parts.append((mats, obs @ p, dev @ p))
+    reduced = tuple(np.stack(arrays) for arrays in zip(*parts))
+    for arr in reduced:
         arr.flags.writeable = False
     return reduced
 
 
 @lru_cache(maxsize=1)
-def _joint_eigensystems(b0: float, b1: float,
-                        b2: float) -> tuple[BlockEigensystem, BlockEigensystem]:
-    """The q = 0 and q = 1 eigensystems of the 4 x 4 sectors of _parity_subspace at
-    the rate scales B, from one stacked eigh.  One entry: the fit's residual and
-    Jacobian at a trial point share one eigensolve.  The modes keep eigh's order
-    and signs, which neither the signals nor their derivatives depend on."""
+def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues lam, shape (2, 4), and orthonormal eigenvectors V (columns),
+    shape (2, 4, 4), of the two sectors of _parity_subspace at the rate scales B,
+    indexed by q, from one stacked eigh; read-only.  One entry: the fit's residual
+    and Jacobian at a trial point share one eigensolve.  The modes keep eigh's
+    order and signs, which neither the signals nor their derivatives depend on."""
     # the size-4 sectors by q, even first: q = 0 even, q = 0 odd, q = 1 even
     lam, vec = np.linalg.eigh(sector_table().stacks[0][1:] @ np.array([b0, b1, b2]))
-    rates = -lam
-    for arr in (lam, vec, rates):
-        arr.flags.writeable = False
-    return tuple(BlockEigensystem(q=q, eigenvalues=lam[q], w=vec[q].T, w_bar=vec[q],
-                                  rates=rates[q]) for q in (0, 1))
+    lam.flags.writeable = vec.flags.writeable = False
+    return lam, vec
 
 
 def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
     """Longitudinal and transverse magnetization models at a 7-parameter set,
-    with every mode of the full q = 0 and q = 1 blocks (both sectors of each).
+    with every mode of the full q = 0 and q = 1 blocks (both sectors of each), in
+    numeric_eigensystem's order, from one sector_modes call.
 
-    Rates come out in Hz directly because the blocks are evaluated at the
-    rate scales B_k = C J_k (the C = 1 eigensystem convention).
+    <Iz> is odd and the transverse observable even under the reversal (see
+    _parity_subspace), so every mode of the q = 0 even and the q = 1 odd sector
+    has an amplitude of exactly 0.  Rates come out in Hz directly because the
+    blocks are evaluated at the rate scales B_k = C J_k (the C = 1 eigensystem
+    convention).
     """
     a1z, a2z, a1x, a2x, b0, b1, b2 = _param_vector(params)
-    es0, es1 = (numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, (b0, b1, b2))))
-                for q in (0, 1))
-    return build_longitudinal_model(es0, a1z, a2z), build_transverse_model(es1, a1x, a2x)
+    modes = sector_modes((0, 1), (b0, b1, b2))
+    models = []
+    for q, build, scale, efficiency in ((0, build_longitudinal_model, a1z, a2z),
+                                        (1, build_transverse_model, a1x, a2x)):
+        es, order = _canonical_eigensystem(q, *modes[q], None)
+        model = build(es, scale, efficiency)
+        # sector_modes lists the even sector's modes first
+        even = order < sector_table().sectors[q][0][0].shape[1]
+        excluded = even if q == 0 else ~even
+        models.append(replace(model, amplitudes=np.where(excluded, 0.0, model.amplitudes)))
+    return models[0], models[1]
 
 
 def joint_model_curves(params, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
@@ -101,54 +118,75 @@ def joint_model_curves(params, times_long, times_trans) -> tuple[np.ndarray, np.
     return long_model.evaluate(times_long), trans_model.evaluate(times_trans)
 
 
-def _exp_divided_differences(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """G[t, i, j] = (exp(lam_i t) - exp(lam_j t)) / (lam_i - lam_j), shape (T, n, n).
-
-    A tied pair gets the limit t exp(lam_i t).  Each entry is evaluated as
-    exp(max(lam_i, lam_j) t) expm1(-|lam_i - lam_j| t) / -|lam_i - lam_j|,
-    which neither cancels for close eigenvalues nor overflows for distant ones.
-    """
-    t = np.asarray(times, dtype=float)[:, None, None]
-    gap = -np.abs(np.subtract.outer(lam, lam))
-    tied = gap == 0
-    ratio = np.where(tied, t, np.expm1(gap * t) / np.where(tied, 1.0, gap))
-    return np.exp(np.maximum.outer(lam, lam) * t) * ratio
-
-
-def _reduced_signal(es: BlockEigensystem, times: np.ndarray) -> np.ndarray:
-    """c . exp(M t) d over the times, shape (T,), from a parity-reduced eigensystem
-    of _joint_eigensystems."""
-    _, obs, dev = _parity_subspace(es.q)
-    return np.exp(np.outer(times, -es.rates)) @ ((obs @ es.w_bar) * (es.w @ dev))
+def _reduced_signals(lam: np.ndarray, vec: np.ndarray, times: tuple) -> list:
+    """Per q = 0, 1, from the sectors' eigensystems (lam, vec) of _joint_eigensystems
+    and that order's sample times: the mode exponentials E = exp(t lam), shape
+    (T, 4), and the signal c . exp(M t) d = E ((c V) o (V^T d)), shape (T,)."""
+    _, obs, dev = _parity_subspace()
+    amps = (obs[:, None] @ vec)[:, 0] * (dev[:, None] @ vec)[:, 0]
+    out = []
+    for lam_q, amps_q, times_q in zip(lam, amps, times):
+        e = np.exp(times_q[:, None] * lam_q)
+        out.append((e, e @ amps_q))
+    return out
 
 
-def _b_derivatives(es: BlockEigensystem, times: np.ndarray) -> np.ndarray:
-    """The derivatives of _reduced_signal by B, shape (T, 3).
+def _b_derivatives(lam: np.ndarray, vec: np.ndarray, times: tuple, e: tuple) -> list:
+    """Per q = 0, 1: the derivatives of _reduced_signals by B, shape (T, 3), from
+    its mode exponentials e at the same eigensystems (lam, vec).
 
     With M = sum_k B_k A_k = V diag(lam) V^T, the Daleckii-Krein form of the
-    Frechet derivative of exp gives d/dB_k = c^T V (G(t) o V^T A_k V) V^T d.
+    Frechet derivative of exp gives d/dB_k = sum_ij W_kij G_ij(t), with
+    W_kij = (c V)_i (V^T d)_j (V^T A_k V)_ij and the divided differences
+    G_ij = (E_i - E_j) / (lam_i - lam_j), G_ii = t E_i.  In partial fractions
+    (Najfeld and Havel, Adv. Appl. Math. 16:321, 1995) that is
+    E u_k + (t E) diag(W_k) with u_ki = sum_{j != i} (W_kij + W_kji) / (lam_i - lam_j),
+    which needs no (T, 4, 4) tensor; u and diag(W) of both sectors take one
+    stacked pass.  A pair closer than _GAP_RTOL max|lam| of its sector would
+    cancel there, so it keeps its divided difference, in the stable form
+    exp(max(lam_i, lam_j) t) expm1(-|lam_i - lam_j| t) / -|lam_i - lam_j|, or the
+    limit t exp(lam_i t) for an exact tie.
     """
-    mats, obs, dev = _parity_subspace(es.q)
-    lam = -es.rates
-    weights = np.outer(obs @ es.w_bar, es.w @ dev) * (es.w @ mats @ es.w_bar)
-    g = _exp_divided_differences(lam, times)
-    return g.reshape(len(times), -1) @ weights.reshape(3, -1).T
+    mats, obs, dev = _parity_subspace()
+    cv, vd = (obs[:, None] @ vec)[:, 0], (dev[:, None] @ vec)[:, 0]
+    a = vec.transpose(0, 2, 1)[:, None] @ mats @ vec[:, None]
+    # W_kij + W_kji = (V^T A_k V)_ij pair_ij, V^T A_k V being symmetric
+    pair = cv[:, :, None] * vd[:, None]
+    pair = pair + pair.transpose(0, 2, 1)
+    gap = lam[:, :, None] - lam[:, None]
+    close = np.abs(gap) <= _GAP_RTOL * np.abs(lam).max(axis=1)[:, None, None]
+    u = (a * (pair / np.where(close, np.inf, gap))[:, None]).sum(axis=3)
+    diag = a.diagonal(axis1=2, axis2=3) * (cv * vd)[:, None]
+    # a close pair besides the diagonal
+    has_close = np.count_nonzero(close, axis=(1, 2)) > lam.shape[1]
+    out = []
+    for q, (times_q, e_q) in enumerate(zip(times, e)):
+        ds = e_q @ u[q].T + times_q[:, None] * (e_q @ diag[q].T)
+        if has_close[q]:
+            i, j = np.nonzero(np.triu(close[q], 1))
+            lam_q, t, dist = lam[q], times_q[:, None], np.abs(gap[q, i, j])
+            tied = dist == 0
+            ratio = np.where(tied, t, np.expm1(-dist * t) / np.where(tied, 1.0, -dist))
+            ds += ((e_q[:, np.where(lam_q[i] >= lam_q[j], i, j)] * ratio)
+                   @ (a[q][:, i, j] * pair[q, i, j]).T)
+        out.append(ds)
+    return out
 
 
-def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
+def _joint_jacobian(x: np.ndarray, sz: np.ndarray, dsz: np.ndarray, sx: np.ndarray,
+                    dsx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of the longitudinal and transverse signals at x by the fitted
-    FIT_NAMES.  The signals are a1z (Iz.Iz + (1 + a2z) s_z(t)), with s_z the
-    response to the deviation -Iz, and a1x (the product a1x*a2x) times the
-    response s_x to Ix: joint_model_curves with a2x = 1.
+    FIT_NAMES, from the responses s_z, s_x of _reduced_signals and their
+    B-derivatives of _b_derivatives at x's B.  The signals are
+    a1z (Iz.Iz + (1 + a2z) s_z(t)), with s_z the response to the deviation -Iz,
+    and a1x (the product a1x*a2x) times the response s_x to Ix: joint_model_curves
+    with a2x = 1.
 
     The signals are linear in a1z and a1x and affine in a2z, so every column but
     the B ones is closed-form.
     """
     a1z, a2z, a1x = x[:3]
-    es0, es1 = _joint_eigensystems(*(float(b) for b in x[3:]))
     iz = longitudinal_observable()
-    sz, dsz = _reduced_signal(es0, times_long), _b_derivatives(es0, times_long)
-    sx, dsx = _reduced_signal(es1, times_trans), _b_derivatives(es1, times_trans)
     zz, zx = np.zeros(sz.size), np.zeros(sx.size)
     jz = np.column_stack([iz @ iz + (1 + a2z) * sz, a1z * sz, zz, a1z * (1 + a2z) * dsz])
     jx = np.column_stack([zx, zx, sx, a1x * dsx])
@@ -167,17 +205,20 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     1973): at each trial B, u is the weighted linear least-squares solution, and
     the Jacobian is Kaufman's P_perp (dPhi/dB) u (BIT 15:49, 1975), with Phi the
     weighted design matrix of u.  The residual and the Jacobian at a trial point
-    share one stacked eigensolve (see _joint_eigensystems) and one projection of
-    the signal columns, so the Jacobian adds only dPhi/dB.
+    share one stacked eigensolve (see _joint_eigensystems), one set of mode
+    exponentials and one projection of the signal columns, so the Jacobian adds
+    only dPhi/dB (see _b_derivatives).
 
     ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
     b1 and b2 are read.  The search starts once from that B and once from each
     of ``restarts - 1`` perturbations of it drawn from ``seed``, each b_k times
     |1 + 0.3 N(0, 1)| (best residual wins).  Sigmas of all six parameters
     come from the full Jacobian of _joint_jacobian at the best restart,
-    cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``.  A fitted a1z of exactly 0
-    leaves a2z undetermined: it is returned as nan and without a sigma, and the
-    other sigmas come from the Jacobian without the a2z column.
+    cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``; where the last Jacobian of the
+    search was taken at the optimum, it reuses that Jacobian's signals and
+    B-derivatives.  A fitted a1z of exactly 0 leaves a2z undetermined: it is
+    returned as nan and without a sigma, and the other sigmas come from the
+    Jacobian without the a2z column.
     """
     from scipy.optimize import least_squares
 
@@ -189,48 +230,62 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     # Phi_z = [w Iz.Iz, w s_z] and Phi_x = [w s_x].  The QR of Phi_z starts with the
     # unit vector f along its B-free first column, which is projected out of the data
     # once, so that each curve is left with one B-dependent column to project on.
+    times = (long_curve.times, trans_curve.times)
     curves = []
     for curve, w, fixed in ((long_curve, wz, True), (trans_curve, wx, False)):
         f = (w / np.linalg.norm(w))[:, None] if fixed else np.zeros((len(curve), 0))
         y = w * curve.amplitudes
-        curves.append((curve.times, w, f, y - f @ (f.T @ y)))
+        curves.append((w, f, y - f @ (f.T @ y)))
 
     @lru_cache(maxsize=1)
     def project(b0: float, b1: float, b2: float) -> list:
-        """Per curve at B: its eigensystem, the unit column v_hat along the projected
-        w s(t; B), the inverse norm of that column and the coefficient v_hat . y.
-        One entry: the Jacobian at a trial point reuses what its residual computed."""
+        """Per curve at B: its mode exponentials E and raw signal s (see
+        _reduced_signals), the orthonormal basis [f, v_hat] of the curve's columns of
+        Phi, with v_hat the unit column along the projected w s, the inverse norm of
+        that column and the coefficient v_hat . y.  One entry: the Jacobian at a
+        trial point reuses what its residual computed."""
         out = []
-        for es, (times, w, f, y) in zip(_joint_eigensystems(b0, b1, b2), curves):
-            v = w * _reduced_signal(es, times)
+        for (e, s), (w, f, y) in zip(
+                _reduced_signals(*_joint_eigensystems(b0, b1, b2), times), curves):
+            v = w * s
             v -= f @ (f.T @ v)
-            norm = np.linalg.norm(v)
+            norm = math.sqrt(v @ v)
             inv = 1.0 / norm if norm > 0 else 0.0  # a zero column fits nothing
-            v_hat = v * inv
-            out.append((es, v_hat, inv, v_hat @ y))
+            basis = np.column_stack([f, v * inv])
+            out.append((e, s, basis, inv, basis[:, -1] @ y))
         return out
+
+    @lru_cache(maxsize=1)
+    def derive(b0: float, b1: float, b2: float) -> list:
+        """Per curve at B: project's entry and the raw derivatives of s by B.  One
+        entry: the covariance at the optimum reuses the last Jacobian's."""
+        entries = project(b0, b1, b2)
+        derivatives = _b_derivatives(*_joint_eigensystems(b0, b1, b2), times,
+                                     [e for e, *_ in entries])
+        return [(*entry, ds) for entry, ds in zip(entries, derivatives)]
 
     def residuals(b: np.ndarray) -> np.ndarray:
         """Phi u - y for both curves, u the linear least-squares coefficients at B."""
-        return np.concatenate([v_hat * coef - y for (_, v_hat, _, coef), (*_, y)
+        return np.concatenate([basis[:, -1] * coef - y for (*_, basis, _, coef), (*_, y)
                                in zip(project(*(float(v) for v in b)), curves)])
 
     def jacobian(b: np.ndarray) -> np.ndarray:
         """Kaufman's Jacobian of residuals by B."""
         blocks = []
-        for (es, v_hat, inv, coef), (times, w, f, _) in zip(
-                project(*(float(v) for v in b)), curves):
-            dv = w[:, None] * _b_derivatives(es, times)
-            dv -= f @ (f.T @ dv)
-            blocks.append(coef * inv * (dv - np.outer(v_hat, v_hat @ dv)))
+        for (*_, basis, inv, coef, ds), (w, _, _) in zip(
+                derive(*(float(v) for v in b)), curves):
+            dv = w[:, None] * ds
+            dv -= basis @ (basis.T @ dv)  # P_perp
+            blocks.append(dv * (coef * inv))
         return np.vstack(blocks)
 
     b_init = np.abs(np.array([init[name] for name in PARAM_NAMES[4:]], dtype=float)
                     if isinstance(init, Mapping) else _param_vector(init)[4:])
-    rng = np.random.default_rng(seed)
     best = None
     evaluations = 0
     for attempt in range(max(1, restarts)):
+        if attempt == 1:
+            rng = np.random.default_rng(seed)  # built only when a second start needs it
         # seven normals per restart, the stream of the earlier seven-parameter starts
         start = b_init if attempt == 0 else np.abs(
             b_init * (1 + 0.3 * rng.standard_normal(len(PARAM_NAMES))[4:]))
@@ -238,16 +293,16 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         evaluations += result.nfev
         if best is None or result.cost < best.cost:
             best = result
-    (es0, _, inv2, coef2), (_, _, inv3, coef3) = project(*(float(v) for v in best.x))
+    (_, sz, _, inv2, coef2, dsz), (_, sx, _, inv3, coef3, dsx) = derive(
+        *(float(v) for v in best.x))
     u2, u3 = coef2 * inv2, coef3 * inv3
-    sz = _reduced_signal(es0, long_curve.times)
     iz = longitudinal_observable()
     u1 = wz @ (wz * (long_curve.amplitudes - u2 * sz)) / ((iz @ iz) * (wz @ wz))
     undetermined = u1 == 0
     # with u1 = 0, u2 = a1z (1 + a2z) is 0 as well (all-zero longitudinal data), and
     # a2z = -1 makes the a1z column the derivative by u1
     x = np.array([u1, -1.0 if undetermined else u2 / u1 - 1, u3, *best.x])
-    jz, jx = _joint_jacobian(x, long_curve.times, trans_curve.times)
+    jz, jx = _joint_jacobian(x, sz, dsz, sx, dsx)
     jac = np.vstack([jz * wz[:, None], jx * wx[:, None]])
     names = list(FIT_NAMES)
     if undetermined:

@@ -233,10 +233,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _mode_table(model: evolution.MagnetizationModel) -> list[tuple[int, float, float]]:
-    """(n, amplitude, time) per mode; an amplitude within _ZERO_MODE_RTOL of the
-    section's largest is zero by symmetry and printed as 0, not as round-off."""
-    amps = model.scale * model.amplitudes
-    amps = np.where(np.abs(amps) <= _ZERO_MODE_RTOL * np.max(np.abs(amps)), 0.0, amps)
+    """(n, amplitude, time) per mode.  joint_models gives the amplitudes that are zero
+    by symmetry as exact zeros; adding 0.0 prints a zero as 0, not -0, whatever the
+    sign of the scale."""
+    amps = model.scale * model.amplitudes + 0.0
     return [(n, amp, 1.0 / rate if rate > 0 else np.inf)
             for n, (amp, rate) in enumerate(zip(amps, model.rates), start=1)]
 
@@ -247,12 +247,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     paths = (args.long, args.trans)
     curves = [read_curve(path) for path in paths]
     if args.normalize:
-        for path, curve in zip(paths, curves):
-            if not curve.amplitudes.any():
+        for k, (path, curve) in enumerate(zip(paths, curves)):
+            peak = np.max(np.abs(curve.amplitudes))
+            if peak == 0:
                 raise DataFormatError(f"{path}: every amplitude is 0, so --normalize "
                                       "has no maximum to divide by")
-        curves = [DecayCurve(curve.times, curve.amplitudes / np.max(np.abs(curve.amplitudes)),
-                             curve.sigmas) for curve in curves]
+            # the sigmas too, so that both curves keep their relative weights
+            curves[k] = DecayCurve(curve.times, curve.amplitudes / peak,
+                                   None if curve.sigmas is None else curve.sigmas / peak)
     long_curve, trans_curve = curves
     init = dict(b0=args.init_b0, b1=args.init_b1, b2=args.init_b2)
     result = analysis.fit_redfield_joint(long_curve, trans_curve, init,

@@ -254,8 +254,9 @@ def sector_modes(orders, weights: tuple[float, float, float]) -> dict:
 
 
 def _canonical_eigensystem(q: int, lam: np.ndarray, vec: np.ndarray,
-                           c: QuadrupolarConstant | None) -> BlockEigensystem:
-    """The modes with numeric_eigensystem's signs and order, as read-only arrays."""
+                           c: QuadrupolarConstant | None) -> tuple[BlockEigensystem, np.ndarray]:
+    """The modes with numeric_eigensystem's signs and order, as read-only arrays, and
+    that order: mode m of the eigensystem is column order[m] of vec."""
     mag = np.abs(vec)
     lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
     vec = vec * np.where(vec[lead, np.arange(lam.size)] < 0, -1.0, 1.0)
@@ -264,7 +265,7 @@ def _canonical_eigensystem(q: int, lam: np.ndarray, vec: np.ndarray,
     rates = _rates_from_eigenvalues(lam, c)
     for arr in (lam, w_bar, rates):
         arr.flags.writeable = False
-    return BlockEigensystem(q=q, eigenvalues=lam, w=w_bar.T, w_bar=w_bar, rates=rates)
+    return BlockEigensystem(q=q, eigenvalues=lam, w=w_bar.T, w_bar=w_bar, rates=rates), order
 
 
 def numeric_eigensystem(block: CoherenceBlock,
@@ -296,7 +297,7 @@ def numeric_eigensystem(block: CoherenceBlock,
                                     f"(max |P_e^T m P_o| = {np.abs(r[:k, k:]).max():.2e})")
     (lam_e, v_e), (lam_o, v_o) = np.linalg.eigh(r[:k, :k]), np.linalg.eigh(r[k:, k:])
     return _canonical_eigensystem(block.q, np.concatenate([lam_e, lam_o]),
-                                  np.hstack([p_even @ v_e, p_odd @ v_o]), c)
+                                  np.hstack([p_even @ v_e, p_odd @ v_o]), c)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from quadrelax import analysis
 from quadrelax.analysis import (
     FIT_NAMES,
     PARAM_NAMES,
-    _exp_divided_differences,
-    _joint_jacobian,
     fit_bloch_longitudinal,
     fit_bloch_transverse,
     fit_redfield_joint,
@@ -42,10 +40,19 @@ def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, 
     to the deviation -Iz, and a1x (the product a1x*a2x) times the response to Ix;
     joint_model_curves with a2x = 1."""
     a1z, a2z, a1x = x[:3]
-    es0, es1 = analysis._joint_eigensystems(*(float(b) for b in x[3:]))
+    (_, sz), (_, sx) = analysis._reduced_signals(
+        *analysis._joint_eigensystems(*(float(b) for b in x[3:])), (times_long, times_trans))
     iz = longitudinal_observable()
-    return (a1z * (iz @ iz + (1 + a2z) * analysis._reduced_signal(es0, times_long)),
-            a1x * analysis._reduced_signal(es1, times_trans))
+    return a1z * (iz @ iz + (1 + a2z) * sz), a1x * sx
+
+
+def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
+    """analysis._joint_jacobian at x from the fit's own signals and B-derivatives."""
+    lam, vec = analysis._joint_eigensystems(*(float(b) for b in x[3:]))
+    times = (times_long, times_trans)
+    (ez, sz), (ex, sx) = analysis._reduced_signals(lam, vec, times)
+    dsz, dsx = analysis._b_derivatives(lam, vec, times, (ez, ex))
+    return analysis._joint_jacobian(x, sz, dsz, sx, dsx)
 
 
 # -- joint fit -----------------------------------------------------------------
@@ -88,11 +95,13 @@ def test_joint_models_are_the_hand_built_pair():
     es1 = numeric_eigensystem(CoherenceBlock(1, evaluate_block(1, scales)))
     want = (build_longitudinal_model(es0, TABLE2["a1z"], TABLE2["a2z"]),
             build_transverse_model(es1, TABLE2["a1x"], TABLE2["a2x"]))
-    times = np.linspace(1e-3, 0.5, 50)
+    # the same modes in the same order, from the sector eigensolves of joint_models;
+    # an amplitude zero by symmetry is round-off in the hand-built pair
     for got, ref in zip(joint_models(TABLE2), want):
-        np.testing.assert_array_equal(got.rates, ref.rates)
-        np.testing.assert_array_equal(got.amplitudes, ref.amplitudes)
-        np.testing.assert_array_equal(got.evaluate(times), ref.evaluate(times))
+        np.testing.assert_allclose(got.rates, ref.rates, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got.amplitudes, ref.amplitudes, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(ref.amplitudes)))
+        assert (got.scale, got.equilibrium_term) == (ref.scale, ref.equilibrium_term)
 
 
 def test_joint_fit_noiseless_from_2x_starts():
@@ -168,12 +177,36 @@ def test_jacobian_b_columns_are_the_frechet_derivative_of_expm():
     _assert_b_columns_match_frechet(x, long_curve.times, trans_curve.times[::5])
 
 
-@pytest.mark.parametrize("lam", [[-3.0, -1.0, -1.0, -0.2],          # an exact tie
-                                 [-3.0, -1.0, -1.0 + 1e-12, -0.2],  # a tie within 1e-12
-                                 [-4000.0, -1.0, -0.5, 0.0]])       # exp(4000 t) overflows
+def _exp_divided_differences(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """G[t, i, j] = (exp(lam_i t) - exp(lam_j t)) / (lam_i - lam_j), shape (T, n, n),
+    with the limit t exp(lam_i t) for a tie, each entry in the stable form
+    exp(max(lam_i, lam_j) t) expm1(-|lam_i - lam_j| t) / -|lam_i - lam_j|."""
+    t = np.asarray(times, dtype=float)[:, None, None]
+    gap = -np.abs(np.subtract.outer(lam, lam))
+    tied = gap == 0
+    ratio = np.where(tied, t, np.expm1(gap * t) / np.where(tied, 1.0, gap))
+    return np.exp(np.maximum.outer(lam, lam) * t) * ratio
+
+
+def _tensor_b_derivatives(q, lam, vec, times):
+    """The Daleckii-Krein B-derivatives of the order-q reduced signal through the
+    whole (T, 4, 4) divided-difference tensor: c^T V (G(t) o V^T A_k V) V^T d."""
+    mats, obs, dev = (arr[q] for arr in analysis._parity_subspace())
+    weights = np.outer(obs @ vec, vec.T @ dev) * (vec.T @ mats @ vec)
+    g = _exp_divided_differences(lam, times)
+    return g.reshape(len(times), -1) @ weights.reshape(3, -1).T
+
+
+_TIE_CASES = [[-3.0, -1.0, -1.0, -0.2],          # an exact tie
+               [-3.0, -1.0, -1.0 + 1e-12, -0.2],  # a tie within 1e-12
+               [-4000.0, -1.0, -0.5, 0.0]]        # exp(4000 t) overflows
+
+
+@pytest.mark.parametrize("lam", _TIE_CASES)
 def test_exp_divided_differences_give_the_frechet_derivative(lam):
-    # with M = Q diag(lam) Q^T, L_exp(M t, E t) = Q (G(t) o Q^T E Q) Q^T for any
-    # symmetric E, the eigenvectors Q being exact here
+    # the tensor oracle itself: with M = Q diag(lam) Q^T,
+    # L_exp(M t, E t) = Q (G(t) o Q^T E Q) Q^T for any symmetric E, the
+    # eigenvectors Q being exact here
     lam = np.array(lam)
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -189,6 +222,33 @@ def test_exp_divided_differences_give_the_frechet_derivative(lam):
     # the tied limit is t exp(lam t), exactly on the diagonal
     np.testing.assert_array_equal(g[:, [0, 1, 2, 3], [0, 1, 2, 3]],
                                   times[:, None] * np.exp(np.outer(times, lam)))
+
+
+# and a gap just above _GAP_RTOL max|lam| = 3e-6, which partial fractions take
+@pytest.mark.parametrize("lam", [*_TIE_CASES, [-3.0, -1.0, -1.0 + 3.1e-6, -0.2]])
+def test_b_derivatives_give_the_frechet_derivative(lam):
+    # with M = Q diag(lam) Q^T, the derivative of c^T exp(M t) d along A_k is
+    # c^T L_exp(M t, A_k t) d for any symmetric A_k, the eigenvectors Q being exact
+    # here.  Partial fractions leave round-off of about eps max|lam| / gap of a
+    # column's scale, so the bound is relative to each column's largest value.
+    lam = np.array(lam)
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    times = np.array([0.0, 1e-3, 0.3, 1.5])
+    e = np.exp(np.outer(times, lam))
+    # the same eigensystem in both sectors, with each sector's A_k, c and d
+    derivatives = analysis._b_derivatives(np.stack([lam, lam]), np.stack([q, q]),
+                                          (times, times), (e, e))
+    m = q @ np.diag(lam) @ q.T
+    for sector, (got, mats, obs, dev) in enumerate(zip(derivatives,
+                                                       *analysis._parity_subspace())):
+        assert np.all(np.isfinite(got))
+        want = np.array([[obs @ expm_frechet(m * t, a * t, compute_expm=False) @ dev
+                          for a in mats] for t in times])
+        for k in range(3):
+            np.testing.assert_allclose(got[:, k], want[:, k], rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(want[:, k])),
+                                       err_msg=f"q={sector} A{k}")
 
 
 def test_jacobian_matches_central_differences():
@@ -237,9 +297,39 @@ def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
     for before, after in zip(points, points[1:]):
         if after[0] == "j":
             assert before == ("r", *after[1:])
-    es0, es1 = analysis._joint_eigensystems(*(result.params[k] for k in ("b0", "b1", "b2")))
-    assert es0.w_bar.shape == es1.w_bar.shape == (4, 4)
-    assert not es0.rates.flags.writeable and not es1.w.flags.writeable
+    lam, vec = analysis._joint_eigensystems(*(result.params[k] for k in ("b0", "b1", "b2")))
+    assert lam.shape == (2, 4) and vec.shape == (2, 4, 4)
+    assert not lam.flags.writeable and not vec.flags.writeable
+
+
+def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
+    # a single search ends on an accepted step, whose Jacobian is the last one taken;
+    # the sigmas at that optimum then add no eigensolve and no B-derivatives
+    import scipy.optimize
+
+    long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
+    calls, jacobian_points = [], []
+    real_eigh, real_derivatives = np.linalg.eigh, analysis._b_derivatives
+    real_least_squares = scipy.optimize.least_squares
+
+    def least_squares(fun, x0, jac, **kwargs):
+        def counted(b):
+            jacobian_points.append(tuple(float(v) for v in b))
+            return jac(b)
+        result = real_least_squares(fun, x0, jac=counted, **kwargs)
+        calls.append("end of search")
+        return result
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or real_eigh(a))
+    monkeypatch.setattr(analysis, "_b_derivatives",
+                        lambda *a: calls.append("derivatives") or real_derivatives(*a))
+    monkeypatch.setattr(scipy.optimize, "least_squares", least_squares)
+    analysis._joint_eigensystems.cache_clear()
+    result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
+    assert jacobian_points[-1] == tuple(result.params[k] for k in ("b0", "b1", "b2"))
+    assert calls.count("derivatives") == len(jacobian_points)
+    assert calls[-1] == "end of search"
+    assert set(result.uncertainties) == set(FIT_NAMES)
 
 
 def test_reduction_rests_on_reversal_symmetry():
@@ -279,6 +369,23 @@ def test_reduced_fit_core_matches_the_full_blocks(b):
     _assert_b_columns_match_frechet(x, _TIMES_LONG[::3], _TIMES_TRANS[::20])
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.one_of(_B_POINTS, _LOG_B.map(lambda e: (10.0 ** e, 0.0, 0.0))))
+def test_b_derivatives_match_the_divided_difference_tensor(b):
+    # the partial fractions against the whole divided-difference tensor, at the
+    # corners of _B_POINTS and at B = (b0, 0, 0), where the q = 0 sector is all 0
+    # and every pair of its eigenvalues is tied
+    lam, vec = analysis._joint_eigensystems(*b)
+    times = (_TIMES_LONG, _TIMES_TRANS)
+    e = [e_q for e_q, _ in analysis._reduced_signals(lam, vec, times)]
+    for q, got in enumerate(analysis._b_derivatives(lam, vec, times, e)):
+        want = _tensor_b_derivatives(q, lam[q], vec[q], times[q])
+        for k in range(3):
+            np.testing.assert_allclose(got[:, k], want[:, k], rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want[:, k])),
+                                       err_msg=f"q={q} B{k}")
+
+
 @pytest.mark.parametrize("b", [(83.0, 3.8, 0.18), (1e5, 0.01, 1.0), (1e5, 100.0, 1.0)])
 def test_reduced_signals_match_a_30_digit_eigensolve(b):
     # the mode sum of the full block from mpmath's 30-digit symmetric eigensolve,
@@ -287,24 +394,25 @@ def test_reduced_signals_match_a_30_digit_eigensolve(b):
     # eigh was off by up to 2e-12 of the transverse curve's largest value)
     mpmath = pytest.importorskip("mpmath", reason="the 30-digit reference needs mpmath")
     mpmath.mp.dps = 30
-    es0, es1 = analysis._joint_eigensystems(*b)
+    reduced = analysis._reduced_signals(*analysis._joint_eigensystems(*b),
+                                        (_TIMES_LONG, _TIMES_TRANS))
     curves = joint_model_curves(dict(a1z=1.0, a2z=0.0, a1x=1.0, a2x=1.0, b0=b[0], b1=b[1],
                                      b2=b[2]), _TIMES_LONG, _TIMES_TRANS)
     iz = longitudinal_observable()
-    for es, (obs, dev), times, offset, curve in (
-            (es0, (iz, -iz), _TIMES_LONG, iz @ iz, curves[0]),
-            (es1, transverse_observable(), _TIMES_TRANS, 0.0, curves[1])):
-        lam, vec = mpmath.eigsy(mpmath.matrix(evaluate_block(es.q, b).tolist()))
+    for q, (obs, dev), times, offset, curve in (
+            (0, (iz, -iz), _TIMES_LONG, iz @ iz, curves[0]),
+            (1, transverse_observable(), _TIMES_TRANS, 0.0, curves[1])):
+        lam, vec = mpmath.eigsy(mpmath.matrix(evaluate_block(q, b).tolist()))
         n = obs.size
         amps = [mpmath.fsum(obs[k] * vec[k, i] for k in range(n))
                 * mpmath.fsum(vec[k, i] * dev[k] for k in range(n)) for i in range(n)]
         want = np.array([float(mpmath.fsum(a * mpmath.exp(lam[i] * t) for i, a in enumerate(amps)))
                          for t in times])
-        np.testing.assert_allclose(analysis._reduced_signal(es, times), want, rtol=0,
-                                   atol=1e-13 * np.max(np.abs(want)), err_msg=f"q={es.q}")
+        np.testing.assert_allclose(reduced[q][1], want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)), err_msg=f"q={q}")
         np.testing.assert_allclose(curve, offset + want, rtol=0,
                                    atol=1e-14 * np.max(np.abs(offset + want)),
-                                   err_msg=f"joint_model_curves q={es.q}")
+                                   err_msg=f"joint_model_curves q={q}")
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -10,8 +10,7 @@ import pytest
 
 from quadrelax import analysis, cli, evolution
 from quadrelax.cli import EXIT_DATA, EXIT_OK, build_parser, format_number, load_config, main
-from quadrelax.redfield_core import (CoherenceBlock, evaluate_block, numeric_eigensystem,
-                                     sector_modes)
+from quadrelax.redfield_core import sector_modes
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 from quadrelax.curves import (DataFormatError, DecayCurve, format_table, read_curve,
@@ -617,6 +616,40 @@ def test_fit_reports_a2z_undetermined_for_an_all_zero_longitudinal_curve(tmp_pat
     assert all(row.split()[1] == "0" for row in rows)
 
 
+def test_fit_normalize_divides_the_sigmas_too(tmp_path):
+    # dividing a curve and its sigmas by the same maximum leaves every weighted
+    # residual, and so the rates, a2z and the residual norm, as they were; only the
+    # amplitudes a1z and a1x and their sigmas scale with the curves
+    rng = np.random.default_rng(5)
+    paths, peaks = [], []
+    for name, sigma in (("longitudinal", 4e-4), ("transverse", 1e-4)):
+        curve = read_curve(DATA_DIR / f"synthetic_{name}.csv")
+        path = tmp_path / f"{name}.csv"
+        write_curve(path, DecayCurve(curve.times, curve.amplitudes,
+                                     sigma * (1 + rng.uniform(size=len(curve)))))
+        paths.append(str(path))
+        peaks.append(np.max(np.abs(curve.amplitudes)))
+    reports = []
+    for flags in ([], ["--normalize"]):
+        out = tmp_path / f"o{len(flags)}"
+        assert main(["fit", "--long", paths[0], "--trans", paths[1], "--quad-freq", "5969",
+                     "--restarts", "1", "--raw", *flags, "--out", str(out)]) == EXIT_OK
+        values = {}
+        for line in (out / "fit_report.txt").read_text().splitlines():
+            key, _, rest = line.partition(" = ")
+            if "+/-" in rest:
+                value, sigma = rest.split(" +/- ")
+                values[key], values[f"{key} sigma"] = float(value), float(sigma)
+            elif key == "residual_norm":
+                values[key] = float(rest)
+        reports.append(values)
+    plain, normalized = reports
+    assert set(plain) == set(normalized) and len(plain) == 13
+    for key, value in plain.items():
+        peak = {"a1z": peaks[0], "a1x": peaks[1]}.get(key.split()[0], 1.0)
+        assert normalized[key] == pytest.approx(value / peak, rel=1e-9), key
+
+
 def test_fit_normalize_of_an_all_zero_curve_is_a_data_error(tmp_path, capsys):
     zero = tmp_path / "zero.csv"
     long_curve = read_curve(DATA_DIR / "synthetic_longitudinal.csv")
@@ -655,28 +688,17 @@ def test_fit_report_prints_amplitudes_zero_by_symmetry_as_zero(tmp_path):
     models = analysis.joint_models(params)
     zero_modes = {"longitudinal": {1, 4, 6, 8}, "transverse": {3, 5, 6}}
     for (label, zeros), model in zip(zero_modes.items(), models):
+        # the modes of the sector the observable's parity excludes have amplitudes of
+        # exactly 0 in the model, and the report prints the model's amplitudes as they are
         amps = model.scale * model.amplitudes
+        assert set(np.flatnonzero(amps == 0) + 1) == zeros
+        assert not np.signbit(model.amplitudes[amps == 0]).any()
         rows = _report_section(report, f"{label}_modes")
         assert len(rows) == len(amps)
         for n, row in enumerate(rows, start=1):
             rate = model.rates[n - 1]
-            shown = 0.0 if n in zeros else amps[n - 1]
             assert row == " ".join([str(n), *(format_number(v, True) for v in
-                                              (shown, 1.0 / rate if rate > 0 else np.inf))])
-        # an amplitude zero by symmetry is an exact 0 or round-off, and the report prints
-        # it as 0 either way
-        tiny = np.abs(amps) <= 1e-12 * np.max(np.abs(amps))
-        assert set(np.flatnonzero(tiny) + 1) == zeros
-        # only the report rounds: the model keeps the eigensystem's amplitudes bit for bit
-        q = 0 if label == "longitudinal" else 1
-        b = tuple(params[name] for name in ("b0", "b1", "b2"))
-        es = numeric_eigensystem(CoherenceBlock(q, evaluate_block(q, b)))
-        iz = evolution.longitudinal_observable()
-        weights, dev = ((iz, -params["a2z"] * iz - iz) if q == 0 else
-                        (evolution.transverse_observable()[0],
-                         params["a2x"] * evolution.transverse_observable()[1]))
-        np.testing.assert_array_equal(
-            model.amplitudes, evolution._mode_amplitudes_for_observable(es, weights, dev))
+                                              (amps[n - 1], 1.0 / rate if rate > 0 else np.inf))])
         table = read_table(out / f"fit_{label}_model.txt")
         np.testing.assert_array_equal(table["model"], model.evaluate(table["t_seconds"]))
 
