@@ -141,10 +141,14 @@ def _apply_flag_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values with the flags applied; creates the output directory."""
+    """The config file's values with the flags applied; creates the output directory
+    if it is missing."""
     cfg = load_config(Path(args.config)) if args.config else RunConfig()
     cfg = _apply_flag_overrides(cfg, args)
-    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.out)
+    # one stat when it exists; mkdir(exist_ok=True) alone would first fail with EEXIST
+    if not out.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
     return cfg
 
 
@@ -179,7 +183,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     orders, starts = table.orders, table.starts
     # every order's rates in one pass; the zero-mode threshold stays per order, as in
     # _rates_from_eigenvalues
-    lam = np.concatenate(sector_spectra(j.as_tuple()))
+    lam = np.concatenate(list(sector_spectra(j.as_tuple(), range(8)).values()))
     mag = np.abs(lam)
     rates = -c.c * lam
     rates[mag < _ZERO_MODE_RTOL * np.maximum.reduceat(mag, starts)[orders]] = 0.0
@@ -435,13 +439,19 @@ _CONSTANT_FLAGS = ("--quad-freq", "--c")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser_and_commands()[0]
+
+
+def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
+    """A new parser and {name: subparser} of its subcommands."""
     parser = argparse.ArgumentParser(
         prog="quadrelax",
         description="Spin-7/2 quadrupolar relaxation: rates, trajectories, fits")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def command(name, func, summary, *shared):
-        p = sub.add_parser(name, help=summary)
+        p = commands[name] = sub.add_parser(name, help=summary)
         for flag in shared:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(func=func)
@@ -490,19 +500,34 @@ def build_parser() -> argparse.ArgumentParser:
     command("validate", _cmd_validate, "reference-table conformance check",
             "--config", "--out", "--seed", *_DENSITY_FLAGS)
 
-    return parser
+    return parser, commands
 
 
-#: the parser main uses, built on its first call; argparse keeps no state between
-#: parse_args calls, so one instance serves every call in the process
-_parser = functools.lru_cache(maxsize=1)(build_parser)
+#: the parser main uses and its subcommands, built on its first call; argparse keeps
+#: no state between parse_args calls, so one instance serves every call in the process
+_parser = functools.lru_cache(maxsize=1)(_parser_and_commands)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """parser.parse_args(argv), scanning the arguments once.  argparse hands everything
+    after a known command name to its subparser, so that subparser parses them here
+    directly; what it does not know is reported by the top-level parser, as
+    parse_args does.  No command, -h or an unknown command goes to the top level."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     if args.command == "ilt" and not args.t_max > args.t_min:
-        parser.error(f"ilt: --t-max {args.t_max!r} must exceed --t-min {args.t_min!r}")
+        _parser()[0].error(f"ilt: --t-max {args.t_max!r} must exceed --t-min {args.t_min!r}")
     try:
         return args.func(args)
     except DataFormatError as exc:

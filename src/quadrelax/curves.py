@@ -103,7 +103,8 @@ def _check_row(fields: list[str], width: int, path: Path, lineno: int) -> None:
 def read_curve(path: str | Path) -> DecayCurve:
     """The curve in a curve file.  The body is parsed in bulk and checked on arrays;
     when a check fails, the rows are checked one at a time so that the error names
-    the first bad line in file order."""
+    the first bad line in file order.  Only then are the times checked for order,
+    and the first one not above the time before it is named with its line."""
     path = Path(path)
     lines = data_lines(path)
     lineno, line = next(lines, (0, ""))
@@ -130,10 +131,12 @@ def read_curve(path: str | Path) -> DecayCurve:
                               and (width == 2 or (values[:, 2] > 0).all())):
         for (lineno, _), row in zip(body, rows):
             _check_row(row, width, path, lineno)
-    try:
-        return DecayCurve(values[:, 0], values[:, 1], values[:, 2] if width == 3 else None)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    stalls = np.flatnonzero(values[1:, 0] <= values[:-1, 0])
+    if stalls.size:
+        k = stalls[0] + 1
+        raise DataFormatError(f"{path}:{body[k][0]}: time {rows[k][0].strip()!r} "
+                              f"not above the previous {rows[k - 1][0].strip()!r}")
+    return DecayCurve(values[:, 0], values[:, 1], values[:, 2] if width == 3 else None)
 
 
 def number_format(raw: bool) -> str:

@@ -214,36 +214,67 @@ def sector_table() -> SectorTable:
     return table
 
 
-def sector_spectra(weights: tuple[float, float, float]) -> list[np.ndarray]:
-    """The eigenvalues of the blocks of q = 0..7 at the weights (J's or B's), each
-    order's descending, from one eigvalsh call per sector size and no eigenvectors."""
-    w, table = np.array(weights, dtype=float), sector_table()
+@lru_cache(maxsize=256)
+def _spectra_plan(orders: tuple) -> tuple:
+    """For sector_spectra: the stacks that hold a sector of the orders, the order of
+    each of their values (a run of SectorTable.orders per stack), and each order's
+    (start, stop) among those values once sorted by order."""
+    table = sector_table()
+    # order q's sectors have sizes (9 - q) // 2 and (8 - q) // 2, and size s is stack 4 - s
+    needed = {4 - s for q in orders for s in ((9 - q) // 2, (8 - q) // 2) if s}
+    offsets = np.cumsum([0] + [stack.shape[0] * stack.shape[-2] for stack in table.stacks])
+    picked = tuple(i for i in range(len(table.stacks)) if i in needed)
+    labels = np.concatenate([table.orders[offsets[i]:offsets[i + 1]] for i in picked])
+    labels.flags.writeable = False
+    spans = {q: (int(np.sum(labels < q)), int(np.sum(labels <= q))) for q in orders}
+    return picked, labels, spans
+
+
+def sector_spectra(weights: tuple[float, float, float], orders) -> dict:
+    """{q: eigenvalues} of the blocks of the orders at the weights (J's or B's), each
+    order's descending, from one eigvalsh call per sector size that holds one of their
+    sectors, and no eigenvectors.  A stack's values do not depend on which other
+    stacks are solved, so every order's spectrum is the one the all-orders call gives."""
+    w, stacks = np.array(weights, dtype=float), sector_table().stacks
+    picked, labels, spans = _spectra_plan(tuple(orders))
     lam = np.concatenate([(np.linalg.eigvalsh(m) if m.shape[-1] > 1 else m[..., 0]).ravel()
-                          for m in (stack @ w for stack in table.stacks)])
-    lam = lam[np.lexsort((-lam, table.orders))]
-    return [lam[a:b] for a, b in zip(table.starts, (*table.starts[1:], lam.size))]
+                          for m in (stacks[i] @ w for i in picked)])
+    lam = lam[np.lexsort((-lam, labels))]
+    return {q: lam[a:b] for q, (a, b) in spans.items()}
 
 
-def sector_modes(orders, weights: tuple[float, float, float]) -> dict:
-    """{q: (lam, u)} for each order q in orders, with block(q) = u diag(lam) u^T at the
-    weights (J's or B's) and u = [P_e V_e | P_o V_o]: one eigh call per sector size over
-    just those orders' sectors.  The modes of an order are its even sector's and then
-    its odd sector's, each ascending, with eigh's signs; the arrays are read-only."""
+@lru_cache(maxsize=256)
+def _mode_groups(orders: tuple) -> tuple:
+    """For sector_modes: per sector size, largest first, the read-only (n, 3, s, s)
+    stack of the orders' sectors of that size and the (q, P) of each."""
     sectors = sector_table().sectors
     by_size = {}
     for q in orders:
         for p, mats in sectors[q]:
             if p.shape[1]:  # the q = 7 odd sector is empty
                 by_size.setdefault(p.shape[1], []).append((q, p, mats))
-    parts = {q: [] for q in orders}
+    groups = []
     # largest first, so that each order lists its even sector before its odd one
     for size, group in sorted(by_size.items(), reverse=True):
         a = np.stack([mats for _, _, mats in group])
+        a.flags.writeable = False
+        groups.append((a, tuple((q, p) for q, p, _ in group)))
+    return tuple(groups)
+
+
+def sector_modes(orders, weights: tuple[float, float, float]) -> dict:
+    """{q: (lam, u)} for each order q in orders, with block(q) = u diag(lam) u^T at the
+    weights (J's or B's) and u = [P_e V_e | P_o V_o]: one eigh call per sector size over
+    just those orders' sectors, whose stacks are built on the first call for the orders.
+    The modes of an order are its even sector's and then its odd sector's, each
+    ascending, with eigh's signs; the arrays are read-only."""
+    parts = {q: [] for q in orders}
+    for a, members in _mode_groups(tuple(orders)):
         # elementwise, as evaluate_block, so that a sector's matrix does not depend on
         # which other sectors share its stack
         m = weights[0] * a[:, 0] + weights[1] * a[:, 1] + weights[2] * a[:, 2]
-        lam, vec = np.linalg.eigh(m) if size > 1 else (m[..., 0], np.ones_like(m))
-        for (q, p, _), lam_s, vec_s in zip(group, lam, vec):
+        lam, vec = np.linalg.eigh(m) if m.shape[-1] > 1 else (m[..., 0], np.ones_like(m))
+        for (q, p), lam_s, vec_s in zip(members, lam, vec):
             parts[q].append((lam_s, p @ vec_s))
     modes = {}
     for q, pair in parts.items():
@@ -551,15 +582,19 @@ def analytic_eigensystem(q: int, j: SpectralDensities,
     values = analytic_eigenvalues(q, j)
     if q >= 6:
         w_bar, w = _constant_transformation(q)
-        lam = np.array(values)
     else:
         w_bar = _analytic_w_bar(q, j, values)
         _degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
         order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable
-        lam, w_bar = np.array([values[k] for k in order]), w_bar[:, order]
+        values, w_bar = [values[k] for k in order], w_bar[:, order]
         w = np.linalg.inv(w_bar)
-    return BlockEigensystem(q=q, eigenvalues=lam, w=w, w_bar=w_bar,
-                            rates=_rates_from_eigenvalues(lam, c))
+    # _rates_from_eigenvalues on Python floats: the same products and threshold
+    mags = [abs(v) for v in values]
+    cut = _ZERO_MODE_RTOL * max(mags)
+    scale = -c.c if c is not None else -1.0
+    return BlockEigensystem(q=q, eigenvalues=np.array(values), w=w, w_bar=w_bar,
+                            rates=np.array([0.0 if m < cut else scale * v
+                                            for m, v in zip(mags, values)]))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +620,8 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
 
     The q = 0 and q = 1 blocks are conjugated into the published intermediate
     basis (the constant transformations U, U-bar) before entrywise comparison;
-    orders 2..7 are compared through their sorted spectra, all from one sector_spectra.
+    orders 2..7 are compared through their sorted spectra, all from one sector_spectra,
+    which solves only the sector sizes that hold them.
     """
     tables = load_reference_tables()
     t0, t1 = tables.j0_block.evaluate(j), tables.j1_block.evaluate(j)
@@ -595,7 +631,7 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
     cells = tables.printed_j1_variants.cells
     printed_dev = np.abs(basis1[cells] - tables.printed_j1_variants.evaluate(j)[cells]).max()
 
-    spectra, numeric = [], sector_spectra(j.as_tuple())
+    spectra, numeric = [], sector_spectra(j.as_tuple(), range(2, 8))
     for q in range(2, 8):
         lam_num, lam_ana = sorted(numeric[q].tolist()), sorted(analytic_eigenvalues(q, j))
         dev = max(abs(a - b) for a, b in zip(lam_num, lam_ana)) / max(map(abs, lam_num))

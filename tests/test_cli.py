@@ -127,6 +127,12 @@ _PLAIN, _WEIGHTED = "t_seconds,amplitude", "t_seconds,amplitude,sigma"
     (_WEIGHTED, ["0.1,1.0,0.1", "0.2,inf,0.1", "-0.3,0.5,0"], 4, "non-finite value 'inf'"),
     # a line error is found before the times are checked for order
     (_PLAIN, ["0.3,1.0", "0.2,0.5", "0.4,abc"], 5, "could not convert string to float: 'abc'"),
+    # the first time not above the one before it, as written, across comment lines
+    (_PLAIN, ["0.2,1.0", "0.2,0.5"], 4, "time '0.2' not above the previous '0.2'"),
+    (_PLAIN, ["0.1,1.0", "0.2,0.5", "0.15,0.3", "0.1,0.2"], 5,
+     "time '0.15' not above the previous '0.2'"),
+    (_WEIGHTED, ["0.2,1.0,0.1", "# a note", " 1e-1 ,0.5,0.1"], 5,
+     "time '1e-1' not above the previous '0.2'"),
 ])
 def test_curve_error_names_the_first_bad_line(tmp_path, header, body, lineno, message):
     path = tmp_path / "bad.csv"
@@ -139,7 +145,6 @@ def test_curve_error_names_the_first_bad_line(tmp_path, header, body, lineno, me
 @pytest.mark.parametrize("text, message", [
     ("# only a comment\n", "empty curve file"),
     ("t_seconds,amplitude\n", "no samples"),
-    ("t_seconds,amplitude\n0.2,1.0\n0.2,0.5\n", "sample times must be strictly increasing"),
 ])
 def test_curve_file_errors_without_a_line(tmp_path, text, message):
     path = tmp_path / "bad.csv"
@@ -283,29 +288,101 @@ def test_parse_fit_command():
     assert args.command == "fit" and args.quad_freq == 5969.0
 
 
+_FIT = ["fit", "--long", "l.csv", "--trans", "t.csv"]
+_EVOLVE = ["evolve", "--t-max", "1e-3"]
+#: spin 7/2 is fixed, so --spin is an unknown flag like any other; the fit searches
+#: only b0, b1 and b2, so the --init-a* flags are gone too.  A subcommand takes only
+#: the flags it reads.  Impossible orders, counts and times are usage errors as well.
+_USAGE_ERRORS = (
+    ["rates", "--frobnicate"], ["rates", "--spin", "7"],
+    *([*_FIT, flag, "1"] for flag in ("--init-a1z", "--init-a2z", "--init-a1x", "--init-a2x")),
+    [*_FIT, "--restarts", "0"],
+    [*_EVOLVE, "--points", "0"], ["evolve", "--t-max", "-1"],
+    ["rates", "--q", "8"], ["rates", "--q", "-1"], ["rates", "--q", "x"],
+    ["rates", "--seed", "1"], [*_EVOLVE, "--seed", "1"], [*_EVOLVE, "--raw"],
+    [*_FIT, "--tau-c", "1e-9"], [*_FIT, "--equilibrium", "uniform"],
+    ["bloch", "--j0", "1"], ["bloch", "--quad-freq", "1"],
+    ["ilt", "--curve", "c.csv", "--t-min", "1", "--t-max", "2", "--seed", "1"],
+    ["validate", "--raw"], ["validate", "--quad-freq", "-1"],
+    *([*_EVOLVE, "--elements", spec]
+      for spec in ("a,b", "9,1", "1,0", ";", "", "1,2,3", "1", "1,1;8,x")),
+)
+
+
 def test_unknown_flag_exits_2(capsys):
-    # spin 7/2 is fixed, so --spin is an unknown flag like any other; the fit
-    # searches only b0, b1 and b2, so the --init-a* flags are gone too.  A
-    # subcommand takes only the flags it reads.  Impossible orders, counts and
-    # times are usage errors as well.
-    fit = ["fit", "--long", "l.csv", "--trans", "t.csv"]
-    evolve = ["evolve", "--t-max", "1e-3"]
-    for argv in (["rates", "--frobnicate"], ["rates", "--spin", "7"],
-                 *([*fit, flag, "1"] for flag in ("--init-a1z", "--init-a2z", "--init-a1x",
-                                                  "--init-a2x")),
-                 [*fit, "--restarts", "0"],
-                 [*evolve, "--points", "0"], ["evolve", "--t-max", "-1"],
-                 ["rates", "--q", "8"], ["rates", "--q", "-1"], ["rates", "--q", "x"],
-                 ["rates", "--seed", "1"], [*evolve, "--seed", "1"], [*evolve, "--raw"],
-                 [*fit, "--tau-c", "1e-9"], [*fit, "--equilibrium", "uniform"],
-                 ["bloch", "--j0", "1"], ["bloch", "--quad-freq", "1"],
-                 ["ilt", "--curve", "c.csv", "--t-min", "1", "--t-max", "2", "--seed", "1"],
-                 ["validate", "--raw"], ["validate", "--quad-freq", "-1"],
-                 *([*evolve, "--elements", spec]
-                   for spec in ("a,b", "9,1", "1,0", ";", "", "1,2,3", "1", "1,1;8,x"))):
+    for argv in _USAGE_ERRORS:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
         assert err.value.code == 2
+
+
+def _parse_outcome(parse, argv, capsys):
+    """('args', namespace) or ('exit', code, stdout, stderr) of parse(argv)."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, *capsys.readouterr())
+    assert capsys.readouterr() == ("", "")
+    return ("args", args)
+
+
+#: argument vectors whose parse succeeds, or fails before the subcommand's parser
+#: (no command, help, an unknown command) or inside it in ways _USAGE_ERRORS does not
+_PARSE_CASES = (
+    [], ["nosuch"], ["nosuch", "--q", "1"], ["-h"], ["--help"], ["-h", "rates"],
+    ["--", "rates"], ["rates", "-h"], ["validate", "--he"], ["fit", "--help", "--frobnicate"],
+    ["validate", "extra"], ["rates", "--raw", "a", "b"], ["rates", "rates"],
+    ["rates", "--", "x"], ["rates", "--q"], ["validate", "--j0"], ["validate", "--j0", "--j1", "1"],
+    [*_EVOLVE, "--elements"], ["rates", "--frobnicate", "--q", "9"], ["fit"], ["validate", "-x"],
+    ["rates", "--q", "3", "--raw", "--out", "d"], ["validate", "--o=d", "--j0", "1e-9"],
+    ["validate", "--seed", "5", "--j0", "2", "--j1", "1", "--j2", "0.5"],
+    ["evolve", "--t-max", "1e-3", "--elements", "1,1;8,1", "--state", "uniform"],
+    [*_FIT, "--restarts", "2", "--normalize"],
+    ["ilt", "--curve", "c.csv", "--t-min", "2", "--t-max", "1", "--kernel", "recovery"],
+    ["bloch"],
+)
+
+
+@pytest.mark.parametrize("argv", [*_USAGE_ERRORS, *_PARSE_CASES], ids=" ".join)
+def test_main_parses_as_parse_args(argv, capsys):
+    # one pass through the subcommand's parser gives the namespace, or the exit code,
+    # output and message byte for byte, that parse_args of a fresh parser gives
+    want = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse_args, argv, capsys) == want
+    if want[0] == "exit":
+        assert _parse_outcome(main, argv, capsys) == want
+
+
+def test_main_scans_the_arguments_once(tmp_path, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    cli._parser()  # built before counting starts
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(["validate", "--j0", "2", "--j1", "1", "--j2", "0.5",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert calls == ["quadrelax validate"]
+    calls.clear()
+    build_parser().parse_args(["validate"])
+    assert calls == ["quadrelax", "quadrelax validate"]
+
+
+def test_module_entry_point_reports_an_unknown_flag(capsys, monkeypatch):
+    # the argv=None path reads sys.argv and reports as parse_args does
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parse_outcome(build_parser().parse_args, ["rates", "--frobnicate"], capsys)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "quadrelax.cli", "rates", "--frobnicate"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert ("exit", done.returncode, done.stdout, done.stderr) == want
+    assert want[1] == 2
+    assert want[3].endswith("quadrelax: error: unrecognized arguments: --frobnicate\n")
 
 
 def _typed_flags() -> list[tuple[str, str]]:
@@ -410,6 +487,41 @@ def test_cached_parser_matches_a_fresh_parser_across_usage_errors(tmp_path, theo
     assert runs[False] == runs[True]
     assert set(runs[False][1]) == {"v/validate_report.txt", "r1/rates.txt",
                                    "e/trajectory.txt", "r2/rates.txt"}
+
+
+def _counting_mkdir(monkeypatch) -> list:
+    calls, mkdir = [], Path.mkdir
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting)
+    return calls
+
+
+def test_existing_output_directory_is_not_made_again(tmp_path, monkeypatch):
+    calls = _counting_mkdir(monkeypatch)
+    for out in (tmp_path, tmp_path / "."):
+        cli._resolve_config(build_parser().parse_args(["validate", "--out", str(out)]))
+    assert calls == []
+    nested = tmp_path / "a" / "b"
+    cli._resolve_config(build_parser().parse_args(["validate", "--out", str(nested)]))
+    # mkdir(parents=True) makes the missing parent by calling itself
+    assert nested.is_dir() and calls[0] == nested
+
+
+def test_output_path_naming_a_file_fails_as_before(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    with pytest.raises(FileExistsError) as want:
+        taken.mkdir(parents=True, exist_ok=True)
+    with pytest.raises(FileExistsError) as info:
+        cli._resolve_config(build_parser().parse_args(["validate", "--out", str(taken)]))
+    assert str(info.value) == str(want.value)
+    assert main(["validate", "--j0", "2", "--j1", "1", "--j2", "0.5", "--out", str(taken)]) == 1
+    assert capsys.readouterr() == ("", f"error: {want.value}\n")
+    assert taken.read_text() == "x"
 
 
 def test_config_parsing(tmp_path, theo_cfg):
@@ -721,6 +833,15 @@ def test_malformed_curve_exits_3(tmp_path, capsys):
         bad.write_bytes(text.encode("latin-1"))
         assert main(["bloch", "--trans", str(bad), "--out", str(tmp_path)]) == EXIT_DATA
         assert f"{bad}:2:" in capsys.readouterr().err
+
+
+def test_curve_whose_times_stop_increasing_exits_3_with_its_line(tmp_path, capsys):
+    bad = tmp_path / "long.csv"
+    bad.write_text("t_seconds,amplitude\n0.1,1.0\n0.2,0.5\n0.15,0.3\n")
+    assert main(["fit", "--long", str(bad), "--trans", str(DATA_DIR / "synthetic_transverse.csv"),
+                 "--quad-freq", "5969", "--out", str(tmp_path)]) == EXIT_DATA
+    assert capsys.readouterr() == (
+        "", f"data error: {bad}:4: time '0.15' not above the previous '0.2'\n")
 
 
 def test_missing_physics_exits_1(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -22,6 +24,7 @@ from quadrelax.redfield_core import (
     evaluate_block,
     liouville_superoperator,
     numeric_eigensystem,
+    sector_modes,
     sector_spectra,
     validate_against_reference_tables,
 )
@@ -241,7 +244,7 @@ _J_TRIPLES = st.one_of(
 @given(_J_TRIPLES)
 def test_numeric_eigensystem_invariants_over_density_space(weights):
     # log-uniform J over +-5 decades and the corners J1 = J2, J0 = J1 = J2 and J2 = 0
-    spectra = redfield_core.sector_spectra(weights)
+    spectra = redfield_core.sector_spectra(weights, range(8))
     for q in range(8):
         m = evaluate_block(q, weights)
         es = numeric_eigensystem(CoherenceBlock(q, m))
@@ -267,6 +270,73 @@ def test_numeric_eigensystem_invariants_over_density_space(weights):
         rates = redfield_core._rates_from_eigenvalues(spectra[q], None)
         assert np.abs(rates - es.rates).max() <= 1e-14 * es.rates.max(), q
         assert np.array_equal(rates == 0, es.rates == 0), q
+
+
+_SPECTRA_WEIGHTS = ((2.0, 1.0, 0.5), (1.0, 1.0, 1.0), (3.0, 1e-3, 1e-3), (83.0, 3.8, 0.18),
+                    (4.1e-9, 2.2e-10, 5.6e-11), (0.0, 0.0, 0.0))
+
+
+def test_sector_spectra_of_some_orders_are_those_of_all_orders():
+    for weights in _SPECTRA_WEIGHTS:
+        full = sector_spectra(weights, range(8))
+        assert list(full) == list(range(8))
+        for k in range(1, 9):
+            for orders in itertools.combinations(range(8), k):
+                for asked in (orders, orders[::-1]):
+                    got = sector_spectra(weights, asked)
+                    assert list(got) == list(asked)
+                    for q in asked:
+                        assert got[q].shape == (8 - q,)
+                        assert got[q].tobytes() == full[q].tobytes(), (weights, asked, q)
+
+
+def test_sector_spectra_of_orders_2_to_7_solve_no_size_4_sector(monkeypatch):
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(m):
+        shapes.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    sector_spectra((2.0, 1.0, 0.5), range(2, 8))
+    assert shapes == [(4, 3, 3), (4, 2, 2)]
+    shapes.clear()
+    sector_spectra((2.0, 1.0, 0.5), (0, 7))
+    assert shapes == [(3, 4, 4)]
+
+
+def _uncached_sector_modes(orders, weights):
+    """sector_modes as it was before its stacks were cached: grouped and stacked per call."""
+    by_size = {}
+    for q in orders:
+        for p, mats in redfield_core.sector_table().sectors[q]:
+            if p.shape[1]:
+                by_size.setdefault(p.shape[1], []).append((q, p, mats))
+    parts = {q: [] for q in orders}
+    for size, group in sorted(by_size.items(), reverse=True):
+        a = np.stack([mats for _, _, mats in group])
+        m = weights[0] * a[:, 0] + weights[1] * a[:, 1] + weights[2] * a[:, 2]
+        lam, vec = np.linalg.eigh(m) if size > 1 else (m[..., 0], np.ones_like(m))
+        for (q, p, _), lam_s, vec_s in zip(group, lam, vec):
+            parts[q].append((lam_s, p @ vec_s))
+    return {q: (np.concatenate([lam for lam, _ in pair]), np.hstack([u for _, u in pair]))
+            for q, pair in parts.items()}
+
+
+def test_sector_modes_cached_stacks_change_no_bit():
+    redfield_core._mode_groups.cache_clear()
+    for orders in ((0, 1), [0, 1], (0, 7), tuple(range(8)), (3,), (7, 2, 5), (6, 7)):
+        for weights in _SPECTRA_WEIGHTS:
+            for _ in range(2):  # the first call builds the stacks, the second reuses them
+                got, want = sector_modes(orders, weights), _uncached_sector_modes(orders, weights)
+                assert list(got) == list(want)
+                for q, (lam, u) in want.items():
+                    for a, b in zip(got[q], (lam, u)):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (orders, q)
+                        assert not a.flags.writeable
+    groups = redfield_core._mode_groups((0, 1))
+    assert groups is redfield_core._mode_groups((0, 1))
+    assert all(not a.flags.writeable for a, _ in groups)
 
 
 def test_even_odd_tie_is_ordered_by_the_sign_fixed_vectors():
@@ -488,6 +558,56 @@ def test_closed_form_sweep():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def _closed_form_on_arrays(q, j, c):
+    """(lam, w, w_bar, rates) of analytic_eigensystem as computed on numpy arrays
+    before: the eigenvalues sorted into an array and _rates_from_eigenvalues on it."""
+    values = analytic_eigenvalues(q, j)
+    if q >= 6:
+        w_bar, w = redfield_core._constant_transformation(q)
+        lam = np.array(values)
+    else:
+        w_bar = redfield_core._analytic_w_bar(q, j, values)
+        redfield_core._degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
+        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+        lam, w_bar = np.array([values[k] for k in order]), w_bar[:, order]
+        w = np.linalg.inv(w_bar)
+    return lam, w, w_bar, redfield_core._rates_from_eigenvalues(lam, c)
+
+
+_NEAR_EQUAL = st.floats(-7.0, -2.0).map(lambda e: 10.0 ** e)
+#: criterion-3 triples (J0/J2 up to 1e5), J0 = J1 = J2, J1 = J2, and triples within
+#: 1e-7 to 1e-2 of J0 = J1 = J2, each scaled by 10^-10 to 1
+_CLOSED_FORM_TRIPLES = st.tuples(
+    st.one_of(
+        st.tuples(st.floats(0.5, 10.0), st.floats(-2.5, 0.0), st.floats(-2.5, 0.0)).map(
+            lambda t: (t[0], t[0] * 10 ** t[1], t[0] * 10 ** (t[1] + t[2]))),
+        st.floats(0.5, 10.0).map(lambda s: (s, s, s)),
+        st.tuples(st.floats(0.5, 10.0), st.floats(-5.0, 0.0)).map(
+            lambda t: (t[0], t[0] * 10 ** t[1], t[0] * 10 ** t[1])),
+        st.tuples(st.floats(0.5, 10.0), _NEAR_EQUAL, _NEAR_EQUAL).map(
+            lambda t: (t[0] * (1 + t[1]) * (1 + t[2]), t[0] * (1 + t[1]), t[0]))),
+    st.floats(-10.0, 0.0)).map(lambda t: tuple(v * 10 ** t[1] for v in t[0]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(_CLOSED_FORM_TRIPLES, st.sampled_from([None, 1.0, 1.406e9]))
+def test_closed_form_rates_on_floats_are_the_array_path_bit_for_bit(triple, c_value):
+    j = SpectralDensities(*triple)
+    c = None if c_value is None else QuadrupolarConstant(c_value)
+    for q in range(2, 8):
+        try:
+            want = _closed_form_on_arrays(q, j, c)
+        except DegenerateSpectrumError as exc:
+            with pytest.raises(DegenerateSpectrumError, match=f"^{re.escape(str(exc))}$"):
+                analytic_eigensystem(q, j, c)
+            continue
+        es = analytic_eigensystem(q, j, c)
+        for got, ref in zip((es.eigenvalues, es.w, es.w_bar, es.rates), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (q, triple)
+        rates = redfield_core._rates_from_eigenvalues(es.eigenvalues, c)
+        assert es.rates.tobytes() == rates.tobytes()
+
+
 # -- published-table conformance ---------------------------------------------
 
 def test_validate_report():
@@ -585,7 +705,7 @@ def test_validate_report_is_the_numpy_formula_bit_for_bit():
         printed = _file_order_sum(entries["J1T-printed"], (7, 7), j)
         assert report.printed_variant_max_abs.hex() == float(max(
             abs(basis1[cell] - printed[cell]) for cell in entries["J1T-printed"])).hex()
-        numeric, spectra = sector_spectra(j.as_tuple()), []
+        numeric, spectra = sector_spectra(j.as_tuple(), range(8)), []
         for q in range(2, 8):
             lam_num, lam_ana = np.sort(numeric[q]), np.sort(analytic_eigenvalues(q, j))
             spectra.append(
