@@ -13,7 +13,7 @@ import numpy as np
 from .curves import DecayCurve
 from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
                         longitudinal_observable, transverse_observable)
-from .redfield_core import _canonical_eigensystem, sector_modes, sector_table
+from .redfield_core import _canonical_eigensystem, _mode_groups, sector_modes, sector_table
 # the fit no longer calls it; bench/test_bench_stats.py calls it through analysis, so it
 # stays imported until the benchmark changes
 from .redfield_core import numeric_eigensystem  # noqa: F401
@@ -55,7 +55,7 @@ def _param_vector(params) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _parity_subspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fitted signals c . exp(M t) d of q = 0 and q = 1 reduced to the
-    reversal-parity sector of their c and d (see redfield_core.SectorTable).
+    reversal-parity sector of their c and d (see redfield_core.sector_table).
 
     <Iz> is odd under the reversal (q = 0, c = Iz, d = -Iz) and Ix's q = 1 weights
     and elements are even (c, d = transverse_observable()).  So exp(M t) keeps the
@@ -82,7 +82,7 @@ def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple[np.ndarray, np
     and Jacobian at a trial point share one eigensolve.  The modes keep eigh's
     order and signs, which neither the signals nor their derivatives depend on."""
     # the size-4 sectors by q, even first: q = 0 even, q = 0 odd, q = 1 even
-    lam, vec = np.linalg.eigh(sector_table().stacks[0][1:] @ np.array([b0, b1, b2]))
+    lam, vec = np.linalg.eigh(_mode_groups((0, 1)).stacks[0][1:] @ np.array([b0, b1, b2]))
     lam.flags.writeable = vec.flags.writeable = False
     return lam, vec
 

@@ -21,7 +21,7 @@ from .curves import (DataFormatError, DecayCurve, data_lines, format_table, numb
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
                           lorentzian_spectral_densities, densities_from_fit,
                           quadrupolar_constant_simplified)
-from .redfield_core import (_ZERO_MODE_RTOL, sector_spectra, sector_table,
+from .redfield_core import (_rates_from_eigenvalues, sector_spectra,
                             validate_against_reference_tables)
 # no subcommand calls it any more; bench/test_bench_stats.py still expects the tracer
 # to patch this name in cli's namespace, so it stays imported until the benchmark changes
@@ -179,19 +179,10 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     j = cfg.densities()
     c = cfg.constant()
-    table = sector_table()
-    orders, starts = table.orders, table.starts
-    # every order's rates in one pass; the zero-mode threshold stays per order, as in
-    # _rates_from_eigenvalues
-    lam = np.concatenate(list(sector_spectra(j.as_tuple(), range(8)).values()))
-    mag = np.abs(lam)
-    rates = -c.c * lam
-    rates[mag < _ZERO_MODE_RTOL * np.maximum.reduceat(mag, starts)[orders]] = 0.0
-    times = np.divide(1.0, rates, out=np.full_like(rates, np.inf), where=rates > 0)
-    modes = np.arange(lam.size) - np.take(starts, orders) + 1
-    rows = np.column_stack([orders, modes, rates, times])
-    if args.q != "all":
-        rows = rows[orders == int(args.q)]
+    orders = range(8) if args.q == "all" else (int(args.q),)
+    rows = [(q, p, rate, 1.0 / rate if rate > 0 else np.inf)
+            for q, lam in sector_spectra(j.as_tuple(), orders).items()
+            for p, rate in enumerate(_rates_from_eigenvalues(lam, c), start=1)]
     out = Path(cfg.out) / "rates.txt"
     write_table(out, ["q", "p", "rate_hz", "time_s"], rows, raw=args.raw, int_columns=2)
     print(f"wrote {out} ({len(rows)} modes; C = {format_number(c.c, args.raw)} Hz^2)")

@@ -9,9 +9,9 @@ where J(q) is the (8-q)-dimensional block assembled from the double
 commutator -sum_p (-1)^p J_p [Q_p, [Q_{-p}, . ]] and rescaled by a single
 global constant kappa, calibrated once so that the q = 7 block equals
 -21 J1 - 7 J2 exactly.  The block is linear in (J0, J1, J2), so the double
-commutator runs once per order and unit density (coefficient_matrices) and
-every block is the weighted sum of those cached matrices.  Relaxation rates
-are R_p = -C * lambda_p.
+commutator runs once per unit density, on all 64 basis elements at once, and
+every block is the weighted sum of its cached rows and columns
+(coefficient_matrices).  Relaxation rates are R_p = -C * lambda_p.
 
 A mode decomposition is stored as (w, w_bar) with J(q) = w_bar diag(lambda) w
 and w w_bar = identity: the columns of w_bar are right eigenvectors, so that
@@ -21,8 +21,10 @@ element trajectories follow  rho(t) = w_bar exp(lambda C t) w rho(0).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,38 +73,29 @@ class BlockEigensystem:
     rates: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _canonical_quads() -> QuadrupoleSet:
-    return make_quadrupole_operators(SpinSystem(7))
-
-
-def _double_commutator_block(q: int, weights: tuple[float, float, float]) -> np.ndarray:
-    """Unnormalized order-q block of -sum_p (-1)^p weights[|p|] [Q_p, [Q_{-p}, . ]]."""
-    quads = _canonical_quads()
+def _double_commutator(quads: QuadrupoleSet, weights: tuple[float, float, float]) -> np.ndarray:
+    """Unnormalized -sum_p (-1)^p weights[|p|] [Q_p, [Q_{-p}, . ]] on vectorized density
+    matrices (basis |a><b|, index a*d+b), applied to all d^2 basis elements at once."""
     d = quads.q_zero.shape[0]
-    if not 0 <= q <= d - 1:
-        raise ValueError(f"coherence order q={q} outside 0..{d - 1}")
-    n_dim = d - q
-    out = np.zeros((n_dim, n_dim))
-    for n in range(n_dim):
-        basis = np.zeros((d, d), dtype=complex)
-        basis[q + n, n] = 1.0
-        acc = np.zeros((d, d), dtype=complex)
-        for p in (-2, -1, 0, 1, 2):
-            inner = quads[-p] @ basis - basis @ quads[-p]
-            acc -= (-1) ** p * weights[abs(p)] * (quads[p] @ inner - inner @ quads[p])
-        out[:, n] = [acc[q + n2, n2].real for n2 in range(n_dim)]
-    return out
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    acc = np.zeros((d * d, d, d), dtype=complex)
+    for p in (-2, -1, 0, 1, 2):
+        inner = quads[-p] @ basis - basis @ quads[-p]
+        acc -= (-1) ** p * weights[abs(p)] * (quads[p] @ inner - inner @ quads[p])
+    return acc.real.reshape(d * d, d * d).T
 
 
-_UNIT_PICKS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+@lru_cache(maxsize=1)
+def _unit_double_commutators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_double_commutator of the spin-7/2 quadrupole operators at unit J0, J1 and J2."""
+    quads = make_quadrupole_operators(SpinSystem(7))
+    return tuple(_double_commutator(quads, pick) for pick in np.eye(3))
 
 
 @lru_cache(maxsize=None)
 def _normalization() -> float:
-    """Global kappa fixing block(q=7) = -21 J1 - 7 J2."""
-    c1 = _double_commutator_block(7, _UNIT_PICKS[1])[0, 0]
-    c2 = _double_commutator_block(7, _UNIT_PICKS[2])[0, 0]
+    """Global kappa fixing block(q=7) = -21 J1 - 7 J2 (element 56 is rho_{7, 0})."""
+    _, c1, c2 = (unit[56, 56] for unit in _unit_double_commutators())
     kappa = -21.0 / c1
     if abs(kappa * c2 + 7.0) > 1e-10:
         raise RuntimeError(f"normalization is inconsistent between J1 and J2: {kappa * c2}")
@@ -113,16 +106,17 @@ def _normalization() -> float:
 def coefficient_matrices(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-density coefficient matrices (A0, A1, A2) with block = sum_k J_k A_k.
 
-    Exact (one double commutator per unit density) and cached; every block is
-    built from them.  The matrices are read-only.
+    Exact (the unit-density double commutators restricted to the rho_{q+n, n},
+    index 8q + 9n) and cached; every block is built from them.  The matrices are
+    read-only.
     """
-    kappa = _normalization()
-    mats = []
-    for pick in _UNIT_PICKS:
-        m = kappa * _double_commutator_block(q, pick)
+    if not 0 <= q <= 7:
+        raise ValueError(f"coherence order q={q} outside 0..7")
+    kappa, rows = _normalization(), 8 * q + 9 * np.arange(8 - q)
+    mats = tuple(kappa * unit[np.ix_(rows, rows)] for unit in _unit_double_commutators())
+    for m in mats:
         m.flags.writeable = False
-        mats.append(m)
-    return tuple(mats)
+    return mats
 
 
 def evaluate_block(q: int, weights: tuple[float, float, float]) -> np.ndarray:
@@ -137,32 +131,31 @@ def assemble_block(q: int, j: SpectralDensities) -> CoherenceBlock:
 
 
 def liouville_superoperator(quads: QuadrupoleSet, j: SpectralDensities) -> np.ndarray:
-    """Full d^2 x d^2 action on vectorized density matrices (basis |a><b|, index a*d+b).
+    """Full d^2 x d^2 action on vectorized density matrices (basis |a><b|, index a*d+b):
+    kappa times the double commutator that coefficient_matrices restricts.
 
     Intended for structural checks; the per-order blocks are what production
     paths use.
     """
-    d = quads.q_zero.shape[0]
-    kappa = _normalization()
-    jp = {0: j.j0, 1: j.j1, 2: j.j2}
-    out = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            basis = np.zeros((d, d), dtype=complex)
-            basis[a, b] = 1.0
-            acc = np.zeros((d, d), dtype=complex)
-            for p in (-2, -1, 0, 1, 2):
-                inner = quads[-p] @ basis - basis @ quads[-p]
-                acc -= (-1) ** p * jp[abs(p)] * (quads[p] @ inner - inner @ quads[p])
-            out[:, a * d + b] = kappa * acc.real.reshape(-1)
-    return out
+    return _normalization() * _double_commutator(quads, j.as_tuple())
+
+
+def _rate_rule(c: QuadrupolarConstant | None, top: float) -> tuple[float, float]:
+    """(-C, or -1 without a constant, and the zero-mode cut) of an order whose largest
+    |lambda| is top; raises OverflowError where C top exceeds the largest float."""
+    scale = -c.c if c is not None else -1.0
+    if top * -scale > sys.float_info.max:  # on Python floats, so inf and no warning
+        raise OverflowError(f"relaxation rates overflow: C = {-scale:g} Hz^2 times "
+                            f"|lambda| = {top:g} s exceeds the largest float")
+    return scale, _ZERO_MODE_RTOL * top
 
 
 def _rates_from_eigenvalues(lam: np.ndarray, c: QuadrupolarConstant | None) -> np.ndarray:
     """-C lam, with an eigenvalue within _ZERO_MODE_RTOL of the largest |lam| set to 0."""
-    rates = (-c.c if c is not None else -1.0) * lam
     mag = np.abs(lam)
-    rates[mag < _ZERO_MODE_RTOL * mag.max()] = 0.0
+    scale, cut = _rate_rule(c, float(mag.max()))
+    rates = scale * lam
+    rates[mag < cut] = 0.0
     return rates
 
 
@@ -173,16 +166,9 @@ def _rates_from_eigenvalues(lam: np.ndarray, c: QuadrupolarConstant | None) -> n
 @dataclass(frozen=True)
 class SectorTable:
     """The read-only reversal-parity sectors of q = 0..7 (README, "Reversal-parity
-    sectors"): sectors[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o)), and
-    stacks[i] holds the projections of every sector of size 4 - i, by q, as one
-    (n, s, s, 3) array.  The 36 eigenvalues of the stacks, concatenated, run order
-    by order: orders[v] is the q of value v and starts[q] the index of order q's
-    first value."""
+    sectors"): sectors[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o))."""
 
     sectors: tuple
-    stacks: tuple
-    orders: np.ndarray
-    starts: tuple
 
 
 @lru_cache(maxsize=1)
@@ -199,80 +185,60 @@ def sector_table() -> SectorTable:
             raise RuntimeError(f"the q={q} A_k couple the sectors ({coupling:.2e})")
         mats = [np.stack([p.T @ a @ p for a in coefs]) for p in pair]
         sectors.append(tuple((p, (m + m.transpose(0, 2, 1)) / 2) for p, m in zip(pair, mats)))
-    flat = [mats for pair in sectors for _, mats in pair]
-    # listed by q, even first, the sector sizes never increase (4, 4, 4, 3, ..., 1, 0),
-    # so the stacks' eigenvalues concatenate order by order
-    dims = np.arange(8, 0, -1)
-    table = SectorTable(
-        tuple(sectors),
-        tuple(np.stack([m.transpose(1, 2, 0) for m in flat if m.shape[-1] == s])
-              for s in (4, 3, 2, 1)),
-        np.repeat(np.arange(8), dims), tuple((np.cumsum(dims) - dims).tolist()))
-    for arr in (*(a for pair in sectors for sector in pair for a in sector), *table.stacks,
-                table.orders):
+    for arr in (a for pair in sectors for sector in pair for a in sector):
         arr.flags.writeable = False
-    return table
+    return SectorTable(tuple(sectors))
+
+
+class _SectorPlan(NamedTuple):
+    stacks: tuple    # per sector size, largest first: the (n, s, s, 3) P^T A_k P
+    members: tuple   # per stack, the (q, P) of each of its n sectors
+    labels: np.ndarray  # the order of each eigenvalue of the stacks, in stack order
+    spans: dict      # {q: (start, stop)} among those eigenvalues once sorted by order
 
 
 @lru_cache(maxsize=256)
-def _spectra_plan(orders: tuple) -> tuple:
-    """For sector_spectra: the stacks that hold a sector of the orders, the order of
-    each of their values (a run of SectorTable.orders per stack), and each order's
-    (start, stop) among those values once sorted by order."""
-    table = sector_table()
-    # order q's sectors have sizes (9 - q) // 2 and (8 - q) // 2, and size s is stack 4 - s
-    needed = {4 - s for q in orders for s in ((9 - q) // 2, (8 - q) // 2) if s}
-    offsets = np.cumsum([0] + [stack.shape[0] * stack.shape[-2] for stack in table.stacks])
-    picked = tuple(i for i in range(len(table.stacks)) if i in needed)
-    labels = np.concatenate([table.orders[offsets[i]:offsets[i + 1]] for i in picked])
-    labels.flags.writeable = False
-    spans = {q: (int(np.sum(labels < q)), int(np.sum(labels <= q))) for q in orders}
-    return picked, labels, spans
+def _mode_groups(orders: tuple) -> _SectorPlan:
+    """The orders' sectors stacked by size, built once per tuple of orders and
+    read-only; sector_spectra, sector_modes and the fit solve from it."""
+    sectors = sector_table().sectors
+    # largest first, so that each order lists its even sector before its odd one
+    groups = [[(q, p, mats) for q in orders for p, mats in sectors[q] if p.shape[1] == size]
+              for size in (4, 3, 2, 1)]
+    groups = [g for g in groups if g]
+    stacks = tuple(np.stack([mats.transpose(1, 2, 0) for _, _, mats in g]) for g in groups)
+    labels = np.array([q for g in groups for q, p, _ in g for _ in range(p.shape[1])])
+    for arr in (*stacks, labels):
+        arr.flags.writeable = False
+    return _SectorPlan(stacks, tuple(tuple((q, p) for q, p, _ in g) for g in groups), labels,
+                       {q: (int(np.sum(labels < q)), int(np.sum(labels <= q))) for q in orders})
 
 
 def sector_spectra(weights: tuple[float, float, float], orders) -> dict:
     """{q: eigenvalues} of the blocks of the orders at the weights (J's or B's), each
-    order's descending, from one eigvalsh call per sector size that holds one of their
-    sectors, and no eigenvectors.  A stack's values do not depend on which other
-    stacks are solved, so every order's spectrum is the one the all-orders call gives."""
-    w, stacks = np.array(weights, dtype=float), sector_table().stacks
-    picked, labels, spans = _spectra_plan(tuple(orders))
+    order's descending, from one eigvalsh call per sector size over just those orders'
+    sectors, and no eigenvectors.  A sector's values do not depend on which other
+    sectors share its stack, so every order's spectrum is the one the all-orders call
+    gives."""
+    plan = _mode_groups(tuple(orders))
+    w = np.array(weights, dtype=float)
     lam = np.concatenate([(np.linalg.eigvalsh(m) if m.shape[-1] > 1 else m[..., 0]).ravel()
-                          for m in (stacks[i] @ w for i in picked)])
-    lam = lam[np.lexsort((-lam, labels))]
-    return {q: lam[a:b] for q, (a, b) in spans.items()}
-
-
-@lru_cache(maxsize=256)
-def _mode_groups(orders: tuple) -> tuple:
-    """For sector_modes: per sector size, largest first, the read-only (n, 3, s, s)
-    stack of the orders' sectors of that size and the (q, P) of each."""
-    sectors = sector_table().sectors
-    by_size = {}
-    for q in orders:
-        for p, mats in sectors[q]:
-            if p.shape[1]:  # the q = 7 odd sector is empty
-                by_size.setdefault(p.shape[1], []).append((q, p, mats))
-    groups = []
-    # largest first, so that each order lists its even sector before its odd one
-    for size, group in sorted(by_size.items(), reverse=True):
-        a = np.stack([mats for _, _, mats in group])
-        a.flags.writeable = False
-        groups.append((a, tuple((q, p) for q, p, _ in group)))
-    return tuple(groups)
+                          for m in (stack @ w for stack in plan.stacks)])
+    lam = lam[np.lexsort((-lam, plan.labels))]
+    return {q: lam[a:b] for q, (a, b) in plan.spans.items()}
 
 
 def sector_modes(orders, weights: tuple[float, float, float]) -> dict:
     """{q: (lam, u)} for each order q in orders, with block(q) = u diag(lam) u^T at the
     weights (J's or B's) and u = [P_e V_e | P_o V_o]: one eigh call per sector size over
-    just those orders' sectors, whose stacks are built on the first call for the orders.
-    The modes of an order are its even sector's and then its odd sector's, each
-    ascending, with eigh's signs; the arrays are read-only."""
+    just those orders' sectors.  The modes of an order are its even sector's and then
+    its odd sector's, each ascending, with eigh's signs; the arrays are read-only."""
+    plan = _mode_groups(tuple(orders))
     parts = {q: [] for q in orders}
-    for a, members in _mode_groups(tuple(orders)):
+    for a, members in zip(plan.stacks, plan.members):
         # elementwise, as evaluate_block, so that a sector's matrix does not depend on
         # which other sectors share its stack
-        m = weights[0] * a[:, 0] + weights[1] * a[:, 1] + weights[2] * a[:, 2]
+        m = weights[0] * a[..., 0] + weights[1] * a[..., 1] + weights[2] * a[..., 2]
         lam, vec = np.linalg.eigh(m) if m.shape[-1] > 1 else (m[..., 0], np.ones_like(m))
         for (q, p), lam_s, vec_s in zip(members, lam, vec):
             parts[q].append((lam_s, p @ vec_s))
@@ -305,7 +271,7 @@ def numeric_eigensystem(block: CoherenceBlock,
 
     Every assembled block is real symmetric, so the symmetric solver applies
     and w = w_bar^T; a block whose asymmetry, or whose even-odd coupling
-    P_e^T m P_o (see SectorTable), exceeds 1e-12 of its largest entry (a
+    P_e^T m P_o (see sector_table), exceeds 1e-12 of its largest entry (a
     defective matrix among them) raises np.linalg.LinAlgError.  Each sector is
     solved apart, w_bar = [P_e V_e | P_o V_o], and each w_bar column's first
     component of significant magnitude is made positive.
@@ -588,13 +554,10 @@ def analytic_eigensystem(q: int, j: SpectralDensities,
         order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable
         values, w_bar = [values[k] for k in order], w_bar[:, order]
         w = np.linalg.inv(w_bar)
-    # _rates_from_eigenvalues on Python floats: the same products and threshold
-    mags = [abs(v) for v in values]
-    cut = _ZERO_MODE_RTOL * max(mags)
-    scale = -c.c if c is not None else -1.0
+    # _rates_from_eigenvalues on Python floats: the same rule, products and threshold
+    scale, cut = _rate_rule(c, max(map(abs, values)))
     return BlockEigensystem(q=q, eigenvalues=np.array(values), w=w, w_bar=w_bar,
-                            rates=np.array([0.0 if m < cut else scale * v
-                                            for m, v in zip(mags, values)]))
+                            rates=np.array([0.0 if abs(v) < cut else scale * v for v in values]))
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +588,8 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
     """
     tables = load_reference_tables()
     t0, t1 = tables.j0_block.evaluate(j), tables.j1_block.evaluate(j)
-    d0 = np.abs(tables.u0 @ assemble_block(0, j).matrix @ tables.u0_bar - t0)
-    basis1 = tables.u1 @ assemble_block(1, j).matrix @ tables.u1_bar
+    d0 = np.abs(tables.u0 @ evaluate_block(0, j.as_tuple()) @ tables.u0_bar - t0)
+    basis1 = tables.u1 @ evaluate_block(1, j.as_tuple()) @ tables.u1_bar
     d1 = np.abs(basis1 - t1)
     cells = tables.printed_j1_variants.cells
     printed_dev = np.abs(basis1[cells] - tables.printed_j1_variants.evaluate(j)[cells]).max()

@@ -603,6 +603,28 @@ def test_rates_print_order_and_mode_as_integers(tmp_path, theo_cfg, raw, first_r
     assert lines[-1].startswith("7 1 ")
 
 
+_OVERFLOWING = ["--j0", "1e300", "--j1", "1e300", "--j2", "1e300", "--c", "1e10"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_rates_that_overflow_exit_1(tmp_path, capsys):
+    # C |lambda| ~ 8e311: the rate rule raises before any product overflows, so no
+    # RuntimeWarning is emitted and no table of inf rates is written
+    out = tmp_path / "o"
+    assert main(["rates", *_OVERFLOWING, "--out", str(out)]) == 1
+    assert "error: relaxation rates overflow" in capsys.readouterr().err
+    assert not (out / "rates.txt").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_evolve_that_overflows_exits_1(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["evolve", *_OVERFLOWING, "--t-max", "1", "--points", "3",
+                 "--out", str(out)]) == 1
+    assert "error: relaxation rates overflow" in capsys.readouterr().err
+    assert not (out / "trajectory.txt").exists()
+
+
 def test_evolve_trajectory(tmp_path, theo_cfg):
     out = tmp_path / "o"
     assert main(["evolve", "--config", str(theo_cfg), "--state", "noon",

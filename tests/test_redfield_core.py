@@ -28,7 +28,8 @@ from quadrelax.redfield_core import (
     sector_spectra,
     validate_against_reference_tables,
 )
-from quadrelax.spin_algebra import QuadrupoleSet, SpinSystem, make_quadrupole_operators
+from quadrelax.spin_algebra import (QuadrupoleSet, SpinSystem, make_irreducible_tensor,
+                                   make_quadrupole_operators)
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +180,8 @@ def test_assemble_rejects_out_of_range(j_ref):
 
 
 def test_coefficient_matrices_match_assembly(quads):
-    # the cached coefficient matrices against the independently assembled
-    # full superoperator, restricted to each order's rho_{q+n, n} elements
+    # the cached coefficient matrices against the full superoperator, restricted
+    # to each order's rho_{q+n, n} elements
     rng = np.random.default_rng(11)
     j = random_j(rng)
     full = liouville_superoperator(quads, j)
@@ -190,6 +191,57 @@ def test_coefficient_matrices_match_assembly(quads):
                                    full[np.ix_(lower, lower)], atol=1e-12)
         np.testing.assert_array_equal(assemble_block(q, j).matrix,
                                       evaluate_block(q, j.as_tuple()))
+
+
+def _tensor_double_commutator(two_i, weights):
+    """-sum_p (-1)^p J_|p| [T(2,p), [T(2,-p), .]] on vectorized density matrices (index
+    a*d+b) from the unit-normalised rank-2 tensors: neither the quadrupole operators
+    nor the normalization of redfield_core enter."""
+    system = SpinSystem(two_i)
+    d = system.dim
+    t = {p: make_irreducible_tensor(system, 2, p) for p in range(-2, 3)}
+    out = np.zeros((d * d, d * d))
+    for col in range(d * d):
+        rho = np.zeros(d * d, dtype=complex)
+        rho[col] = 1.0
+        rho = rho.reshape(d, d)
+        acc = np.zeros((d, d), dtype=complex)
+        for p in range(-2, 3):
+            inner = t[-p] @ rho - rho @ t[-p]
+            acc -= (-1) ** p * weights[abs(p)] * (t[p] @ inner - inner @ t[p])
+        assert np.abs(acc.imag).max() == 0.0
+        out[:, col] = acc.real.ravel()
+    return out
+
+
+def _order_block(full, d, q):
+    rows = [(q + n) * d + n for n in range(d - q)]  # rho_{q+n, n}
+    return full[np.ix_(rows, rows)]
+
+
+def test_tensor_oracle_gives_hubbards_spin_3_2_rates():
+    # Hubbard, J. Chem. Phys. 53, 985 (1970); Jaccard, Wimperis and Bodenhausen,
+    # J. Chem. Phys. 85, 6282 (1986): the spin-3/2 rates in units of C
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        j0, j1, j2 = rng.uniform(0.01, 10.0, 3)
+        full = _tensor_double_commutator(3, (j0, j1, j2))
+        want = {0: [0.0, 2 * j1, 2 * j2, 2 * (j1 + j2)],
+                1: [j1 + j2, j0 + j1, j0 + j1 + 2 * j2]}
+        for q, rates in want.items():
+            block = _order_block(full, 4, q)
+            np.testing.assert_array_equal(block, block.T)
+            np.testing.assert_allclose(np.sort(-np.linalg.eigvalsh(block)), np.sort(rates),
+                                       rtol=0, atol=1e-13 * max(j0, j1, j2))
+
+
+def test_tensor_oracle_times_42_gives_the_coefficient_matrices():
+    for k in range(3):
+        unit = 42 * _tensor_double_commutator(7, np.eye(3)[k])
+        tol = 1e-14 * max(np.abs(coefficient_matrices(q)[k]).max() for q in range(8))
+        for q in range(8):
+            np.testing.assert_allclose(coefficient_matrices(q)[k], _order_block(unit, 8, q),
+                                       rtol=0, atol=tol, err_msg=f"q={q}, k={k}")
 
 
 # -- numeric eigensystems -----------------------------------------------------
@@ -299,10 +351,10 @@ def test_sector_spectra_of_orders_2_to_7_solve_no_size_4_sector(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     sector_spectra((2.0, 1.0, 0.5), range(2, 8))
-    assert shapes == [(4, 3, 3), (4, 2, 2)]
+    assert shapes == [(3, 3, 3), (4, 2, 2)]
     shapes.clear()
     sector_spectra((2.0, 1.0, 0.5), (0, 7))
-    assert shapes == [(3, 4, 4)]
+    assert shapes == [(2, 4, 4)]
 
 
 def _uncached_sector_modes(orders, weights):
@@ -334,9 +386,10 @@ def test_sector_modes_cached_stacks_change_no_bit():
                     for a, b in zip(got[q], (lam, u)):
                         assert a.shape == b.shape and a.tobytes() == b.tobytes(), (orders, q)
                         assert not a.flags.writeable
-    groups = redfield_core._mode_groups((0, 1))
-    assert groups is redfield_core._mode_groups((0, 1))
-    assert all(not a.flags.writeable for a, _ in groups)
+    plan = redfield_core._mode_groups((0, 1))
+    assert plan is redfield_core._mode_groups((0, 1))
+    assert [a.shape for a in plan.stacks] == [(3, 4, 4, 3), (1, 3, 3, 3)]
+    assert all(not a.flags.writeable for a in (*plan.stacks, plan.labels))
 
 
 def test_even_odd_tie_is_ordered_by_the_sign_fixed_vectors():
@@ -374,8 +427,6 @@ def test_sector_table_rejects_coefficients_that_couple_the_sectors(monkeypatch):
 
 def test_sector_table_is_orthogonal_and_read_only():
     table = redfield_core.sector_table()
-    assert [stack.shape for stack in table.stacks] == [(3, 4, 4, 3), (4, 3, 3, 3),
-                                                       (4, 2, 2, 3), (4, 1, 1, 3)]
     for q, ((p_even, even), (p_odd, odd)) in enumerate(table.sectors):
         assert (p_even.shape[1], p_odd.shape[1]) == ((9 - q) // 2, (8 - q) // 2)
         p = np.hstack([p_even, p_odd])
@@ -391,6 +442,19 @@ def test_numeric_sign_convention(j_ref, c_ref):
     for col in es.w_bar.T:
         lead = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]
         assert col[lead] > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_rates_beyond_the_largest_float_raise_before_they_overflow():
+    j, c = SpectralDensities(1e300, 1e300, 1e300), QuadrupolarConstant(1e10)
+    for q in (0, 7):
+        with pytest.raises(OverflowError, match="relaxation rates overflow"):
+            numeric_eigensystem(assemble_block(q, j), c)
+    with pytest.raises(OverflowError, match="relaxation rates overflow"):
+        analytic_eigensystem(7, j, c)
+    # at the edge: C |lambda| just below the largest float stays finite
+    es = analytic_eigensystem(7, SpectralDensities(1.0, 1.0, 1.0), QuadrupolarConstant(6e306))
+    assert np.isfinite(es.rates).all()
 
 
 def test_equal_j_degenerate_falls_back(c_ref):
