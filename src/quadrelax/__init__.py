@@ -39,7 +39,6 @@ from .curves import DecayCurve, DataFormatError, read_curve, write_curve
 from .evolution import (
     DensityState,
     MagnetizationModel,
-    evolve_block,
     propagate,
     build_longitudinal_model,
     build_transverse_model,

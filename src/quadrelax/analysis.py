@@ -13,7 +13,7 @@ import numpy as np
 from .curves import DecayCurve
 from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
                         longitudinal_observable, transverse_observable)
-from .redfield_core import _canonical_eigensystem, _mode_groups, sector_modes, sector_table
+from .redfield_core import _canonical_eigensystem, sector_modes, sector_table
 # the fit no longer calls it; bench/test_bench_stats.py calls it through analysis, so it
 # stays imported until the benchmark changes
 from .redfield_core import numeric_eigensystem  # noqa: F401
@@ -66,7 +66,7 @@ def _parity_subspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     iz = longitudinal_observable()
     parts = []
     for q, (obs, dev) in ((0, (iz, -iz)), (1, transverse_observable())):
-        p, mats = sector_table().sectors[q][q == 0]
+        p, mats = sector_table()[q][q == 0]
         parts.append((mats, obs @ p, dev @ p))
     reduced = tuple(np.stack(arrays) for arrays in zip(*parts))
     for arr in reduced:
@@ -80,9 +80,11 @@ def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple[np.ndarray, np
     shape (2, 4, 4), of the two sectors of _parity_subspace at the rate scales B,
     indexed by q, from one stacked eigh; read-only.  One entry: the fit's residual
     and Jacobian at a trial point share one eigensolve.  The modes keep eigh's
-    order and signs, which neither the signals nor their derivatives depend on."""
-    # the size-4 sectors by q, even first: q = 0 even, q = 0 odd, q = 1 even
-    lam, vec = np.linalg.eigh(_mode_groups((0, 1)).stacks[0][1:] @ np.array([b0, b1, b2]))
+    order and signs, which neither the signals nor their derivatives depend on.
+    The matrices are weighted elementwise, as sector_modes weights them, so the fit
+    and joint_models solve the same bits."""
+    a = _parity_subspace()[0]
+    lam, vec = np.linalg.eigh(b0 * a[:, 0] + b1 * a[:, 1] + b2 * a[:, 2])
     lam.flags.writeable = vec.flags.writeable = False
     return lam, vec
 
@@ -106,7 +108,7 @@ def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
         es, order = _canonical_eigensystem(q, *modes[q], None)
         model = build(es, scale, efficiency)
         # sector_modes lists the even sector's modes first
-        even = order < sector_table().sectors[q][0][0].shape[1]
+        even = order < sector_table()[q][0][0].shape[1]
         excluded = even if q == 0 else ~even
         models.append(replace(model, amplitudes=np.where(excluded, 0.0, model.amplitudes)))
     return models[0], models[1]

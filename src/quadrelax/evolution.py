@@ -101,23 +101,6 @@ class MagnetizationModel:
         return self.scale * (self.equilibrium_term + decay)
 
 
-def evolve_block(eigensystem: BlockEigensystem, rho0: DensityState, rho_eq: DensityState,
-                 t) -> np.ndarray:
-    """Element values rho_{q+n, n}(t) of one coherence order.
-
-    t is a scalar, giving shape (n,), or a 1-d array of times, giving (T, n).
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"elapsed time must be non-negative, got {float(t.min())}")
-    q = eigensystem.q
-    eq_vec = rho_eq.coherence_vector(q)
-    dev = rho0.coherence_vector(q) - eq_vec
-    amps = eigensystem.w @ dev
-    decay = np.exp(-eigensystem.rates * t[..., None]) * amps
-    return eq_vec + np.matmul(eigensystem.w_bar, decay[..., None])[..., 0]
-
-
 def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
               c: QuadrupolarConstant, times, elements) -> np.ndarray:
     """Trajectories of the zero-based (row, col) ``elements`` over sorted times, as a

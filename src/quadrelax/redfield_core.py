@@ -163,17 +163,11 @@ def _rates_from_eigenvalues(lam: np.ndarray, c: QuadrupolarConstant | None) -> n
 # reversal-parity sectors and numeric eigensystems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SectorTable:
-    """The read-only reversal-parity sectors of q = 0..7 (README, "Reversal-parity
-    sectors"): sectors[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o))."""
-
-    sectors: tuple
-
-
 @lru_cache(maxsize=1)
-def sector_table() -> SectorTable:
-    """Built on the first call; raises RuntimeError if some P_e^T A_k P_o is not 0."""
+def sector_table() -> tuple:
+    """The read-only reversal-parity sectors of q = 0..7 (README, "Reversal-parity
+    sectors"): sector_table()[q] is ((P_e, P_e^T A_k P_e), (P_o, P_o^T A_k P_o)).
+    Built on the first call; raises RuntimeError if some P_e^T A_k P_o is not 0."""
     sectors = []
     for q in range(8):
         dim, coefs, pair = 8 - q, coefficient_matrices(q), []
@@ -187,7 +181,7 @@ def sector_table() -> SectorTable:
         sectors.append(tuple((p, (m + m.transpose(0, 2, 1)) / 2) for p, m in zip(pair, mats)))
     for arr in (a for pair in sectors for sector in pair for a in sector):
         arr.flags.writeable = False
-    return SectorTable(tuple(sectors))
+    return tuple(sectors)
 
 
 class _SectorPlan(NamedTuple):
@@ -200,8 +194,8 @@ class _SectorPlan(NamedTuple):
 @lru_cache(maxsize=256)
 def _mode_groups(orders: tuple) -> _SectorPlan:
     """The orders' sectors stacked by size, built once per tuple of orders and
-    read-only; sector_spectra, sector_modes and the fit solve from it."""
-    sectors = sector_table().sectors
+    read-only; sector_spectra and sector_modes solve from it."""
+    sectors = sector_table()
     # largest first, so that each order lists its even sector before its odd one
     groups = [[(q, p, mats) for q in orders for p, mats in sectors[q] if p.shape[1] == size]
               for size in (4, 3, 2, 1)]
@@ -286,7 +280,7 @@ def numeric_eigensystem(block: CoherenceBlock,
     if not asymmetry <= tol:
         raise np.linalg.LinAlgError(
             f"block for q={block.q} is not symmetric (max |m - m^T| = {asymmetry:.2e})")
-    (p_even, _), (p_odd, _) = sector_table().sectors[block.q]
+    (p_even, _), (p_odd, _) = sector_table()[block.q]
     k, p = p_even.shape[1], np.hstack([p_even, p_odd])
     r = p.T @ m @ p
     if not np.abs(r[:k, k:]).max(initial=0.0) <= tol:

@@ -24,7 +24,7 @@ from quadrelax.curves import DecayCurve, read_curve, write_curve
 from quadrelax.evolution import (build_longitudinal_model, build_transverse_model,
                                  longitudinal_observable, transverse_observable)
 from quadrelax.redfield_core import (CoherenceBlock, coefficient_matrices, evaluate_block,
-                                     numeric_eigensystem)
+                                     numeric_eigensystem, sector_modes)
 from quadrelax.phys_params import quadrupolar_constant_simplified
 
 TABLE2 = dict(a1z=0.0230, a2z=1.00, a1x=0.019, a2x=0.99, b0=83.0, b1=3.8, b2=0.18)
@@ -330,6 +330,19 @@ def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
     assert calls.count("derivatives") == len(jacobian_points)
     assert calls[-1] == "end of search"
     assert set(result.uncertainties) == set(FIT_NAMES)
+
+
+def test_fit_and_report_solve_the_same_sector_matrices():
+    # the fit's q = 0 odd and q = 1 even sectors are weighted as sector_modes weights
+    # them, so their eigenvalues are bit for bit those that joint_models builds on
+    rng = np.random.default_rng(23)
+    for b0, b1, b2 in rng.uniform(0.01, 100.0, (300, 3)).tolist():
+        for b in ((b0, b1, b2), (b0, b1, b1), (b0, b1, 0.0)):
+            lam, _ = analysis._joint_eigensystems(*b)
+            modes = sector_modes((0, 1), b)
+            # sector_modes lists each order's even sector first; both fitted ones are 4x4
+            for got, want in ((lam[0], modes[0][0][4:]), (lam[1], modes[1][0][:4])):
+                assert got.tobytes() == want.tobytes(), b
 
 
 def test_reduction_rests_on_reversal_symmetry():

@@ -8,7 +8,6 @@ from quadrelax.evolution import (
     DensityState,
     build_longitudinal_model,
     build_transverse_model,
-    evolve_block,
     longitudinal_observable,
     propagate,
     transverse_observable,
@@ -84,40 +83,18 @@ def test_initial_amplitudes_round_trip():
         np.testing.assert_allclose(back, state.coherence_vector(q), atol=1e-12)
 
 
-def test_evolve_block_t0_identity_and_long_time():
+def test_propagate_t0_identity_and_long_time():
     rng = np.random.default_rng(1)
     systems = all_eigensystems(J_REF, C_REF)
     rho0 = random_hermitian_state(rng)
     eq = DensityState.uniform()
     for q in range(8):
-        now = evolve_block(systems[q], rho0, eq, 0.0)
-        np.testing.assert_allclose(now, rho0.coherence_vector(q), atol=1e-12)
         rates = systems[q].rates
         horizon = 20.0 / np.min(rates[rates > 0])
-        later = evolve_block(systems[q], rho0, eq, horizon)
+        pairs = [(q + n, n) for n in range(8 - q)]
+        now, later = propagate(rho0, eq, J_REF, C_REF, [0.0, horizon], pairs)
+        np.testing.assert_allclose(now, rho0.coherence_vector(q), atol=1e-12)
         np.testing.assert_allclose(later, eq.coherence_vector(q), atol=1e-8)
-
-
-def test_evolve_block_rejects_negative_time():
-    systems = all_eigensystems(J_REF, C_REF)
-    with pytest.raises(ValueError):
-        evolve_block(systems[0], DensityState.noon(), DensityState.pure_top(), -1e-6)
-    with pytest.raises(ValueError):
-        evolve_block(systems[0], DensityState.noon(), DensityState.pure_top(),
-                     np.array([0.0, -1e-6]))
-
-
-def test_evolve_block_over_times_stacks_scalar_calls():
-    rng = np.random.default_rng(5)
-    systems = all_eigensystems(J_REF, C_REF)
-    rho0 = random_hermitian_state(rng)
-    eq = DensityState.pure_top()
-    times = np.concatenate([[0.0], np.logspace(-7, -2, 40)])
-    for q in range(8):
-        batched = evolve_block(systems[q], rho0, eq, times)
-        assert batched.shape == (times.size, 8 - q)
-        stacked = np.array([evolve_block(systems[q], rho0, eq, float(t)) for t in times])
-        np.testing.assert_array_equal(batched, stacked)
 
 
 def test_q7_single_exponential_value():
@@ -125,8 +102,9 @@ def test_q7_single_exponential_value():
     systems = all_eigensystems(J_REF, C_REF)
     rate = systems[7].rates[0]
     assert rate == pytest.approx(21.69e3, rel=1e-3)
-    vals = evolve_block(systems[7], DensityState.noon(), DensityState.pure_top(), 1.0 / rate)
-    assert abs(vals[0]) == pytest.approx(0.5 / np.e, rel=1e-12)
+    vals = propagate(DensityState.noon(), DensityState.pure_top(), J_REF, C_REF, [1.0 / rate],
+                     [(7, 0)])
+    assert abs(vals[0, 0]) == pytest.approx(0.5 / np.e, rel=1e-12)
     assert 1.0 / rate == pytest.approx(46.10e-6, rel=1e-3)
 
 
@@ -166,7 +144,8 @@ def test_propagate_preserves_hermiticity_and_trace():
 
 
 def test_propagate_is_the_per_order_scalar_assembly():
-    # the sector solve agrees with evolve_block on the canonical numeric eigensystems
+    # the sector solve agrees with the mode sum eq + w_bar (exp(-R t) o (w dev)) of
+    # each order on the canonical numeric eigensystems, one time at a time
     eq = DensityState.pure_top()
     times = np.linspace(0.0, 2e-4, 25)
     systems = all_eigensystems(J_REF, C_REF)
@@ -175,8 +154,10 @@ def test_propagate_is_the_per_order_scalar_assembly():
                 else getattr(DensityState, state)())
         want = np.zeros((times.size, 8, 8), dtype=complex)
         for k, t in enumerate(times):
-            for q in range(8):
-                for n, v in enumerate(evolve_block(systems[q], rho0, eq, float(t))):
+            for q, es in systems.items():
+                eq_q = eq.coherence_vector(q)
+                amps = es.w @ (rho0.coherence_vector(q) - eq_q)
+                for n, v in enumerate(eq_q + es.w_bar @ (np.exp(-es.rates * t) * amps)):
                     want[k, q + n, n] = v
                     if q > 0:
                         want[k, n, q + n] = np.conj(v)
@@ -293,18 +274,19 @@ def test_propagate_rejects_other_dimensions():
 
 def test_eigen_sum_matches_matrix_exponential():
     rng = np.random.default_rng(3)
+    times = (0.0, 1e-13, 5e-13, 2e-12)
     for _ in range(5):
         j = SpectralDensities(rng.uniform(0.5, 5), rng.uniform(0.1, 0.5), rng.uniform(0.01, 0.1))
         rho0 = random_hermitian_state(rng)
         eq = DensityState.uniform()
-        systems = all_eigensystems(j, C_REF)
+        traj = propagate(rho0, eq, j, C_REF, times, ALL_PAIRS).reshape(-1, 8, 8)
         for q in range(8):
             blk = assemble_block(q, j).matrix
             dev = rho0.coherence_vector(q) - eq.coherence_vector(q)
-            for t in (0.0, 1e-13, 5e-13, 2e-12):
-                eig_vals = evolve_block(systems[q], rho0, eq, t)
+            n = np.arange(8 - q)
+            for t, got in zip(times, traj):
                 oracle = eq.coherence_vector(q) + expm(C_REF.c * blk * t) @ dev
-                np.testing.assert_allclose(eig_vals, oracle, atol=1e-9)
+                np.testing.assert_allclose(got[q + n, n], oracle, atol=1e-9)
 
 
 def test_deviation_dynamics_superpose():

@@ -361,7 +361,7 @@ def _uncached_sector_modes(orders, weights):
     """sector_modes as it was before its stacks were cached: grouped and stacked per call."""
     by_size = {}
     for q in orders:
-        for p, mats in redfield_core.sector_table().sectors[q]:
+        for p, mats in redfield_core.sector_table()[q]:
             if p.shape[1]:
                 by_size.setdefault(p.shape[1], []).append((q, p, mats))
     parts = {q: [] for q in orders}
@@ -427,7 +427,7 @@ def test_sector_table_rejects_coefficients_that_couple_the_sectors(monkeypatch):
 
 def test_sector_table_is_orthogonal_and_read_only():
     table = redfield_core.sector_table()
-    for q, ((p_even, even), (p_odd, odd)) in enumerate(table.sectors):
+    for q, ((p_even, even), (p_odd, odd)) in enumerate(table):
         assert (p_even.shape[1], p_odd.shape[1]) == ((9 - q) // 2, (8 - q) // 2)
         p = np.hstack([p_even, p_odd])
         np.testing.assert_allclose(p.T @ p, np.eye(8 - q), rtol=0, atol=1e-15)
