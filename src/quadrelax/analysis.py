@@ -22,8 +22,9 @@ PARAM_NAMES = ("a1z", "a2z", "a1x", "a2x", "b0", "b1", "b2")
 #: the fitted parameters: a2x is held at 1, so a1x carries the product a1x*a2x
 FIT_NAMES = ("a1z", "a2z", "a1x", "b0", "b1", "b2")
 #: eigenvalue pairs of a fitted sector closer than this times its largest |lambda| keep
-#: their divided difference in _b_derivatives
-_GAP_RTOL = 1e-6
+#: their divided difference in _b_derivatives: the partial fractions' error grows like
+#: eps max|lambda| / gap, so this bounds it by about 100 eps of the derivative's scale
+_GAP_RTOL = 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ q >= 0, basis |q+n><n| ordered by n) as
 
     d rho / dt = C * J(q) * rho_vec,
 
-where J(q) is the (8-q)-dimensional block assembled from the double
-commutator -sum_p (-1)^p J_p [Q_p, [Q_{-p}, . ]] and rescaled by a single
-global constant kappa, calibrated once so that the q = 7 block equals
--21 J1 - 7 J2 exactly.  The block is linear in (J0, J1, J2), so the double
+where J(q) is the (8-q)-dimensional block of the double commutator
+-42 sum_p (-1)^p J_p [Q_p, [Q_{-p}, . ]] with Q_p = T(2, -p), the unit-norm
+rank-2 tensors; with the paper's normalisation of C the q = 7 block is then
+-21 J1 - 7 J2.  The block is linear in (J0, J1, J2), so the double
 commutator runs once per unit density, on all 64 basis elements at once, and
 every block is the weighted sum of its cached rows and columns
 (coefficient_matrices).  Relaxation rates are R_p = -C * lambda_p.
@@ -34,6 +34,9 @@ from .spin_algebra import QuadrupoleSet, SpinSystem, make_quadrupole_operators
 
 #: relative threshold below which an eigenvalue is treated as the exact zero mode
 _ZERO_MODE_RTOL = 1e-12
+#: the paper's normalisation of C: the blocks are 42 times the double commutator of the
+#: unit-norm T(2, p), so that the q = 7 block is -21 J1 - 7 J2 (test_q7_normalization)
+_DOUBLE_COMMUTATOR_SCALE = 42.0
 
 
 class DegenerateSpectrumError(ValueError):
@@ -93,16 +96,6 @@ def _unit_double_commutators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _normalization() -> float:
-    """Global kappa fixing block(q=7) = -21 J1 - 7 J2 (element 56 is rho_{7, 0})."""
-    _, c1, c2 = (unit[56, 56] for unit in _unit_double_commutators())
-    kappa = -21.0 / c1
-    if abs(kappa * c2 + 7.0) > 1e-10:
-        raise RuntimeError(f"normalization is inconsistent between J1 and J2: {kappa * c2}")
-    return kappa
-
-
-@lru_cache(maxsize=None)
 def coefficient_matrices(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-density coefficient matrices (A0, A1, A2) with block = sum_k J_k A_k.
 
@@ -112,8 +105,9 @@ def coefficient_matrices(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if not 0 <= q <= 7:
         raise ValueError(f"coherence order q={q} outside 0..7")
-    kappa, rows = _normalization(), 8 * q + 9 * np.arange(8 - q)
-    mats = tuple(kappa * unit[np.ix_(rows, rows)] for unit in _unit_double_commutators())
+    rows = 8 * q + 9 * np.arange(8 - q)
+    mats = tuple(_DOUBLE_COMMUTATOR_SCALE * unit[np.ix_(rows, rows)]
+                 for unit in _unit_double_commutators())
     for m in mats:
         m.flags.writeable = False
     return mats
@@ -132,12 +126,12 @@ def assemble_block(q: int, j: SpectralDensities) -> CoherenceBlock:
 
 def liouville_superoperator(quads: QuadrupoleSet, j: SpectralDensities) -> np.ndarray:
     """Full d^2 x d^2 action on vectorized density matrices (basis |a><b|, index a*d+b):
-    kappa times the double commutator that coefficient_matrices restricts.
+    42 times the double commutator that coefficient_matrices restricts.
 
     Intended for structural checks; the per-order blocks are what production
     paths use.
     """
-    return _normalization() * _double_commutator(quads, j.as_tuple())
+    return _DOUBLE_COMMUTATOR_SCALE * _double_commutator(quads, j.as_tuple())
 
 
 def _rate_rule(c: QuadrupolarConstant | None, top: float) -> tuple[float, float]:

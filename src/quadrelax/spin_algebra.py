@@ -50,13 +50,12 @@ class SpinOperators:
 
 @dataclass(frozen=True)
 class QuadrupoleSet:
-    """Second-rank quadrupole operators Q_p for p = -2..2.
+    """Second-rank quadrupole operators Q_p = T(2, -p) for p = -2..2.
 
     One sign s holds for every p in [Iz, Q_p] = s * p * Q_p, and the
     construction used here gives s = -1 (Q_{-2} is proportional to Iplus**2).
     Adjoint pairing carries a per-rank sign: Q_{-2}^dagger = Q_{+2} while
-    Q_{-1}^dagger = -Q_{+1}, from the (-1)^m tensor conjugation entering once
-    or twice.
+    Q_{-1}^dagger = -Q_{+1}, from the (-1)^m tensor conjugation rule.
     """
 
     q_minus2: np.ndarray
@@ -122,24 +121,9 @@ def _tensor_family(two_i: int, l: int) -> dict:
 
 
 def make_quadrupole_operators(system: SpinSystem) -> QuadrupoleSet:
-    """The five second-rank quadrupole operators for spin 7/2.
+    """The five unit-norm rank-2 tensors as quadrupole operators, Q_p = T(2, -p).
 
-    Q_{-/+2} = 42 sqrt(6) T(1,+/-1)^2
-    Q_{-/+1} = -42 sqrt(3) (T(1,0) T(1,+/-1) + T(1,+/-1) T(1,0))
-    Q_0      = 63 (2 T(1,0)^2 - (sqrt(7)/4) T(0,0))
-
-    The numeric coefficients are specific to spin 7/2; other spins are rejected.
+    Q_0 is proportional to 3 Iz^2 - I(I+1); spin 1/2, which has no rank-2
+    tensor, is rejected by make_irreducible_tensor.
     """
-    if system.two_i != 7:
-        raise ValueError("quadrupole coefficients are defined for spin 7/2 only (two_i = 7)")
-    t00 = make_irreducible_tensor(system, 0, 0)
-    t10 = make_irreducible_tensor(system, 1, 0)
-    t1p = make_irreducible_tensor(system, 1, 1)
-    t1m = make_irreducible_tensor(system, 1, -1)
-    return QuadrupoleSet(
-        q_minus2=42 * np.sqrt(6) * (t1p @ t1p),
-        q_plus2=42 * np.sqrt(6) * (t1m @ t1m),
-        q_minus1=-42 * np.sqrt(3) * (t10 @ t1p + t1p @ t10),
-        q_plus1=-42 * np.sqrt(3) * (t10 @ t1m + t1m @ t10),
-        q_zero=63 * (2 * (t10 @ t10) - np.sqrt(7) / 4 * t00),
-    )
+    return QuadrupoleSet(*(make_irreducible_tensor(system, 2, -p) for p in range(-2, 3)))

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import os
 import re
 import subprocess
@@ -737,6 +738,49 @@ def test_fit_command_on_bundled_data(tmp_path):
     for name in ("fit_longitudinal_model.txt", "fit_transverse_model.txt",
                  "fit_longitudinal_data.txt", "fit_transverse_data.txt"):
         assert (out / name).exists()
+
+
+def _cli_runs(*runs):
+    def run(out):
+        for argv in runs:
+            assert main([*argv, "--out", str(out)]) == EXIT_OK, argv
+    return run
+
+
+def _generate_curves(out):
+    spec = importlib.util.spec_from_file_location("generate", DATA_DIR / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    generate.HERE = out
+    generate.main()
+
+
+_THEORETICAL = ["--config", str(DATA_DIR / "theoretical.cfg")]
+_BUNDLED_PAIR = ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
+                 "--trans", str(DATA_DIR / "synthetic_transverse.csv"), "--quad-freq", "5969"]
+
+
+@pytest.mark.parametrize("run, goldens", [
+    pytest.param(_cli_runs(["rates", *_THEORETICAL]),
+                 {"rates.txt": "rates_theoretical.txt"}, id="rates"),
+    pytest.param(_cli_runs(["rates", "--raw", *_THEORETICAL]),
+                 {"rates.txt": "rates_theoretical_raw.txt"}, id="rates-raw"),
+    pytest.param(_cli_runs(["validate"]),
+                 {"validate_report.txt": "validate_report_seed0.txt"}, id="validate"),
+    pytest.param(_cli_runs(["evolve", *_THEORETICAL, "--t-max", "0.05", "--points", "200"]),
+                 {"trajectory.txt": "trajectory_theoretical.txt"}, id="evolve"),
+    pytest.param(_cli_runs([*_BUNDLED_PAIR, "--raw", "--restarts", "2"], _BUNDLED_PAIR),
+                 {"fit_report.txt": "fit_report_bundled.txt"}, id="fit"),
+    pytest.param(_generate_curves,
+                 {name: name for name in ("synthetic_longitudinal.csv",
+                                          "synthetic_transverse.csv")}, id="generate"),
+])
+def test_ci_commands_reproduce_the_golden_files(tmp_path, run, goldens):
+    # the commands of the CI workflow's golden-file steps, byte for byte against
+    # the committed files in data/
+    run(tmp_path)
+    for output, golden in goldens.items():
+        assert (tmp_path / output).read_bytes() == (DATA_DIR / golden).read_bytes(), golden
 
 
 def test_fit_reports_a2z_undetermined_for_an_all_zero_longitudinal_curve(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -125,24 +126,28 @@ def test_quadrupole_coherence_sign(quads, ops7):
         np.testing.assert_allclose(commutator(ops7.iz, quads[p]), -p * quads[p], atol=1e-10)
 
 
-def test_quadrupole_zero_closed_form(quads, sys7):
-    t10 = make_irreducible_tensor(sys7, 1, 0)
-    t00 = make_irreducible_tensor(sys7, 0, 0)
-    want = 63 * (2 * (t10 @ t10) - np.sqrt(7) / 4 * t00)
-    np.testing.assert_allclose(quads.q_zero, want, atol=1e-12)
+def test_quadrupole_operators_are_the_rank2_tensors():
+    # Q_p = T(2, -p) for any spin with a rank-2 tensor, Q_0 being the unit-norm
+    # 3 Iz^2 - I(I+1) built from the spin operators alone; spin 1/2 has none
+    for two_i in (3, 7):
+        system = SpinSystem(two_i)
+        quads = make_quadrupole_operators(system)
+        assert len(dataclasses.fields(quads)) == 5
+        for p in range(-2, 3):
+            np.testing.assert_array_equal(quads[p], make_irreducible_tensor(system, 2, -p))
+        iz = make_spin_operators(two_i).iz
+        spin = two_i / 2
+        want = 3 * iz @ iz - spin * (spin + 1) * np.eye(two_i + 1)
+        np.testing.assert_allclose(quads.q_zero, want / np.linalg.norm(want), atol=1e-15)
+    with pytest.raises(ValueError):
+        make_quadrupole_operators(SpinSystem(1))
 
 
 def test_quadrupole_adjoint_pairing(quads):
     # adjoint signs fixed by the construction: Q_{-2}^+ = Q_{+2}, Q_{-1}^+ = -Q_{+1}
-    # (the rank-1 tensors conjugate with a (-1)^m, entering once for |p| = 1
-    # and twice for |p| = 2)
+    # (T(2, m)^+ = (-1)^m T(2, -m))
     np.testing.assert_allclose(quads.q_minus2.conj().T, quads.q_plus2, atol=1e-12)
     np.testing.assert_allclose(quads.q_minus1.conj().T, -quads.q_plus1, atol=1e-12)
-
-
-def test_quadrupole_rejects_other_spins():
-    with pytest.raises(ValueError):
-        make_quadrupole_operators(SpinSystem(3))
 
 
 def test_quadrupole_getitem_range(quads):
