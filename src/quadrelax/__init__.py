@@ -10,7 +10,6 @@ The batch command-line front end lives in cli.
 from .spin_algebra import (
     SpinSystem,
     SpinOperators,
-    QuadrupoleSet,
     make_spin_operators,
     make_irreducible_tensor,
     make_quadrupole_operators,

@@ -29,7 +29,6 @@ class CoefficientTable:
     one read-only (3, rows, cols) array; cells is the 0-based (rows, cols) index
     of the entries the fixture lists."""
 
-    name: str
     stack: np.ndarray
     cells: tuple
 
@@ -42,7 +41,6 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class ReferenceTables:
-    version: int
     j0_block: CoefficientTable          # 8x8, zero-coherence superoperator
     j1_block: CoefficientTable          # 7x7, first-coherence superoperator
     u0: np.ndarray
@@ -68,7 +66,7 @@ _TABLE_TERMS = {name: _TERMS if name.startswith("J") else ("CONST",) for name in
 @lru_cache(maxsize=1)
 def load_reference_tables() -> ReferenceTables:
     text = resources.files("quadrelax").joinpath("_table_data/reference_tables.txt").read_text()
-    version = None
+    has_version = False
     stacks = {name: np.zeros((len(_TABLE_TERMS[name]), *shape)) for name, shape in _SHAPES.items()}
     stacks["J1T-printed"], listed = np.zeros((3, *_SHAPES["J1T"])), set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -77,7 +75,7 @@ def load_reference_tables() -> ReferenceTables:
             continue
         parts = line.split()
         if parts[0] == "version":
-            version = int(parts[1])
+            has_version = True
             continue
         is_printed = parts[0] == "PRINTED"
         if is_printed:
@@ -98,17 +96,16 @@ def load_reference_tables() -> ReferenceTables:
             raise ValueError(f"reference-table fixture line {lineno}: duplicate {name}({r},{c}) {term}")
         listed.add((target, r - 1, c - 1, term))
         stacks[target][_TABLE_TERMS[name].index(term), r - 1, c - 1] = _parse_value(coeff_tok, rad_tok)
-    if version is None:
+    if not has_version:
         raise ValueError("reference-table fixture missing version line")
     for arr in stacks.values():
         arr.flags.writeable = False
 
     def table(name: str) -> CoefficientTable:
         cells = sorted({(r, c) for target, r, c, _ in listed if target == name})
-        return CoefficientTable(name, stacks[name], tuple(zip(*cells)))
+        return CoefficientTable(stacks[name], tuple(zip(*cells)))
 
     return ReferenceTables(
-        version=version,
         j0_block=table("J0T"),
         j1_block=table("J1T"),
         u0=stacks["U0"][0],

@@ -220,7 +220,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     columns, values = ["t_seconds"], [times]
     for (row, col), v in zip(args.elements, traj.T):
         columns += [f"re_{row}_{col}", f"im_{row}_{col}"]
-        values += [v.real, v.imag]
+        # an element above the diagonal is the conjugate of its mirror, whose 0.0
+        # imaginary parts become -0.0; adding 0.0 prints them as 0.0
+        values += [v.real, v.imag + 0.0]
     out = Path(cfg.out) / "trajectory.txt"
     write_table(out, columns, np.column_stack(values), raw=True)
     print(f"wrote {out} ({len(times)} times, {len(args.elements)} elements)")

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._tables import load_reference_tables
 from .phys_params import QuadrupolarConstant, SpectralDensities
-from .spin_algebra import QuadrupoleSet, SpinSystem, make_quadrupole_operators
+from .spin_algebra import SpinSystem, make_quadrupole_operators
 
 #: relative threshold below which an eigenvalue is treated as the exact zero mode
 _ZERO_MODE_RTOL = 1e-12
@@ -76,10 +76,10 @@ class BlockEigensystem:
     rates: np.ndarray
 
 
-def _double_commutator(quads: QuadrupoleSet, weights: tuple[float, float, float]) -> np.ndarray:
+def _double_commutator(quads, weights: tuple[float, float, float]) -> np.ndarray:
     """Unnormalized -sum_p (-1)^p weights[|p|] [Q_p, [Q_{-p}, . ]] on vectorized density
     matrices (basis |a><b|, index a*d+b), applied to all d^2 basis elements at once."""
-    d = quads.q_zero.shape[0]
+    d = quads[0].shape[0]
     basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     acc = np.zeros((d * d, d, d), dtype=complex)
     for p in (-2, -1, 0, 1, 2):
@@ -124,9 +124,10 @@ def assemble_block(q: int, j: SpectralDensities) -> CoherenceBlock:
     return CoherenceBlock(q=q, matrix=evaluate_block(q, j.as_tuple()))
 
 
-def liouville_superoperator(quads: QuadrupoleSet, j: SpectralDensities) -> np.ndarray:
+def liouville_superoperator(quads, j: SpectralDensities) -> np.ndarray:
     """Full d^2 x d^2 action on vectorized density matrices (basis |a><b|, index a*d+b):
-    42 times the double commutator that coefficient_matrices restricts.
+    42 times the double commutator that coefficient_matrices restricts, of the
+    {p: Q_p} map quads that make_quadrupole_operators returns.
 
     Intended for structural checks; the per-order blocks are what production
     paths use.

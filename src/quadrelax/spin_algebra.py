@@ -48,30 +48,6 @@ class SpinOperators:
     iminus: np.ndarray
 
 
-@dataclass(frozen=True)
-class QuadrupoleSet:
-    """Second-rank quadrupole operators Q_p = T(2, -p) for p = -2..2.
-
-    One sign s holds for every p in [Iz, Q_p] = s * p * Q_p, and the
-    construction used here gives s = -1 (Q_{-2} is proportional to Iplus**2).
-    Adjoint pairing carries a per-rank sign: Q_{-2}^dagger = Q_{+2} while
-    Q_{-1}^dagger = -Q_{+1}, from the (-1)^m tensor conjugation rule.
-    """
-
-    q_minus2: np.ndarray
-    q_minus1: np.ndarray
-    q_zero: np.ndarray
-    q_plus1: np.ndarray
-    q_plus2: np.ndarray
-
-    def __getitem__(self, p: int) -> np.ndarray:
-        try:
-            return {-2: self.q_minus2, -1: self.q_minus1, 0: self.q_zero,
-                    1: self.q_plus1, 2: self.q_plus2}[p]
-        except KeyError:
-            raise KeyError(f"quadrupole order p={p} outside -2..2") from None
-
-
 def make_spin_operators(two_i: int) -> SpinOperators:
     """Angular-momentum matrices for spin two_i/2.
 
@@ -120,10 +96,12 @@ def _tensor_family(two_i: int, l: int) -> dict:
     return family
 
 
-def make_quadrupole_operators(system: SpinSystem) -> QuadrupoleSet:
-    """The five unit-norm rank-2 tensors as quadrupole operators, Q_p = T(2, -p).
+def make_quadrupole_operators(system: SpinSystem) -> dict[int, np.ndarray]:
+    """The five unit-norm rank-2 tensors as quadrupole operators, {p: Q_p = T(2, -p)}
+    for p = -2..2, with [Iz, Q_p] = -p Q_p (Q_{-2} is proportional to Iplus**2).
 
-    Q_0 is proportional to 3 Iz^2 - I(I+1); spin 1/2, which has no rank-2
-    tensor, is rejected by make_irreducible_tensor.
+    The (-1)**m tensor conjugation rule gives Q_{-2}^dagger = Q_{+2} but
+    Q_{-1}^dagger = -Q_{+1}.  Q_0 is proportional to 3 Iz^2 - I(I+1); spin 1/2,
+    which has no rank-2 tensor, is rejected by make_irreducible_tensor.
     """
-    return QuadrupoleSet(*(make_irreducible_tensor(system, 2, -p) for p in range(-2, 3)))
+    return {p: make_irreducible_tensor(system, 2, -p) for p in range(-2, 3)}

@@ -1,11 +1,9 @@
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from quadrelax.spin_algebra import (
-    QuadrupoleSet,
     SpinSystem,
     make_irreducible_tensor,
     make_quadrupole_operators,
@@ -116,8 +114,8 @@ def test_ix_expansion_coefficients(ops7):
 
 
 def test_quadrupole_zero_component_diagonal(quads, ops7):
-    assert np.max(np.abs(quads.q_zero - np.diag(np.diag(quads.q_zero)))) < 1e-12
-    np.testing.assert_allclose(commutator(ops7.iz, quads.q_zero), 0 * ops7.iz, atol=1e-12)
+    assert np.max(np.abs(quads[0] - np.diag(np.diag(quads[0])))) < 1e-12
+    np.testing.assert_allclose(commutator(ops7.iz, quads[0]), 0 * ops7.iz, atol=1e-12)
 
 
 def test_quadrupole_coherence_sign(quads, ops7):
@@ -132,13 +130,13 @@ def test_quadrupole_operators_are_the_rank2_tensors():
     for two_i in (3, 7):
         system = SpinSystem(two_i)
         quads = make_quadrupole_operators(system)
-        assert len(dataclasses.fields(quads)) == 5
+        assert sorted(quads) == [-2, -1, 0, 1, 2]
         for p in range(-2, 3):
             np.testing.assert_array_equal(quads[p], make_irreducible_tensor(system, 2, -p))
         iz = make_spin_operators(two_i).iz
         spin = two_i / 2
         want = 3 * iz @ iz - spin * (spin + 1) * np.eye(two_i + 1)
-        np.testing.assert_allclose(quads.q_zero, want / np.linalg.norm(want), atol=1e-15)
+        np.testing.assert_allclose(quads[0], want / np.linalg.norm(want), atol=1e-15)
     with pytest.raises(ValueError):
         make_quadrupole_operators(SpinSystem(1))
 
@@ -146,8 +144,8 @@ def test_quadrupole_operators_are_the_rank2_tensors():
 def test_quadrupole_adjoint_pairing(quads):
     # adjoint signs fixed by the construction: Q_{-2}^+ = Q_{+2}, Q_{-1}^+ = -Q_{+1}
     # (T(2, m)^+ = (-1)^m T(2, -m))
-    np.testing.assert_allclose(quads.q_minus2.conj().T, quads.q_plus2, atol=1e-12)
-    np.testing.assert_allclose(quads.q_minus1.conj().T, -quads.q_plus1, atol=1e-12)
+    np.testing.assert_allclose(quads[-2].conj().T, quads[2], atol=1e-12)
+    np.testing.assert_allclose(quads[-1].conj().T, -quads[1], atol=1e-12)
 
 
 def test_quadrupole_getitem_range(quads):
