@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -50,11 +49,20 @@ class ReferenceTables:
     printed_j1_variants: CoefficientTable
 
 
+def _rational(tok: str) -> float:
+    """A token -?p or -?p/q (p, q decimal digits) as int / int, which rounds correctly,
+    as float(Fraction(tok)) does; any other token raises ValueError, q = 0 ZeroDivisionError."""
+    num, slash, den = tok.partition("/")
+    if not (num.removeprefix("-").isdecimal() and (den.isdecimal() or not slash)):
+        raise ValueError(f"invalid rational {tok!r}")
+    return int(num) / int(den or 1)
+
+
 def _parse_value(coeff_tok: str, rad_tok: str) -> float:
-    rad = Fraction(rad_tok)
+    rad = _rational(rad_tok)
     if rad < 0:
         raise ValueError(f"negative radicand {rad_tok}")
-    return float(Fraction(coeff_tok)) * math.sqrt(float(rad))
+    return _rational(coeff_tok) * math.sqrt(rad)
 
 
 _SHAPES = {"J0T": (8, 8), "J1T": (7, 7), "U0": (8, 8), "U0BAR": (8, 8),

@@ -24,6 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +46,8 @@ class DegenerateSpectrumError(ValueError):
     Raised by analytic_eigensystem where a denominator of an eigenvalue or w_bar
     formula is within 1e-12 of zero (the q = 5 a1/b1 denominator, q = 4 J1 - J2,
     a q = 2 or 3 Cartesian vector's norm, a zero cubic root), where the q = 2 or
-    3 companion roots come out complex, or where |det w_bar| <= 1e-12 (q = 2..5;
-    the q = 6 and 7 w_bar are constants)."""
+    3 companion roots come out complex, or where |det w_bar|, the product of |det E|
+    and of its sector blocks' determinants, is <= 1e-12 (q = 2..5)."""
 
 
 @dataclass(frozen=True)
@@ -364,42 +365,38 @@ def _q4_roots(j0: float, j1: float, j2: float) -> tuple[float, float]:
 
 def analytic_eigenvalues(q: int, j: SpectralDensities) -> list[float]:
     """Closed-form eigenvalues for q in 2..7, as Python floats in the published index order."""
+    return _closed_form_values(q, j)[0]
+
+
+def _closed_form_values(q: int, j: SpectralDensities) -> tuple:
+    """(analytic_eigenvalues, the q = 4 (sa, sb) or q = 5 s that w_bar shares, else None)."""
     j0, j1, j2 = map(float, j.as_tuple())
     if q == 7:
-        return [-(21 * j1 + 7 * j2)]
+        return [-(21 * j1 + 7 * j2)], None
     if q == 6:
-        return [-(9 * j0 + 8 * j1 + 11 * j2), -(9 * j0 + 50 * j1 + 11 * j2)]
+        return [-(9 * j0 + 8 * j1 + 11 * j2), -(9 * j0 + 50 * j1 + 11 * j2)], None
     if q == 5:
         s = _q5_root(j0, j1, j2)
         mid = -12.5 * j0 - 29 * j1 - 12.5 * j2
-        return [mid - s / 2, -25 * j0 - 21 * j1 - 24 * j2, mid + s / 2]
+        return [mid - s / 2, -25 * j0 - 21 * j1 - 24 * j2, mid + s / 2], s
     if q == 4:
         sa, sb = _q4_roots(j0, j1, j2)
         return [-20 * j0 - 29 * j1 - 21 * j2 - sa, -20 * j0 - 29 * j1 - 21 * j2 + sa,
-                -20 * j0 - 13 * j1 - 21 * j2 - sb, -20 * j0 - 13 * j1 - 21 * j2 + sb]
+                -20 * j0 - 13 * j1 - 21 * j2 - sb, -20 * j0 - 13 * j1 - 21 * j2 + sb], (sa, sb)
     if q == 3:
         alpha, beta, gamma = _q3_cubic_coefficients(j0, j1, j2)
         lam3 = _cubic_root(alpha, beta, gamma)
         iota, sigma = _companion_roots(alpha, beta, gamma, lam3)
         return [iota, -(9 * j0 + 21 * j1 + 40 * j2), lam3,
-                -(36 * j0 + 13 * j1 + 21 * j2), sigma]
+                -(36 * j0 + 13 * j1 + 21 * j2), sigma], None
     if q == 2:
         set_a, set_b = _q2_cubic_coefficients(j0, j1, j2)
         lam2 = _cubic_root(*set_a)
         iota_a, sigma_a = _companion_roots(*set_a, lam2)
         lam4 = _cubic_root(*set_b)
         iota_b, sigma_b = _companion_roots(*set_b, lam4)
-        return [iota_a, lam2, iota_b, lam4, sigma_a, sigma_b]
+        return [iota_a, lam2, iota_b, lam4, sigma_a, sigma_b], None
     raise ValueError(f"no closed-form eigenvalues for q={q} (only 2..7)")
-
-
-def _q5_pair(j: SpectralDensities) -> tuple[float, float]:
-    j0, j1, j2 = j.as_tuple()
-    s = _q5_root(j0, j1, j2)
-    den = 10 * math.sqrt(42) * (-5 * j0 + 4 * j1 + j2)
-    _degenerate_guard(den, "q=5 a1/b1 denominator", scale=j0)
-    num = 25 * j0 + 656 * j1 - 5 * j2
-    return (num - 13 * s) / den, (num + 13 * s) / den
 
 
 def _degenerate_guard(value: float, what: str, scale: float = 1.0) -> None:
@@ -418,131 +415,133 @@ def _constant_transformation(q: int) -> tuple[np.ndarray, np.ndarray]:
     return w_bar, w
 
 
-def _analytic_w_bar(q: int, j: SpectralDensities, lam: list[float]) -> np.ndarray:
-    """The published w_bar of q = 2..5 in the published mode order; lam is
-    analytic_eigenvalues(q, j)."""
+#: the published modes of each reversal-parity sector of q = 2..5, even first
+_SECTORS = {2: ((0, 1, 4), (2, 3, 5)), 3: ((0, 2, 4), (1,), (3,)), 4: ((0, 1), (2, 3)), 5: ((0, 2), (1,))}
+
+
+def _sector_blocks(q: int, j: SpectralDensities, lam: list, roots) -> list:
+    """Per _SECTORS[q], the block X_s of w_bar = E blockdiag(X_s) (E = _constant_basis(q))
+    as its modes' columns; lam and roots are _closed_form_values(q, j)."""
+    j0, j1, j2 = map(float, j.as_tuple())
     sq = math.sqrt  # every argument is positive; as exact as np.sqrt and faster on scalars
-    j0, j1, j2 = j.as_tuple()
     if q == 5:
-        a1, b1 = _q5_pair(j)
-        na, nb = sq(a1 ** 2 + 1), sq(b1 ** 2 + 1)
-        return np.array([
-            [(sq(7) + sq(6) * a1) / na, -sq(13), (sq(7) + sq(6) * b1) / nb],
-            [(sq(12) - sq(14) * a1) / na, 0.0, (sq(12) - sq(14) * b1) / nb],
-            [(sq(7) + sq(6) * a1) / na, sq(13), (sq(7) + sq(6) * b1) / nb],
-        ]) / sq(26)
+        den = 10 * sq(42) * (-5 * j0 + 4 * j1 + j2)
+        _degenerate_guard(den, "q=5 a1/b1 denominator", scale=j0)
+        num = 25 * j0 + 656 * j1 - 5 * j2
+        return [[[(sq(7) + sq(6) * a) / n / sq(26), (sq(12) - sq(14) * a) / n / sq(26)]
+                 for a in ((num + 13 * s) / den for s in (-roots, roots))
+                 for n in (sq(a ** 2 + 1),)], [[-sq(13) / sq(26)]]]
     if q == 4:
-        sa, sb = _q4_roots(j0, j1, j2)
         _degenerate_guard(j1 - j2, "q=4 (J1 - J2)", scale=j1)
-        a1 = (16 * j0 - 16 * j1 + sa) / (sq(105) * (j1 - j2))
-        b1 = (16 * j0 - 16 * j1 - sa) / (sq(105) * (j1 - j2))
-        a2 = (-16 * j0 + sb) / (sq(105) * (j1 + j2))
-        b2 = (-16 * j0 - sb) / (sq(105) * (j1 + j2))
-        n1a, n1b = sq(a1 ** 2 + 1), sq(b1 ** 2 + 1)
-        n2a, n2b = sq(a2 ** 2 + 1), sq(b2 ** 2 + 1)
-        return np.array([
-            [a1 / n1a, b1 / n1b, -1 / n2a, -1 / n2b],
-            [1 / n1a, 1 / n1b, -a2 / n2a, -b2 / n2b],
-            [1 / n1a, 1 / n1b, a2 / n2a, b2 / n2b],
-            [a1 / n1a, b1 / n1b, 1 / n2a, 1 / n2b],
-        ]) / sq(2)
-    if q == 3:
-        xi = {1: -12 * j0 - 29 * j1 - 9 * j2,
-              3: (-90 * j0 - 113 * j1 - 161 * j2) / 13,
-              4: sq(208 / 11) * (-3 * j0 + 2 * j1 + j2),
-              5: -sq(210 / 1859) * (27 * j0 + 4 * j1 - 31 * j2)}
-        return _cartesian_w_bar(_q3_constant_basis(), lam, ((xi, "q3", (1, 3, 5)),))
+        even = [(16 * j0 - 16 * j1 + s) / (sq(105) * (j1 - j2)) for s in (roots[0], -roots[0])]
+        odd = [(-16 * j0 + s) / (sq(105) * (j1 + j2)) for s in (roots[1], -roots[1])]
+        return [[[a / n / sq(2), 1 / n / sq(2)] for a in even for n in (sq(a ** 2 + 1),)],
+                [[-1 / n / sq(2), -a / n / sq(2)] for a in odd for n in (sq(a ** 2 + 1),)]]
+    if q == 3:  # xi_1, xi_3, xi_4, xi_5
+        xi = (-12 * j0 - 29 * j1 - 9 * j2, (-90 * j0 - 113 * j1 - 161 * j2) / 13,
+              sq(208 / 11) * (-3 * j0 + 2 * j1 + j2), -sq(210 / 1859) * (27 * j0 + 4 * j1 - 31 * j2))
+        return [_cartesian_vectors([lam[0], lam[2], lam[4]], xi, True), [[1.0]], [[1.0]]]
+    # xi_1, xi_2, xi_4, xi_5 of the sets a (even) and b (odd)
+    xi_a = (-(107 * j0 + 294 * j1 + 369 * j2) / 11, -(55 * j0 + 102 * j1 + 39 * j2) / 7,
+            -56 / 11 * sq(2) * (j0 + j1 - 2 * j2), -4 / 7 * sq(55) * (2 * j0 - j1 - j2))
+    xi_b = (-(51 * j0 + 32 * j1 + 67 * j2) / 3, -(45 * j0 + 168 * j1 + 151 * j2) / 13,
+            -4 / 33 * sq(143) * (6 * j0 + j1 - 7 * j2), -24 / 143 * sq(770) * (j0 + 2 * j1 - 3 * j2))
+    return [_cartesian_vectors([lam[0], lam[1], lam[4]], xi_a, False),
+            _cartesian_vectors([lam[2], lam[3], lam[5]], xi_b, False)]
+
+
+def _cartesian_vectors(lams: list, xi: tuple, q3: bool) -> list:
+    """Published eigenvector patterns of a symmetric-subspace 3x3 system, as unit vectors."""
+    xi1, mid, xi4, xi5 = xi
+    vectors = []
+    for lam in lams:
+        a, b = lam - xi1, lam - mid
+        v = (xi4 * b, a * b, xi5 * a) if q3 else (xi4 * b, xi5 * a, a * b)
+        norm = math.hypot(*v)
+        # components are products of two rate-scale quantities; guard relative to that
+        _degenerate_guard(norm, "cartesian-parameter normalization",
+                          scale=(abs(a) + abs(b) + abs(xi4) + abs(xi5)) ** 2)
+        vectors.append([u / norm for u in v])
+    return vectors
+
+
+def _cofactors(cols: list) -> tuple[float, list]:
+    """(det X, det X times X^-1 by rows) of the 1x1, 2x2 or 3x3 block X with columns cols."""
+    if len(cols) == 1:
+        return cols[0][0], [[1.0]]
+    if len(cols) == 2:
+        (a0, a1), (b0, b1) = cols
+        return a0 * b1 - a1 * b0, [[b1, -b0], [-a1, a0]]
+    a, b, c = cols  # row k of the cofactors is the cross product of the other two columns
+    cof = [[y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0]
+           for (y0, y1, y2), (z0, z1, z2) in ((b, c), (c, a), (a, b))]
+    return a[0] * cof[0][0] + a[1] * cof[0][1] + a[2] * cof[0][2], cof
+
+
+def _constant_basis(q: int) -> np.ndarray:
+    """E, its columns spanning the _SECTORS[q] in turn: the published bases of q = 2, 3
+    and the parity vectors of q = 4, 5; row dim-1-n is row n, odd columns negated."""
+    sq = np.sqrt
     if q == 2:
-        xi_a = {1: -(107 * j0 + 294 * j1 + 369 * j2) / 11,
-                2: -(55 * j0 + 102 * j1 + 39 * j2) / 7,
-                4: -56 / 11 * sq(2) * (j0 + j1 - 2 * j2),
-                5: -4 / 7 * sq(55) * (2 * j0 - j1 - j2)}
-        xi_b = {1: -(51 * j0 + 32 * j1 + 67 * j2) / 3,
-                2: -(45 * j0 + 168 * j1 + 151 * j2) / 13,
-                4: -4 / 33 * sq(143) * (6 * j0 + j1 - 7 * j2),
-                5: -24 / 143 * sq(770) * (j0 + 2 * j1 - 3 * j2)}
-        return _cartesian_w_bar(_q2_constant_basis(), lam,
-                                ((xi_a, "q2", (1, 2, 5)), (xi_b, "q2", (3, 4, 6))))
-    raise ValueError(f"no J-dependent closed-form transformation for q={q} (only 2..5)")
+        top = [[sq(5 / 66), 1 / sq(12), sq(15) / sq(44), -sq(35) / sq(132), -sq(3 / 286), -sq(35) / sq(156)],
+               [-sq(21 / 66), sq(15) / sq(84), 1 / sq(308), -3 * sq(3) / sq(132), sq(35 / 286), 3 * sq(3) / sq(156)],
+               [sq(7 / 66), 2 * sq(5) / sq(84), -4 * sq(3) / sq(308), -2 / sq(132), -sq(105 / 286), 4 / sq(156)]]
+    elif q == 3:
+        top = [[sq(462) / 66, sq(546) / 39, sq(715) / 143, 0.0, -1 / sq(2)],
+               [sq(264) / 33, -sq(78) / 78, -sq(5005) / 143, -1 / sq(2), 0.0],
+               [sq(330) / 33, -sq(390) / 39, sq(9009) / 143, 0.0, 0.0]]
+    else:
+        top = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]] if q == 4 else [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    top, even = np.array(top), len(_SECTORS[q][0])
+    mirror = np.hstack([top[:, :even], 0.0 - top[:, even:]])  # 0.0 - x: no -0.0
+    return np.vstack([top, mirror[(8 - q) // 2 - 1::-1]])
 
 
-def _cartesian_vector(lam: float, xi: dict, arrangement: str) -> list[float]:
-    """Published eigenvector pattern of the symmetric-subspace 3x3 system, as a unit vector."""
-    mid = xi[3] if arrangement == "q3" else xi[2]
-    x, cross, z = xi[4] * (lam - mid), (lam - xi[1]) * (lam - mid), xi[5] * (lam - xi[1])
-    v = (x, cross, z) if arrangement == "q3" else (x, z, cross)
-    norm = math.hypot(*v)
-    # components are products of two rate-scale quantities; guard relative to that
-    magnitude = (abs(lam - xi[1]) + abs(lam - mid) + abs(xi[4]) + abs(xi[5])) ** 2
-    _degenerate_guard(norm, "cartesian-parameter normalization", scale=magnitude)
-    return [u / norm for u in v]
-
-
-def _cartesian_w_bar(basis: np.ndarray, lam: list[float], systems: tuple) -> np.ndarray:
-    """basis @ R for q = 3 and 2: R is the identity but for each (xi, arrangement,
-    modes) 3x3 system, whose published Cartesian vectors of the (1-based) modes
-    fill the rows and columns modes - 1."""
-    n = basis.shape[1]
-    r = [[float(row == col) for col in range(n)] for row in range(n)]
-    for xi, arrangement, modes in systems:
-        for k in modes:
-            for row, value in zip(modes, _cartesian_vector(lam[k - 1], xi, arrangement)):
-                r[row - 1][k - 1] = value
-    return basis @ np.array(r)
-
-
-@lru_cache(maxsize=1)
-def _q3_constant_basis() -> np.ndarray:
-    """Orthogonal: symmetric-subspace images of x, y, z in columns 0, 2, 4 and the
-    two antisymmetric modes in columns 1 and 3."""
-    sq = np.sqrt
-    basis = np.zeros((5, 5))
-    fx, fy, fz = sq(462) / 66, sq(546) / 39, sq(715) / 143
-    gx, gy, gz = sq(264) / 33, -sq(78) / 78, -sq(5005) / 143
-    hx, hy, hz = sq(330) / 33, -sq(390) / 39, sq(9009) / 143
-    basis[:, 0] = (fx, gx, hx, gx, fx)
-    basis[:, 2] = (fy, gy, hy, gy, fy)
-    basis[:, 4] = (fz, gz, hz, gz, fz)
-    basis[:, 1] = np.array([0, -1, 0, 1, 0]) / sq(2)
-    basis[:, 3] = np.array([-1, 0, 0, 0, 1]) / sq(2)
-    basis.flags.writeable = False
-    return basis
-
-
-@lru_cache(maxsize=1)
-def _q2_constant_basis() -> np.ndarray:
-    sq = np.sqrt
-    return np.array([
-        [sq(5 / 66), 1 / sq(12), -sq(35) / sq(132), -sq(3 / 286), sq(15) / sq(44), -sq(35) / sq(156)],
-        [-sq(21 / 66), sq(15) / sq(84), -3 * sq(3) / sq(132), sq(35 / 286), 1 / sq(308), 3 * sq(3) / sq(156)],
-        [sq(7 / 66), 2 * sq(5) / sq(84), -2 / sq(132), -sq(105 / 286), -4 * sq(3) / sq(308), 4 / sq(156)],
-        [sq(7 / 66), 2 * sq(5) / sq(84), 2 / sq(132), sq(105 / 286), -4 * sq(3) / sq(308), -4 / sq(156)],
-        [-sq(21 / 66), sq(15) / sq(84), 3 * sq(3) / sq(132), -sq(35 / 286), 1 / sq(308), -3 * sq(3) / sq(156)],
-        [sq(5 / 66), 1 / sq(12), sq(35) / sq(132), sq(3 / 286), sq(15) / sq(44), sq(35) / sq(156)],
-    ])
+@lru_cache(maxsize=None)
+def _sector_basis(q: int) -> tuple[np.ndarray, float]:
+    """The read-only stack (E^T, E^+) of E = _constant_basis(q), and |det E|, built once;
+    raises RuntimeError unless E^+ E = I to 1e-14."""
+    e = _constant_basis(q)
+    d2 = np.rint(np.sum(e * e, axis=0))  # 1 for the published bases, 2 or 1 for the parity vectors
+    stack = np.stack([e.T, e.T / d2[:, None]])
+    error = np.abs(stack[1] @ e - np.eye(len(e))).max()
+    if not error <= 1e-14:
+        raise RuntimeError(f"the q={q} closed-form basis is not orthogonal ({error:.2e})")
+    stack.flags.writeable = False
+    return stack, math.sqrt(math.prod(d2))
 
 
 def analytic_eigensystem(q: int, j: SpectralDensities,
                          c: QuadrupolarConstant | None = None) -> BlockEigensystem:
     """Closed-form eigensystem for q in 2..7 with modes reordered by ascending rate.
 
-    w_bar is the published closed form, with its published signs; w is its
-    inverse, np.linalg.inv(w_bar).  For q = 2..5 every w_bar column is a unit
-    vector, so a |det w_bar| of at most 1e-12 means two modes (nearly) coincide
-    and raises DegenerateSpectrumError, as does a vanishing denominator of a w_bar
-    entry or of an eigenvalue formula.  The q = 6 and 7 w_bar and w are constants,
-    built once and returned read-only.  Without a quadrupolar constant the rates
-    are reported as -lambda (the C = 1 convention).
+    w_bar is the published closed form, with its published signs: for q = 2..5 a
+    constant basis E times one block X_s of at most 3x3 per parity sector, with
+    w = blockdiag(X_s^-1) E^+ by cofactors; for q = 6 and 7 read-only constants.  The
+    w_bar columns are unit vectors, so |det w_bar| = |det E| prod |det X_s| <= 1e-12
+    (coinciding modes) raises DegenerateSpectrumError, as does a vanishing denominator.
+    Without a quadrupolar constant the rates are -lambda (the C = 1 convention).
     """
-    values = analytic_eigenvalues(q, j)
+    values, roots = _closed_form_values(q, j)
     if q >= 6:
         w_bar, w = _constant_transformation(q)
     else:
-        w_bar = _analytic_w_bar(q, j, values)
-        _degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
-        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)  # stable
-        values, w_bar = [values[k] for k in order], w_bar[:, order]
-        w = np.linalg.inv(w_bar)
+        stack, det_e = _sector_basis(q)
+        blocks = _sector_blocks(q, j, values, roots)
+        inverses = [_cofactors(cols) for cols in blocks]
+        _degenerate_guard(det_e * math.prod(det for det, _ in inverses), "transformation determinant")
+        n, start, cols, rows = len(values), 0, {}, {}
+        for modes, block, (det, cof) in zip(_SECTORS[q], blocks, inverses):
+            pre, post = [0.0] * start, [0.0] * (n - start - len(block))
+            start += len(block)
+            for k, col, row in zip(modes, block, cof):  # in E's coordinates
+                cols[k], rows[k] = pre + col + post, pre + [y / det for y in row] + post
+        order = sorted(range(n), key=values.__getitem__, reverse=True)  # stable
+        values = [values[k] for k in order]
+        # one matmul gives w_bar^T = X^T E^T and w = X^-1 E^+, modes in descending order
+        flat = chain.from_iterable([cols[k] for k in order] + [rows[k] for k in order])
+        w_bar_t, w = np.fromiter(flat, float, 2 * n * n).reshape(2, n, n) @ stack
+        w_bar = w_bar_t.T
     # _rates_from_eigenvalues on Python floats: the same rule, products and threshold
     scale, cut = _rate_rule(c, max(map(abs, values)))
     return BlockEigensystem(q=q, eigenvalues=np.array(values), w=w, w_bar=w_bar,

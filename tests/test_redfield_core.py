@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrelax import redfield_core
+from quadrelax import _tables, redfield_core
 from quadrelax._tables import load_reference_tables
 from quadrelax.phys_params import (QuadrupolarConstant, SpectralDensities,
                                    lorentzian_spectral_densities,
@@ -488,10 +488,10 @@ def test_q5_discriminant_rounded_below_zero_is_a_double_root():
 
 def test_equal_w_bar_columns_raise(j_ref, monkeypatch):
     # two coinciding modes give two equal w_bar columns; the determinant guard,
-    # not np.linalg.inv, rejects the singular transformation (q = 2..5; the q = 6
-    # and 7 transformations are constants)
-    monkeypatch.setattr(redfield_core, "_analytic_w_bar", lambda q, j, lam: np.array(
-        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2)]]) / np.sqrt(2))
+    # not a division by the zero determinant, rejects the singular transformation
+    # (q = 2..5; the q = 6 and 7 transformations are constants)
+    monkeypatch.setattr(redfield_core, "_sector_blocks", lambda q, j, lam, roots: [
+        [[0.6, 0.8], [0.6, 0.8]], [[-1.0]]])
     with pytest.raises(DegenerateSpectrumError, match="determinant"):
         analytic_eigensystem(5, j_ref)
 
@@ -567,7 +567,8 @@ def test_analytic_transformations_diagonalize():
 
 
 def test_published_w_bar_is_orthonormal():
-    # w is computed as inv(w_bar), so a mistyped w_bar entry shows up here
+    # w inverts w_bar by construction (blockdiag(X_s^-1) E^+ of w_bar = E blockdiag(X_s)),
+    # so a mistyped w_bar entry shows up here and not in w @ w_bar
     rng = np.random.default_rng(18)
     for _ in range(1000):
         j = random_j(rng)
@@ -576,10 +577,91 @@ def test_published_w_bar_is_orthonormal():
             np.testing.assert_allclose(w_bar.T @ w_bar, np.eye(8 - q), rtol=0, atol=1e-9)
 
 
+def test_sector_inverse_inverts_w_bar_to_round_off():
+    # w = blockdiag(X_s^-1) E^+, each X_s inverted by its cofactors, is as accurate as
+    # LU on criterion-3 triples and on triples with J0/J2 up to 1e5
+    rng = np.random.default_rng(19)
+    worst = {"w w_bar - I": 0.0, "w - inv(w_bar)": 0.0}
+    for i in range(400):
+        j0, j1, j2 = random_j(rng).as_tuple()
+        if i % 2:
+            j2 = rng.uniform(0.05, 1.0)
+            ratio = 10 ** rng.uniform(0.0, 5.0)
+            j0, j1 = j2 * ratio, j2 * 10 ** rng.uniform(0.0, np.log10(ratio))
+        for q in range(2, 6):
+            es = analytic_eigensystem(q, SpectralDensities(j0, j1, j2))
+            worst["w w_bar - I"] = max(worst["w w_bar - I"],
+                                       np.abs(es.w @ es.w_bar - np.eye(8 - q)).max())
+            worst["w - inv(w_bar)"] = max(worst["w - inv(w_bar)"],
+                                          np.abs(es.w - np.linalg.inv(es.w_bar)).max())
+    assert max(worst.values()) <= 1e-14, worst
+
+
+def test_w_bar_is_block_diagonal_in_its_constant_basis():
+    # K^T w_bar, with K the normalized columns of E, is blockdiag(X_s) up to the mode
+    # order: each w_bar column lies in one parity sector, and a sector holds as many
+    # columns as its size
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        j = random_j(rng)
+        for q in range(2, 6):
+            e = redfield_core._sector_basis(q)[0][0].T
+            coords = (e / np.linalg.norm(e, axis=0)).T @ analytic_eigensystem(q, j).w_bar
+            sizes = [len(modes) for modes in redfield_core._SECTORS[q]]
+            spans = np.split(np.arange(8 - q), np.cumsum(sizes)[:-1])
+            home = []
+            for col in coords.T:
+                off = [np.abs(np.delete(col, span)).max(initial=0.0) for span in spans]
+                home.append(int(np.argmin(off)))
+                assert off[home[-1]] <= 1e-15, (q, j, off)
+            assert [home.count(s) for s in range(len(sizes))] == sizes, (q, j)
+
+
+def test_closed_forms_of_q_2_to_5_make_no_linalg_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    rng = np.random.default_rng(21)
+    triples = [random_j(rng) for _ in range(20)]
+    redfield_core._sector_basis.cache_clear()  # its build runs under the patch as well
+    for name in ("det", "inv", "solve", "lstsq", "pinv", "eig", "eigh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for j in triples:
+        for q in range(2, 6):
+            es = analytic_eigensystem(q, j)
+            assert np.isfinite(es.w).all() and np.isfinite(es.w_bar).all()
+
+
+def test_q4_and_q5_square_roots_run_once_per_eigensystem(j_ref, monkeypatch):
+    calls = []
+    for name in ("_q4_roots", "_q5_root"):
+        real = getattr(redfield_core, name)
+        monkeypatch.setattr(redfield_core, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    analytic_eigensystem(4, j_ref)
+    analytic_eigensystem(5, j_ref)
+    assert calls == ["_q4_roots", "_q5_root"]
+
+
+def test_closed_form_bases_are_read_only_and_checked(monkeypatch):
+    for q in range(2, 6):
+        stack, det_e = redfield_core._sector_basis(q)
+        assert not stack.flags.writeable
+        e_t, e_plus = stack
+        np.testing.assert_allclose(e_plus @ e_t.T, np.eye(8 - q), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(det_e, abs(np.linalg.det(e_t)), rtol=1e-14)
+        if q <= 3:  # the published bases are orthonormal: E^+ = E^T and |det E| = 1
+            assert np.array_equal(e_plus, e_t) and det_e == 1.0
+    real = redfield_core._constant_basis
+    monkeypatch.setattr(redfield_core, "_constant_basis", lambda q: real(q) + 1e-13 * np.eye(8 - q))
+    with pytest.raises(RuntimeError, match="q=2 closed-form basis is not orthogonal"):
+        redfield_core._sector_basis.__wrapped__(2)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="near J0 = J1 = J2 the q = 2, 3 and 5 closed forms "
                    "return eigensystems that do not reconstruct their block and raise "
-                   "nothing; w = inv(w_bar) hides it from w @ w_bar (ROADMAP item 3)")
+                   "nothing; w = inv(w_bar) hides it from w @ w_bar (ROADMAP item 2)")
 def test_near_equal_closed_forms_reconstruct_their_block_or_raise():
     # J0 = J1 = J2 = s for even k; J2 = s, J1 = s (1 + d1), J0 = J1 (1 + d2) for odd k,
     # with d1 and d2 log-uniform in [1e-12, 1e-2]
@@ -647,19 +729,45 @@ def test_closed_form_sweep():
     assert min(outcomes.values()) > 0, outcomes
 
 
+def _adjugate_inverse(x):
+    """inv(x) of a 1x1, 2x2 or 3x3 array as the adjugate over the determinant: for 3x3
+    the rows of inv(x) are the cross products of x's other two columns over x's triple
+    product, each sum taken left to right."""
+    if len(x) == 1:
+        return 1 / x
+    if len(x) == 2:
+        return np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]]) / (
+            x[0, 0] * x[1, 1] - x[1, 0] * x[0, 1])
+    a, b, c = x.T
+    rows = np.array([np.cross(b, c), np.cross(c, a), np.cross(a, b)])
+    return rows / (a[0] * rows[0, 0] + a[1] * rows[0, 1] + a[2] * rows[0, 2])
+
+
 def _closed_form_on_arrays(q, j, c):
-    """(lam, w, w_bar, rates) of analytic_eigensystem as computed on numpy arrays
-    before: the eigenvalues sorted into an array and _rates_from_eigenvalues on it."""
+    """(lam, w, w_bar, rates) of analytic_eigensystem as computed on numpy arrays: the
+    eigenvalues sorted into an array and _rates_from_eigenvalues on it; w_bar as one
+    dense E @ blockdiag(X_s) in the published mode order, guarded by np.linalg.det and
+    then reordered; w from the adjugate of each X_s."""
     values = analytic_eigenvalues(q, j)
     if q >= 6:
         w_bar, w = redfield_core._constant_transformation(q)
         lam = np.array(values)
     else:
-        w_bar = redfield_core._analytic_w_bar(q, j, values)
+        blocks = redfield_core._sector_blocks(q, j, values, redfield_core._closed_form_values(q, j)[1])
+        (e_t, e_plus), n, start = redfield_core._sector_basis(q)[0], 8 - q, 0
+        x, x_inv = np.zeros((n, n)), np.zeros((n, n))
+        for modes, cols in zip(redfield_core._SECTORS[q], blocks):
+            block, span = np.array(cols).T, slice(start, start + len(cols))
+            x[span, modes] = block
+            start += len(cols)
+        w_bar = e_t.T @ x
         redfield_core._degenerate_guard(np.linalg.det(w_bar), "transformation determinant")
-        order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
-        lam, w_bar = np.array([values[k] for k in order]), w_bar[:, order]
-        w = np.linalg.inv(w_bar)
+        start = 0
+        for modes, cols in zip(redfield_core._SECTORS[q], blocks):
+            x_inv[modes, start:start + len(cols)] = _adjugate_inverse(np.array(cols).T)
+            start += len(cols)
+        order = sorted(range(n), key=values.__getitem__, reverse=True)
+        lam, w_bar, w = np.array([values[k] for k in order]), w_bar[:, order], x_inv[order] @ e_plus
     return lam, w, w_bar, redfield_core._rates_from_eigenvalues(lam, c)
 
 
@@ -777,6 +885,20 @@ def test_coefficient_stacks_sum_each_entry_in_file_order():
         for name, table in pairs.items():
             want = _file_order_sum(entries[name], table.stack.shape[1:], j)
             assert table.evaluate(j).tobytes() == want.tobytes(), (name, j)
+
+
+def test_fixture_tokens_are_integer_ratios():
+    # -?p and -?p/q read as int / int are float(Fraction(token)) to the bit; any other
+    # form, a zero denominator and a negative radicand raise
+    for tok in ("3", "-3", "0", "-0", "12/66", "-10/273", "9009/143", "-1/3432"):
+        assert _tables._rational(tok).hex() == float(Fraction(tok)).hex(), tok
+    for tok in ("0.5", "1e3", "+3", " 3", "1/", "/2", "1/2/3", "-1/-2", "1/+2", "--3", "abc", ""):
+        with pytest.raises(ValueError, match="invalid rational"):
+            _tables._rational(tok)
+    with pytest.raises(ZeroDivisionError):
+        _tables._rational("1/0")
+    with pytest.raises(ValueError, match="negative radicand"):
+        _tables._parse_value("1", "-2/3")
 
 
 def test_validate_report_is_the_numpy_formula_bit_for_bit():
