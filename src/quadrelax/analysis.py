@@ -210,16 +210,22 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     weighted design matrix of u.  The residual and the Jacobian at a trial point
     share one stacked eigensolve (see _joint_eigensystems), one set of mode
     exponentials and one projection of the signal columns, so the Jacobian adds
-    only dPhi/dB (see _b_derivatives).
+    only dPhi/dB (see _b_derivatives).  The search is MINPACK's unbounded
+    Levenberg-Marquardt (More, LNM 630, 1978; least_squares with method="lm")
+    over theta with B = |theta|, which keeps B >= 0 by reflection: the residual
+    is taken at |theta| and each Jacobian column is multiplied by sign(theta_k),
+    with sign(0) = +1.  The caches are keyed on B, so theta and -theta share them.
 
     ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
     b1 and b2 are read.  The search starts once from that B and once from each
     of ``restarts - 1`` perturbations of it drawn from ``seed``, each b_k times
-    |1 + 0.3 N(0, 1)| (best residual wins).  Sigmas of all six parameters
-    come from the full Jacobian of _joint_jacobian at the best restart,
-    cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``; where the last Jacobian of the
-    search was taken at the optimum, it reuses that Jacobian's signals and
-    B-derivatives.  A fitted a1z of exactly 0 leaves a2z undetermined: it is
+    |1 + 0.3 N(0, 1)| (best residual wins); ``evaluations`` sums MINPACK's residual
+    evaluations (nfev) over the restarts.  The fit reports B = |theta| of the best
+    restart.  Sigmas of all six parameters come from the full Jacobian of
+    _joint_jacobian there, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``; scipy
+    takes one more Jacobian at the point the search returns, so unless another
+    restart was tried after the best one, the sigmas reuse that Jacobian's signals
+    and B-derivatives.  A fitted a1z of exactly 0 leaves a2z undetermined: it is
     returned as nan and without a sigma, and the other sigmas come from the
     Jacobian without the a2z column.
     """
@@ -267,20 +273,24 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
                                      [e for e, *_ in entries])
         return [(*entry, ds) for entry, ds in zip(entries, derivatives)]
 
-    def residuals(b: np.ndarray) -> np.ndarray:
-        """Phi u - y for both curves, u the linear least-squares coefficients at B."""
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        """Phi u - y for both curves, u the linear least-squares coefficients at
+        B = |theta|."""
         return np.concatenate([basis[:, -1] * coef - y for (*_, basis, _, coef), (*_, y)
-                               in zip(project(*(float(v) for v in b)), curves)])
+                               in zip(project(*(abs(float(v)) for v in theta)), curves)])
 
-    def jacobian(b: np.ndarray) -> np.ndarray:
-        """Kaufman's Jacobian of residuals by B."""
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        """Kaufman's Jacobian of residuals by theta: by B at |theta|, times
+        dB/dtheta = sign(theta), taken as +1 at 0."""
         blocks = []
         for (*_, basis, inv, coef, ds), (w, _, _) in zip(
-                derive(*(float(v) for v in b)), curves):
+                derive(*(abs(float(v)) for v in theta)), curves):
             dv = w[:, None] * ds
             dv -= basis @ (basis.T @ dv)  # P_perp
             blocks.append(dv * (coef * inv))
-        return np.vstack(blocks)
+        jac = np.vstack(blocks)  # a new array, so the cached derivatives stay as they are
+        jac[:, theta < 0] *= -1.0
+        return jac
 
     b_init = np.abs(np.array([init[name] for name in PARAM_NAMES[4:]], dtype=float)
                     if isinstance(init, Mapping) else _param_vector(init)[4:])
@@ -292,19 +302,21 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         # seven normals per restart, the stream of the earlier seven-parameter starts
         start = b_init if attempt == 0 else np.abs(
             b_init * (1 + 0.3 * rng.standard_normal(len(PARAM_NAMES))[4:]))
-        result = least_squares(residuals, start, jac=jacobian, bounds=(0.0, np.inf))
+        # scipy < 1.16 defaulted lm to x_scale=1, which takes a different path
+        result = least_squares(residuals, start, jac=jacobian, method="lm", x_scale="jac")
         evaluations += result.nfev
         if best is None or result.cost < best.cost:
             best = result
+    b_best = np.abs(best.x)
     (_, sz, _, inv2, coef2, dsz), (_, sx, _, inv3, coef3, dsx) = derive(
-        *(float(v) for v in best.x))
+        *(float(v) for v in b_best))
     u2, u3 = coef2 * inv2, coef3 * inv3
     iz = longitudinal_observable()
     u1 = wz @ (wz * (long_curve.amplitudes - u2 * sz)) / ((iz @ iz) * (wz @ wz))
     undetermined = u1 == 0
     # with u1 = 0, u2 = a1z (1 + a2z) is 0 as well (all-zero longitudinal data), and
     # a2z = -1 makes the a1z column the derivative by u1
-    x = np.array([u1, -1.0 if undetermined else u2 / u1 - 1, u3, *best.x])
+    x = np.array([u1, -1.0 if undetermined else u2 / u1 - 1, u3, *b_best])
     jz, jx = _joint_jacobian(x, sz, dsz, sx, dsx)
     jac = np.vstack([jz * wz[:, None], jx * wx[:, None]])
     names = list(FIT_NAMES)

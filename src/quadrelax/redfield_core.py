@@ -302,8 +302,10 @@ def _cubic_root(alpha: float, beta: float, gamma: float) -> float:
     base = -alpha ** 3 / 27 + beta * alpha / 6 - gamma / 2
     if disc >= 0:
         s = math.sqrt(disc)
+        # np.cbrt, not math.cbrt: numpy's own cbrt differs from libm's in the last bits
         return float(alpha / 3 - np.cbrt(base + s) - np.cbrt(base - s))
-    # three distinct real roots: the two cube roots are complex conjugates
+    # three distinct real roots: the two cube roots are complex conjugates (numpy's
+    # complex power, whose last bits differ from Python's complex **)
     z = (base + np.sqrt(complex(disc))) ** (1 / 3.0)
     return alpha / 3 - 2 * float(z.real)
 
@@ -313,10 +315,13 @@ def _companion_roots(alpha: float, beta: float, gamma: float, lam: float) -> tup
     if lam == 0.0:
         raise DegenerateSpectrumError("zero cubic root; companion-root formula divides by it")
     half = -(lam - alpha) / 2
-    rad = np.sqrt(complex(half * half - gamma / lam))
-    if abs(rad.imag) > 1e-8 * max(1.0, abs(rad.real)):
-        raise DegenerateSpectrumError(f"companion roots came out complex: {rad}")
-    root = float(rad.real)
+    square = half * half - gamma / lam
+    # the real part of the principal complex square root: sqrt(square) above 0, +0 at
+    # and below 0, and +nan for a nan
+    if square < 0 and math.sqrt(-square) > 1e-8:
+        raise DegenerateSpectrumError(
+            f"companion roots came out complex: {complex(0.0, math.sqrt(-square))}")
+    root = math.sqrt(square) if square > 0 else 0.0 if square <= 0 else math.nan
     return half + root, half - root
 
 

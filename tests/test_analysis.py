@@ -305,8 +305,9 @@ def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
 
 
 def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
-    # a single search ends on an accepted step, whose Jacobian is the last one taken;
-    # the sigmas at that optimum then add no eigensolve and no B-derivatives
+    # least_squares takes one more Jacobian at the point MINPACK returns, so with a
+    # single search the last Jacobian is at the optimum; the sigmas there then add no
+    # eigensolve and no B-derivatives
     import scipy.optimize
 
     long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
@@ -332,6 +333,71 @@ def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
     assert calls.count("derivatives") == len(jacobian_points)
     assert calls[-1] == "end of search"
     assert set(result.uncertainties) == set(FIT_NAMES)
+
+
+def _search_functions(monkeypatch, curves):
+    """The residual and Jacobian that fit_redfield_joint hands to least_squares, from a
+    single-start fit of the curve pair."""
+    import scipy.optimize
+
+    captured, real_least_squares = [], scipy.optimize.least_squares
+
+    def least_squares(fun, x0, jac, **kwargs):
+        captured.append((fun, jac))
+        return real_least_squares(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", least_squares)
+    fit_redfield_joint(*curves, CLI_START, restarts=1)
+    return captured[0]
+
+
+def _difference_jacobian(fun, theta):
+    """Central differences of fun at theta; at a zero component, the second-order
+    difference from the right, since B = |theta| makes fun even in that component; a
+    zero component has no scale of its own, so it steps by 1e-6."""
+    columns = []
+    for k in range(theta.size):
+        h = 1e-5 * abs(theta[k]) if theta[k] else 1e-6
+        step = np.eye(theta.size)[k] * h
+        if theta[k] == 0:
+            columns.append((4 * fun(theta + step) - fun(theta + 2 * step) - 3 * fun(theta))
+                           / (2 * h))
+        else:
+            columns.append((fun(theta + step) - fun(theta - step)) / (2 * h))
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("theta", [(-83.0, 3.8, -0.18), (83.0, 0.0, -0.18), (-83.0, 3.8, 0.0)],
+                         ids=["mixed-signs", "b1-zero", "b2-zero"])
+def test_search_jacobian_is_the_chain_rule_through_the_reflection(monkeypatch, theta):
+    # the search runs over theta with B = |theta|: each Jacobian column is the one by B
+    # times sign(theta_k), with sign(0) = +1.  The curves are noise-free at B = |theta|,
+    # where Kaufman's Jacobian is the full derivative of the residual (the term it
+    # drops is proportional to the residual), so it must match differences of fun
+    theta = np.array(theta)
+    times_long, times_trans = (curve.times for curve in make_joint_curves())
+    params = dict(TABLE2, **dict(zip(("b0", "b1", "b2"), np.abs(theta))))
+    curves = [DecayCurve(times, signal) for times, signal in
+              zip((times_long, times_trans), joint_model_curves(params, times_long, times_trans))]
+    fun, jac = _search_functions(monkeypatch, curves)
+    got, want = jac(theta), _difference_jacobian(fun, theta)
+    for k in range(theta.size):
+        np.testing.assert_allclose(got[:, k], want[:, k], rtol=0,
+                                   atol=1e-6 * np.max(np.abs(want[:, k])), err_msg=str(k))
+    # a new array each call: the sign leaves the cached derivatives at B unscaled
+    sign = np.where(theta < 0, -1.0, 1.0)
+    np.testing.assert_array_equal(jac(np.abs(theta)) * sign, got)
+    np.testing.assert_array_equal(jac(theta), got)
+    np.testing.assert_array_equal(fun(theta), fun(np.abs(theta)))
+
+
+def test_search_gradient_is_exact_at_a_reflected_point(monkeypatch):
+    # away from a zero residual Kaufman's Jacobian is not the residual's derivative,
+    # but J^T r is the exact gradient of the cost, also through the reflection
+    fun, jac = _search_functions(monkeypatch, make_joint_curves(noise=0.01, seed=3))
+    theta = np.array([-90.0, 4.0, -0.2])
+    want = _difference_jacobian(lambda t: np.atleast_1d(fun(t) @ fun(t) / 2), theta)[0]
+    np.testing.assert_allclose(jac(theta).T @ fun(theta), want, rtol=1e-6)
 
 
 def test_fit_and_report_solve_the_same_sector_matrices():
@@ -524,6 +590,48 @@ def test_far_starts_reach_the_16_restart_optimum():
                                         dict(CLI_START, b0=b0, b1=b1, b2=b2), restarts=1)
             reached += result.residual_norm ** 2 <= best ** 2 * (1 + 1e-6)
     assert reached == 23
+
+
+@pytest.mark.parametrize("start", [dict(b0=0.0), dict(b2=0.0), dict(b0=0.0, b1=0.0, b2=0.0),
+                                   {name: -CLI_START[name] for name in ("b0", "b1", "b2")}],
+                         ids=["b0-zero", "b2-zero", "all-zero", "negated"])
+def test_starts_on_the_reflection_edges_reach_the_16_restart_optimum(start):
+    # B = |theta| keeps B >= 0 by reflection: a single start with a zero rate scale, or
+    # with all three negated (the search starts from their absolute values), reaches
+    # the optimum of the default 16 restarts on the bundled pair
+    long_curve, trans_curve, _ = _bundled_optimum()
+    best = fit_redfield_joint(long_curve, trans_curve, CLI_START).residual_norm
+    result = fit_redfield_joint(long_curve, trans_curve, dict(CLI_START, **start), restarts=1)
+    assert result.converged
+    assert result.residual_norm == pytest.approx(best, rel=1e-6)
+    assert all(b > 0 for b in result.scales())
+
+
+def test_start_with_b1_zero_converges():
+    # from b1 = 0 the single search ends at a local optimum with b1 near 0.03 Hz, away
+    # from the bundled pair's 3.85 Hz; only that it converges to a B >= 0 is asserted
+    long_curve, trans_curve, _ = _bundled_optimum()
+    result = fit_redfield_joint(long_curve, trans_curve, dict(CLI_START, b1=0.0), restarts=1)
+    assert result.converged
+    assert all(b >= 0 and np.isfinite(b) for b in result.scales())
+
+
+def test_sigmas_are_calibrated_on_criterion_7_noise():
+    # a guard on the +/- values, not a bound on the fit: 200 single-start fits of 1%-noise
+    # criterion-7 realizations; for each fitted parameter the share of fits within one
+    # sigma of the truth (a1x taken as the product a1x*a2x) lies within 3 binomial
+    # sigma of 0.683, [0.584, 0.782] (0.68-0.74 here)
+    truth = dict(TABLE2, a1x=TABLE2["a1x"] * TABLE2["a2x"])
+    within = dict.fromkeys(FIT_NAMES, 0)
+    for seed in range(3000, 3200):
+        result = fit_redfield_joint(*make_joint_curves(noise=0.01, seed=seed), CLI_START,
+                                    restarts=1)
+        for name in FIT_NAMES:
+            within[name] += abs(result.params[name] - truth[name]) < result.uncertainties[name]
+    p, n = 0.683, 200
+    half_width = 3 * np.sqrt(p * (1 - p) / n)
+    for name in FIT_NAMES:
+        assert abs(within[name] / n - p) <= half_width, (name, within[name])
 
 
 def test_all_zero_longitudinal_curve_leaves_a2z_undetermined():

@@ -486,6 +486,38 @@ def test_q5_discriminant_rounded_below_zero_is_a_double_root():
         analytic_eigensystem(5, j)
 
 
+def _companion_roots_on_complex(alpha, beta, gamma, lam):
+    """_companion_roots as np.sqrt of a complex number, the form it replaced."""
+    half = -(lam - alpha) / 2
+    rad = np.sqrt(complex(half * half - gamma / lam))
+    if abs(rad.imag) > 1e-8 * max(1.0, abs(rad.real)):
+        raise DegenerateSpectrumError(f"companion roots came out complex: {rad}")
+    return half + float(rad.real), half - float(rad.real)
+
+
+def test_companion_roots_on_real_square_roots_are_the_complex_form_bit_for_bit():
+    # math.sqrt of the radicand or of its negative gives the complex square root's real
+    # part and the same raises: seeded draws of (alpha, beta, gamma, lam) over 20
+    # decades of either sign, and signed zeros, infinities and nans
+    rng = np.random.default_rng(56)
+    draws = (rng.standard_normal((20000, 4)) * 10 ** rng.uniform(-10, 10, (20000, 4))).tolist()
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1.0]
+    draws += [[a, 1.0, c, lam] for a in special for c in special for lam in (1.0, -2.0, math.nan)]
+    raised = 0
+    with np.errstate(all="ignore"):
+        for args in draws:
+            try:
+                want = _companion_roots_on_complex(*args)
+            except DegenerateSpectrumError as exc:
+                raised += 1
+                with pytest.raises(DegenerateSpectrumError, match=f"^{re.escape(str(exc))}$"):
+                    redfield_core._companion_roots(*args)
+                continue
+            got = redfield_core._companion_roots(*args)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), args
+    assert 0 < raised < len(draws)
+
+
 def test_equal_w_bar_columns_raise(j_ref, monkeypatch):
     # two coinciding modes give two equal w_bar columns; the determinant guard,
     # not a division by the zero determinant, rejects the singular transformation
