@@ -4,16 +4,15 @@ regularized inverse-Laplace time distributions, and residual diagnostics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from .curves import DecayCurve
-from .evolution import (MagnetizationModel, build_longitudinal_model, build_transverse_model,
-                        longitudinal_observable, transverse_observable)
-from .redfield_core import _canonical_eigensystem, sector_modes, sector_table
+from .evolution import MagnetizationModel, longitudinal_observable, transverse_observable
+from .redfield_core import _rates_from_eigenvalues, sector_table
 # the fit no longer calls it; bench/test_bench_stats.py calls it through analysis, so it
 # stays imported until the benchmark changes
 from .redfield_core import numeric_eigensystem  # noqa: F401
@@ -76,43 +75,49 @@ def _parity_subspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues lam, shape (2, 4), and orthonormal eigenvectors V (columns),
-    shape (2, 4, 4), of the two sectors of _parity_subspace at the rate scales B,
-    indexed by q, from one stacked eigh; read-only.  One entry: the fit's residual
-    and Jacobian at a trial point share one eigensolve.  The modes keep eigh's
-    order and signs, which neither the signals nor their derivatives depend on.
-    The matrices are weighted elementwise, as sector_modes weights them, so the fit
-    and joint_models solve the same bits."""
-    a = _parity_subspace()[0]
+def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple:
+    """The modes of the two sectors of _parity_subspace at the rate scales B, indexed
+    by q and read-only: the eigenvalues lam, shape (2, 4), the orthonormal
+    eigenvectors V (columns), shape (2, 4, 4), and each mode's weights c V and V^T d,
+    shape (2, 4), whose product is its signal amplitude.  One stacked eigh and one
+    entry: the fit's residual and Jacobian at a trial point share one eigensolve, and
+    joint_models at the fitted B reuses the last.  The modes keep eigh's order
+    (ascending eigenvalue) and signs, which neither the signals, their derivatives
+    nor the amplitudes depend on.  The matrices are weighted elementwise, as
+    sector_modes weights them, so the fit solves the same bits as the full blocks'
+    sector solves."""
+    a, obs, dev = _parity_subspace()
     lam, vec = np.linalg.eigh(b0 * a[:, 0] + b1 * a[:, 1] + b2 * a[:, 2])
-    lam.flags.writeable = vec.flags.writeable = False
-    return lam, vec
+    modes = lam, vec, (obs[:, None] @ vec)[:, 0], (dev[:, None] @ vec)[:, 0]
+    for arr in modes:
+        arr.flags.writeable = False
+    return modes
 
 
 def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
-    """Longitudinal and transverse magnetization models at a 7-parameter set,
-    with every mode of the full q = 0 and q = 1 blocks (both sectors of each), in
-    numeric_eigensystem's order, from one sector_modes call.
+    """Longitudinal and transverse magnetization models at a 7-parameter set, each
+    with its observable's four modes, in ascending rate.
 
     <Iz> is odd and the transverse observable even under the reversal (see
-    _parity_subspace), so every mode of the q = 0 even and the q = 1 odd sector
-    has an amplitude of exactly 0.  Rates come out in Hz directly because the
-    blocks are evaluated at the rate scales B_k = C J_k (the C = 1 eigensystem
-    convention).
+    _parity_subspace), so only the q = 0 odd and the q = 1 even sector carry
+    amplitude; the other four and three modes of the full blocks, the q = 0 zero
+    mode among them, have an amplitude of 0 by symmetry and are left out
+    (build_longitudinal_model and build_transverse_model give all 8 and 7 modes).
+    The modes are the fit's (_joint_eigensystems, so that after a fit the models at
+    its B solve nothing), and each amplitude is the fit's (P^T c)V o V^T(P^T d) times
+    the preparation efficiency.  Rates come out in Hz directly because the blocks are
+    evaluated at the rate scales B_k = C J_k (the C = 1 eigensystem convention).
     """
     a1z, a2z, a1x, a2x, b0, b1, b2 = _param_vector(params)
-    modes = sector_modes((0, 1), (b0, b1, b2))
-    models = []
-    for q, build, scale, efficiency in ((0, build_longitudinal_model, a1z, a2z),
-                                        (1, build_transverse_model, a1x, a2x)):
-        es, order = _canonical_eigensystem(q, *modes[q], None)
-        model = build(es, scale, efficiency)
-        # sector_modes lists the even sector's modes first
-        even = order < sector_table()[q][0][0].shape[1]
-        excluded = even if q == 0 else ~even
-        models.append(replace(model, amplitudes=np.where(excluded, 0.0, model.amplitudes)))
-    return models[0], models[1]
+    lam, _, cv, vd = _joint_eigensystems(float(b0), float(b1), float(b2))
+    # eigh's ascending eigenvalues, reversed: ascending rates
+    (amps_z, amps_x), (lam_z, lam_x) = (cv * vd)[:, ::-1], lam[:, ::-1]
+    iz = longitudinal_observable()
+    return (MagnetizationModel(scale=a1z, amplitudes=(1 + a2z) * amps_z,
+                               equilibrium_term=float(iz @ iz),
+                               rates=_rates_from_eigenvalues(lam_z, None)),
+            MagnetizationModel(scale=a1x, amplitudes=a2x * amps_x, equilibrium_term=0.0,
+                               rates=_rates_from_eigenvalues(lam_x, None)))
 
 
 def joint_model_curves(params, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
@@ -121,22 +126,21 @@ def joint_model_curves(params, times_long, times_trans) -> tuple[np.ndarray, np.
     return long_model.evaluate(times_long), trans_model.evaluate(times_trans)
 
 
-def _reduced_signals(lam: np.ndarray, vec: np.ndarray, times: tuple) -> list:
-    """Per q = 0, 1, from the sectors' eigensystems (lam, vec) of _joint_eigensystems
-    and that order's sample times: the mode exponentials E = exp(t lam), shape
-    (T, 4), and the signal c . exp(M t) d = E ((c V) o (V^T d)), shape (T,)."""
-    _, obs, dev = _parity_subspace()
-    amps = (obs[:, None] @ vec)[:, 0] * (dev[:, None] @ vec)[:, 0]
+def _reduced_signals(modes: tuple, times: tuple) -> list:
+    """Per q = 0, 1, from the sectors' modes (lam, V, c V, V^T d) of _joint_eigensystems
+    and that order's sample times: the mode exponentials E = exp(t lam), shape (T, 4),
+    and the signal c . exp(M t) d = E ((c V) o (V^T d)), shape (T,)."""
+    lam, _, cv, vd = modes
     out = []
-    for lam_q, amps_q, times_q in zip(lam, amps, times):
+    for lam_q, amps_q, times_q in zip(lam, cv * vd, times):
         e = np.exp(times_q[:, None] * lam_q)
         out.append((e, e @ amps_q))
     return out
 
 
-def _b_derivatives(lam: np.ndarray, vec: np.ndarray, times: tuple, e: tuple) -> list:
+def _b_derivatives(modes: tuple, times: tuple, e: tuple) -> list:
     """Per q = 0, 1: the derivatives of _reduced_signals by B, shape (T, 3), from
-    its mode exponentials e at the same eigensystems (lam, vec).
+    its mode exponentials e at the same modes (lam, V, c V, V^T d).
 
     With M = sum_k B_k A_k = V diag(lam) V^T, the Daleckii-Krein form of the
     Frechet derivative of exp gives d/dB_k = sum_ij W_kij G_ij(t), with
@@ -150,9 +154,8 @@ def _b_derivatives(lam: np.ndarray, vec: np.ndarray, times: tuple, e: tuple) -> 
     exp(max(lam_i, lam_j) t) expm1(-|lam_i - lam_j| t) / -|lam_i - lam_j|, or the
     limit t exp(lam_i t) for an exact tie.
     """
-    mats, obs, dev = _parity_subspace()
-    cv, vd = (obs[:, None] @ vec)[:, 0], (dev[:, None] @ vec)[:, 0]
-    a = vec.transpose(0, 2, 1)[:, None] @ mats @ vec[:, None]
+    lam, vec, cv, vd = modes
+    a = vec.transpose(0, 2, 1)[:, None] @ _parity_subspace()[0] @ vec[:, None]
     # W_kij + W_kji = (V^T A_k V)_ij pair_ij, V^T A_k V being symmetric
     pair = cv[:, :, None] * vd[:, None]
     pair = pair + pair.transpose(0, 2, 1)
@@ -219,9 +222,10 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
     b1 and b2 are read.  The search starts once from that B and once from each
     of ``restarts - 1`` perturbations of it drawn from ``seed``, each b_k times
-    |1 + 0.3 N(0, 1)| (best residual wins); ``evaluations`` sums MINPACK's residual
-    evaluations (nfev) over the restarts.  The fit reports B = |theta| of the best
-    restart.  Sigmas of all six parameters come from the full Jacobian of
+    |1 + 0.3 N(0, 1)| (best residual wins), so a b_k of 0 stays 0 in every restart
+    (the command line takes only positive starts).  ``evaluations`` sums MINPACK's
+    residual evaluations (nfev) over the restarts.  The fit reports B = |theta| of
+    the best restart.  Sigmas of all six parameters come from the full Jacobian of
     _joint_jacobian there, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``; scipy
     takes one more Jacobian at the point the search returns, so unless another
     restart was tried after the best one, the sigmas reuse that Jacobian's signals
@@ -255,7 +259,7 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         trial point reuses what its residual computed."""
         out = []
         for (e, s), (w, f, y) in zip(
-                _reduced_signals(*_joint_eigensystems(b0, b1, b2), times), curves):
+                _reduced_signals(_joint_eigensystems(b0, b1, b2), times), curves):
             v = w * s
             v -= f @ (f.T @ v)
             norm = math.sqrt(v @ v)
@@ -269,7 +273,7 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         """Per curve at B: project's entry and the raw derivatives of s by B.  One
         entry: the covariance at the optimum reuses the last Jacobian's."""
         entries = project(b0, b1, b2)
-        derivatives = _b_derivatives(*_joint_eigensystems(b0, b1, b2), times,
+        derivatives = _b_derivatives(_joint_eigensystems(b0, b1, b2), times,
                                      [e for e, *_ in entries])
         return [(*entry, ds) for entry, ds in zip(entries, derivatives)]
 

@@ -230,9 +230,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _mode_table(model: evolution.MagnetizationModel) -> list[tuple[int, float, float]]:
-    """(n, amplitude, time) per mode.  joint_models gives the amplitudes that are zero
-    by symmetry as exact zeros; adding 0.0 prints a zero as 0, not -0, whatever the
-    sign of the scale."""
+    """(n, amplitude, time) per mode.  A scale of 0 (a1z = 0 for an all-zero
+    longitudinal curve) gives amplitudes of -0.0 where a mode's is negative; adding
+    0.0 prints them as 0, not -0."""
     amps = model.scale * model.amplitudes + 0.0
     return [(n, amp, 1.0 / rate if rate > 0 else np.inf)
             for n, (amp, rate) in enumerate(zip(amps, model.rates), start=1)]
@@ -471,9 +471,9 @@ def _parser_and_commands() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--restarts", type=_int_at_least(1), default=16)
     p.add_argument("--normalize", action="store_true",
                    help="max-abs normalize both curves before fitting")
-    p.add_argument("--init-b0", type=_finite_float, default=100.0)
-    p.add_argument("--init-b1", type=_finite_float, default=5.0)
-    p.add_argument("--init-b2", type=_finite_float, default=0.3)
+    p.add_argument("--init-b0", type=_positive_float, default=100.0)
+    p.add_argument("--init-b1", type=_positive_float, default=5.0)
+    p.add_argument("--init-b2", type=_positive_float, default=0.3)
 
     p = command("bloch", _cmd_bloch, "mono-exponential T1/T2 baselines",
                 "--config", "--out", "--raw")

@@ -85,9 +85,10 @@ class MagnetizationModel:
     signal(t) = scale * (equilibrium_term + sum_n amplitudes[n] exp(-rates[n] t))
 
     scale is the data-normalization factor; the pulse efficiency is absorbed
-    into the amplitudes at construction.  The
-    longitudinal flavour has 8 modes, one with zero rate; the transverse
-    flavour has 7 and no equilibrium term.
+    into the amplitudes at construction.  build_longitudinal_model gives all 8
+    modes of q = 0, one with zero rate, and build_transverse_model all 7 of
+    q = 1, with no equilibrium term; analysis.joint_models gives each only the
+    4 modes its observable's sector carries.
     """
 
     scale: float

@@ -240,21 +240,6 @@ def sector_modes(orders, weights: tuple[float, float, float]) -> dict:
     return modes
 
 
-def _canonical_eigensystem(q: int, lam: np.ndarray, vec: np.ndarray,
-                           c: QuadrupolarConstant | None) -> tuple[BlockEigensystem, np.ndarray]:
-    """The modes with numeric_eigensystem's signs and order, as read-only arrays, and
-    that order: mode m of the eigensystem is column order[m] of vec."""
-    mag = np.abs(vec)
-    lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
-    vec = vec * np.where(vec[lead, np.arange(lam.size)] < 0, -1.0, 1.0)
-    order = np.lexsort((*vec[::-1], -lam))
-    lam, w_bar = lam[order], vec[:, order]
-    rates = _rates_from_eigenvalues(lam, c)
-    for arr in (lam, w_bar, rates):
-        arr.flags.writeable = False
-    return BlockEigensystem(q=q, eigenvalues=lam, w=w_bar.T, w_bar=w_bar, rates=rates), order
-
-
 def numeric_eigensystem(block: CoherenceBlock,
                         c: QuadrupolarConstant | None = None) -> BlockEigensystem:
     """Eigendecomposition of a symmetric block with the canonical ordering and signs.
@@ -283,8 +268,16 @@ def numeric_eigensystem(block: CoherenceBlock,
         raise np.linalg.LinAlgError(f"block for q={block.q} couples the even and odd sectors "
                                     f"(max |P_e^T m P_o| = {np.abs(r[:k, k:]).max():.2e})")
     (lam_e, v_e), (lam_o, v_o) = np.linalg.eigh(r[:k, :k]), np.linalg.eigh(r[k:, k:])
-    return _canonical_eigensystem(block.q, np.concatenate([lam_e, lam_o]),
-                                  np.hstack([p_even @ v_e, p_odd @ v_o]), c)[0]
+    lam, vec = np.concatenate([lam_e, lam_o]), np.hstack([p_even @ v_e, p_odd @ v_o])
+    mag = np.abs(vec)
+    lead = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    vec = vec * np.where(vec[lead, np.arange(lam.size)] < 0, -1.0, 1.0)
+    order = np.lexsort((*vec[::-1], -lam))
+    lam, w_bar = lam[order], vec[:, order]
+    rates = _rates_from_eigenvalues(lam, c)
+    for arr in (lam, w_bar, rates):
+        arr.flags.writeable = False
+    return BlockEigensystem(q=block.q, eigenvalues=lam, w=w_bar.T, w_bar=w_bar, rates=rates)
 
 
 # ---------------------------------------------------------------------------

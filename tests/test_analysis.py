@@ -41,17 +41,17 @@ def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, 
     joint_model_curves with a2x = 1."""
     a1z, a2z, a1x = x[:3]
     (_, sz), (_, sx) = analysis._reduced_signals(
-        *analysis._joint_eigensystems(*(float(b) for b in x[3:])), (times_long, times_trans))
+        analysis._joint_eigensystems(*(float(b) for b in x[3:])), (times_long, times_trans))
     iz = longitudinal_observable()
     return a1z * (iz @ iz + (1 + a2z) * sz), a1x * sx
 
 
 def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
     """analysis._joint_jacobian at x from the fit's own signals and B-derivatives."""
-    lam, vec = analysis._joint_eigensystems(*(float(b) for b in x[3:]))
+    modes = analysis._joint_eigensystems(*(float(b) for b in x[3:]))
     times = (times_long, times_trans)
-    (ez, sz), (ex, sx) = analysis._reduced_signals(lam, vec, times)
-    dsz, dsx = analysis._b_derivatives(lam, vec, times, (ez, ex))
+    (ez, sz), (ex, sx) = analysis._reduced_signals(modes, times)
+    dsz, dsx = analysis._b_derivatives(modes, times, (ez, ex))
     return analysis._joint_jacobian(x, sz, dsz, sx, dsx)
 
 
@@ -95,13 +95,34 @@ def test_joint_models_are_the_hand_built_pair():
     es1 = numeric_eigensystem(CoherenceBlock(1, evaluate_block(1, scales)))
     want = (build_longitudinal_model(es0, TABLE2["a1z"], TABLE2["a2z"]),
             build_transverse_model(es1, TABLE2["a1x"], TABLE2["a2x"]))
-    # the same modes in the same order, from the sector eigensolves of joint_models;
-    # an amplitude zero by symmetry is round-off in the hand-built pair
-    for got, ref in zip(joint_models(TABLE2), want):
-        np.testing.assert_allclose(got.rates, ref.rates, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(got.amplitudes, ref.amplitudes, rtol=1e-14,
-                                   atol=1e-14 * np.max(np.abs(ref.amplitudes)))
+    # each model's four modes are the hand-built pair's modes of the sector its
+    # observable keeps (q = 0 odd, q = 1 even), in the same ascending-rate order; the
+    # pair's other 4 and 3 amplitudes are zero by symmetry, round-off there
+    for got, ref, es, keep_odd in zip(joint_models(TABLE2), want, (es0, es1), (True, False)):
+        odd = (es.w_bar[::-1] == -es.w_bar).all(axis=0)
+        kept = odd == keep_odd
+        assert np.count_nonzero(kept) == got.rates.size == got.amplitudes.size == 4
+        largest = np.max(np.abs(ref.amplitudes))
+        assert np.max(np.abs(ref.amplitudes[~kept])) <= 1e-14 * largest
+        np.testing.assert_allclose(got.rates, ref.rates[kept], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got.amplitudes, ref.amplitudes[kept], rtol=1e-14,
+                                   atol=1e-14 * largest)
         assert (got.scale, got.equilibrium_term) == (ref.scale, ref.equilibrium_term)
+
+
+def test_joint_models_at_the_fitted_b_solve_nothing(monkeypatch):
+    # the report's models are built from the fit's last eigensolve, the cached
+    # _joint_eigensystems entry at the fitted B, also when the best restart was not
+    # the last one tried
+    long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
+    result = fit_redfield_joint(long_curve, trans_curve, CLI_START, restarts=3)
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("joint_models solved an eigensystem")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    long_model, trans_model = joint_models(result.params)
+    assert long_model.rates.size == trans_model.rates.size == 4
 
 
 def test_joint_fit_noiseless_from_2x_starts():
@@ -239,8 +260,9 @@ def test_b_derivatives_give_the_frechet_derivative(lam):
     times = np.array([0.0, 1e-3, 0.3, 1.5])
     e = np.exp(np.outer(times, lam))
     # the same eigensystem in both sectors, with each sector's A_k, c and d
-    derivatives = analysis._b_derivatives(np.stack([lam, lam]), np.stack([q, q]),
-                                          (times, times), (e, e))
+    _, c, d = analysis._parity_subspace()
+    modes = np.stack([lam, lam]), np.stack([q, q]), c @ q, d @ q
+    derivatives = analysis._b_derivatives(modes, (times, times), (e, e))
     m = q @ np.diag(lam) @ q.T
     for sector, (got, mats, obs, dev) in enumerate(zip(derivatives,
                                                        *analysis._parity_subspace())):
@@ -299,9 +321,9 @@ def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
     for before, after in zip(points, points[1:]):
         if after[0] == "j":
             assert before == ("r", *after[1:])
-    lam, vec = analysis._joint_eigensystems(*(result.params[k] for k in ("b0", "b1", "b2")))
-    assert lam.shape == (2, 4) and vec.shape == (2, 4, 4)
-    assert not lam.flags.writeable and not vec.flags.writeable
+    modes = analysis._joint_eigensystems(*(result.params[k] for k in ("b0", "b1", "b2")))
+    assert [arr.shape for arr in modes] == [(2, 4), (2, 4, 4), (2, 4), (2, 4)]
+    assert not any(arr.flags.writeable for arr in modes)
 
 
 def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
@@ -401,12 +423,13 @@ def test_search_gradient_is_exact_at_a_reflected_point(monkeypatch):
 
 
 def test_fit_and_report_solve_the_same_sector_matrices():
-    # the fit's q = 0 odd and q = 1 even sectors are weighted as sector_modes weights
-    # them, so their eigenvalues are bit for bit those that joint_models builds on
+    # the fit's q = 0 odd and q = 1 even sectors, which joint_models reports, are
+    # weighted as sector_modes weights them, so their eigenvalues are bit for bit
+    # those of the full blocks' sector solves
     rng = np.random.default_rng(23)
     for b0, b1, b2 in rng.uniform(0.01, 100.0, (300, 3)).tolist():
         for b in ((b0, b1, b2), (b0, b1, b1), (b0, b1, 0.0)):
-            lam, _ = analysis._joint_eigensystems(*b)
+            lam = analysis._joint_eigensystems(*b)[0]
             modes = sector_modes((0, 1), b)
             # sector_modes lists each order's even sector first; both fitted ones are 4x4
             for got, want in ((lam[0], modes[0][0][4:]), (lam[1], modes[1][0][:4])):
@@ -458,10 +481,11 @@ def test_b_derivatives_match_the_divided_difference_tensor(b):
     # corners of _B_POINTS and at B = (b0, 0, 0), where the q = 0 sector is all 0
     # and every pair of its eigenvalues is tied; at B = (0.1, 100, 0) a q = 1 pair
     # lies 7.6e-5 max|lam| apart, where partial fractions lost 2e-12 of the scale
-    lam, vec = analysis._joint_eigensystems(*b)
+    modes = analysis._joint_eigensystems(*b)
+    lam, vec = modes[:2]
     times = (_TIMES_LONG, _TIMES_TRANS)
-    e = [e_q for e_q, _ in analysis._reduced_signals(lam, vec, times)]
-    for q, got in enumerate(analysis._b_derivatives(lam, vec, times, e)):
+    e = [e_q for e_q, _ in analysis._reduced_signals(modes, times)]
+    for q, got in enumerate(analysis._b_derivatives(modes, times, e)):
         want = _tensor_b_derivatives(q, lam[q], vec[q], times[q])
         for k in range(3):
             np.testing.assert_allclose(got[:, k], want[:, k], rtol=0,
@@ -477,7 +501,7 @@ def test_reduced_signals_match_a_30_digit_eigensolve(b):
     # eigh was off by up to 2e-12 of the transverse curve's largest value)
     mpmath = pytest.importorskip("mpmath", reason="the 30-digit reference needs mpmath")
     mpmath.mp.dps = 30
-    reduced = analysis._reduced_signals(*analysis._joint_eigensystems(*b),
+    reduced = analysis._reduced_signals(analysis._joint_eigensystems(*b),
                                         (_TIMES_LONG, _TIMES_TRANS))
     curves = joint_model_curves(dict(a1z=1.0, a2z=0.0, a1x=1.0, a2x=1.0, b0=b[0], b1=b[1],
                                      b2=b[2]), _TIMES_LONG, _TIMES_TRANS)

@@ -704,9 +704,8 @@ def test_ilt_impossible_grid_exits_2(tmp_path, grid):
 @pytest.mark.parametrize("flag, argv", [
     *((flag, ["rates"]) for flag in ("--larmor-freq", "--tau-c", "--j0", "--j1", "--j2",
                                      "--quad-freq", "--c")),
-    *((flag, ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
-              "--trans", str(DATA_DIR / "synthetic_transverse.csv")])
-      for flag in ("--quad-freq", "--init-b0", "--init-b1", "--init-b2")),
+    ("--quad-freq", ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
+                     "--trans", str(DATA_DIR / "synthetic_transverse.csv")]),
     ("--alpha", ["ilt", "--curve", str(DATA_DIR / "synthetic_transverse.csv"),
                  "--t-min", "1e-4", "--t-max", "1"]),
 ])
@@ -722,6 +721,22 @@ def test_non_finite_number_flag_exits_2(tmp_path, capsys, flag, argv, value):
     for number in (-2.5, 0.0):
         parsed = build_parser().parse_args([*argv, f"{flag}={number!r}"])
         assert number in vars(parsed).values()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0", "-2.5", "nan", "inf", "-inf", "1e999", "abc"])
+@pytest.mark.parametrize("flag", ["--init-b0", "--init-b1", "--init-b2"])
+def test_non_positive_start_exits_2(tmp_path, capsys, flag, value):
+    # a start of 0 would stay 0 in every restart (each multiplies it), so like a
+    # non-finite one it is a usage error, found before the output directory is made
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
+              "--trans", str(DATA_DIR / "synthetic_transverse.csv"), f"{flag}={value}",
+              "--out", str(out)])
+    assert err.value.code == 2
+    assert (f"argument {flag}: expected a positive finite number, got {value!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_fit_command_on_bundled_data(tmp_path):
@@ -872,7 +887,7 @@ def _report_section(report: str, name: str) -> list[str]:
     return lines[start:end]
 
 
-def test_fit_report_prints_amplitudes_zero_by_symmetry_as_zero(tmp_path):
+def test_fit_report_lists_each_models_four_modes(tmp_path):
     out = tmp_path / "o"
     assert main(["fit", "--config", str(DATA_DIR / "experimental.cfg"),
                  "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
@@ -883,19 +898,14 @@ def test_fit_report_prints_amplitudes_zero_by_symmetry_as_zero(tmp_path):
               in (line.partition(" = ") for line in report.splitlines())
               if key in analysis.PARAM_NAMES}
     models = analysis.joint_models(params)
-    zero_modes = {"longitudinal": {1, 4, 6, 8}, "transverse": {3, 5, 6}}
-    for (label, zeros), model in zip(zero_modes.items(), models):
-        # the modes of the sector the observable's parity excludes have amplitudes of
-        # exactly 0 in the model, and the report prints the model's amplitudes as they are
+    for label, model in zip(("longitudinal", "transverse"), models):
+        # the observable's four modes, printed as the model holds them
         amps = model.scale * model.amplitudes
-        assert set(np.flatnonzero(amps == 0) + 1) == zeros
-        assert not np.signbit(model.amplitudes[amps == 0]).any()
         rows = _report_section(report, f"{label}_modes")
-        assert len(rows) == len(amps)
-        for n, row in enumerate(rows, start=1):
-            rate = model.rates[n - 1]
+        assert len(rows) == len(amps) == 4
+        for n, (row, amp, rate) in enumerate(zip(rows, amps, model.rates), start=1):
             assert row == " ".join([str(n), *(format_number(v, True) for v in
-                                              (amps[n - 1], 1.0 / rate if rate > 0 else np.inf))])
+                                              (amp, 1.0 / rate if rate > 0 else np.inf))])
         table = read_table(out / f"fit_{label}_model.txt")
         np.testing.assert_array_equal(table["model"], model.evaluate(table["t_seconds"]))
 
