@@ -214,8 +214,9 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     share one stacked eigensolve (see _joint_eigensystems), one set of mode
     exponentials and one projection of the signal columns, so the Jacobian adds
     only dPhi/dB (see _b_derivatives).  The search is MINPACK's unbounded
-    Levenberg-Marquardt (More, LNM 630, 1978; least_squares with method="lm")
-    over theta with B = |theta|, which keeps B >= 0 by reflection: the residual
+    Levenberg-Marquardt lmder (More, LNM 630, 1978), called through ``leastsq``
+    with the settings of ``least_squares(method="lm", x_scale="jac")``, over theta
+    with B = |theta|, which keeps B >= 0 by reflection: the residual
     is taken at |theta| and each Jacobian column is multiplied by sign(theta_k),
     with sign(0) = +1.  The caches are keyed on B, so theta and -theta share them.
 
@@ -224,20 +225,33 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     of ``restarts - 1`` perturbations of it drawn from ``seed``, each b_k times
     |1 + 0.3 N(0, 1)| (best residual wins), so a b_k of 0 stays 0 in every restart
     (the command line takes only positive starts).  ``evaluations`` sums MINPACK's
-    residual evaluations (nfev) over the restarts.  The fit reports B = |theta| of
-    the best restart.  Sigmas of all six parameters come from the full Jacobian of
-    _joint_jacobian there, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``; scipy
-    takes one more Jacobian at the point the search returns, so unless another
-    restart was tried after the best one, the sigmas reuse that Jacobian's signals
-    and B-derivatives.  A fitted a1z of exactly 0 leaves a2z undetermined: it is
-    returned as nan and without a sigma, and the other sigmas come from the
-    Jacobian without the a2z column.
+    residual evaluations (nfev) over the restarts; the calls that check shapes at
+    each start (the residual twice, the Jacobian once) are not among them.
+    ``converged`` is MINPACK's
+    info 1-4 (a tolerance met) for the best restart.  The fit reports B = |theta|
+    of the best restart.  Sigmas of all six parameters come from the full Jacobian
+    of _joint_jacobian there, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``;
+    they reuse the last search Jacobian's signals and B-derivatives when that
+    Jacobian was taken at the best point, and otherwise add one B-derivative pass
+    (and one eigensolve if another restart ran after the best one).
+    A fitted a1z of exactly 0 leaves a2z undetermined: it is returned as nan and
+    without a sigma, and the other sigmas come from the Jacobian without the a2z
+    column.
+
+    A non-finite time, amplitude or sigma, a sigma <= 0 or a non-finite start b_k
+    raises ValueError before any search.
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     for curve, label in ((long_curve, "longitudinal"), (trans_curve, "transverse")):
         if len(curve) < 4:
             raise ValueError(f"{label} curve needs at least 4 samples for fitting")
+        for name in ("times", "amplitudes", "sigmas"):
+            values = getattr(curve, name)
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{label} curve {name} must be finite")
+        if curve.sigmas is not None and not (curve.sigmas > 0).all():
+            raise ValueError(f"{label} curve sigmas must be positive")
     wz, wx = (1.0 / curve.sigmas if curve.sigmas is not None else np.ones(len(curve))
               for curve in (long_curve, trans_curve))
     # Phi_z = [w Iz.Iz, w s_z] and Phi_x = [w s_x].  The QR of Phi_z starts with the
@@ -298,6 +312,9 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
 
     b_init = np.abs(np.array([init[name] for name in PARAM_NAMES[4:]], dtype=float)
                     if isinstance(init, Mapping) else _param_vector(init)[4:])
+    for name, value in zip(PARAM_NAMES[4:], b_init):
+        if not math.isfinite(value):
+            raise ValueError(f"start {name} must be finite, got {value}")
     best = None
     evaluations = 0
     for attempt in range(max(1, restarts)):
@@ -306,12 +323,16 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         # seven normals per restart, the stream of the earlier seven-parameter starts
         start = b_init if attempt == 0 else np.abs(
             b_init * (1 + 0.3 * rng.standard_normal(len(PARAM_NAMES))[4:]))
-        # scipy < 1.16 defaulted lm to x_scale=1, which takes a different path
-        result = least_squares(residuals, start, jac=jacobian, method="lm", x_scale="jac")
-        evaluations += result.nfev
-        if best is None or result.cost < best.cost:
-            best = result
-    b_best = np.abs(best.x)
+        # least_squares(method="lm", x_scale="jac")'s lmder call: diag=None is
+        # x_scale="jac", maxfev its 100 n, factor 100 and col_deriv False both defaults
+        theta, _, info, _, ier = leastsq(residuals, start, Dfun=jacobian, full_output=True,
+                                         ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=300)
+        evaluations += info["nfev"]
+        ssr = float(info["fvec"] @ info["fvec"])
+        if best is None or ssr < best[0]:
+            best = ssr, theta, ier
+    ssr, theta, ier = best
+    b_best = np.abs(theta)
     (_, sz, _, inv2, coef2, dsz), (_, sx, _, inv3, coef3, dsx) = derive(
         *(float(v) for v in b_best))
     u2, u3 = coef2 * inv2, coef3 * inv3
@@ -327,14 +348,13 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     if undetermined:
         jac, x[1] = np.delete(jac, 1, axis=1), np.nan
         names.remove("a2z")
-    ssr = float(best.fun @ best.fun)
     jac_pinv = np.linalg.pinv(jac)
-    cov = ssr / (best.fun.size - jac.shape[1]) * (jac_pinv @ jac_pinv.T)
+    cov = ssr / (len(jac) - jac.shape[1]) * (jac_pinv @ jac_pinv.T)
     params = dict(zip(PARAM_NAMES, (float(v) for v in np.insert(x, 3, 1.0))))
     uncertainties = dict(zip(names, (float(s) for s in np.sqrt(np.diag(cov)))))
     return FitResult(params=params, uncertainties=uncertainties,
                      residual_norm=float(np.sqrt(ssr)),
-                     evaluations=evaluations, converged=best.status > 0)
+                     evaluations=evaluations, converged=1 <= ier <= 4)
 
 
 def nelder_mead_minimize(objective, x0):

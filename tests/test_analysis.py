@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm_frechet
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, leastsq
 
 from quadrelax import analysis
 from quadrelax.analysis import (
@@ -292,32 +292,36 @@ def test_jacobian_matches_central_differences():
 
 
 def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
-    # the search calls the residual once per evaluation; each call solves both 4x4
-    # sectors in one stacked eigh, and the Jacobian at that point reuses it (at the
-    # end, the best point is solved once more if it was not the last one tried)
+    # the search calls the residual once per evaluation; each call at a new point
+    # solves both 4x4 sectors in one stacked eigh, and the Jacobian at that point
+    # reuses it.  At the start, leastsq calls both once to check their shapes and its
+    # lmder call takes the residual there once more than MINPACK's nfev counts; all
+    # three reuse the first eigensolve.  At the end, the best point is solved once
+    # more if it was not the last one tried
     import scipy.optimize
 
     long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
     calls, points = [], []
-    real_eigh, real_least_squares = np.linalg.eigh, scipy.optimize.least_squares
+    real_eigh, real_leastsq = np.linalg.eigh, scipy.optimize.leastsq
 
     def eigh(a):
         calls.append("e")
         assert a.shape == (2, 4, 4)
         return real_eigh(a)
 
-    def least_squares(fun, x0, jac, **kwargs):
-        def counted(label, func):
-            return lambda b: calls.append(label) or points.append((label, *b)) or func(b)
-        return real_least_squares(counted("r", fun), x0, jac=counted("j", jac), **kwargs)
+    def leastsq(func, x0, Dfun, **kwargs):
+        def counted(label, f):
+            return lambda b: calls.append(label) or points.append((label, *b)) or f(b)
+        return real_leastsq(counted("r", func), x0, Dfun=counted("j", Dfun), **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(scipy.optimize, "least_squares", least_squares)
+    monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
     analysis._joint_eigensystems.cache_clear()
     result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
     sequence = "".join(calls)
-    assert re.fullmatch("(rej?)+e?", sequence), sequence
-    assert sequence.count("r") == result.evaluations
+    assert re.fullmatch("rejrrj(rej?)*e?", sequence), sequence
+    assert sequence.count("r") == result.evaluations + 2
+    assert {point[1:] for point in points[:5]} == {tuple(TABLE2[k] for k in ("b0", "b1", "b2"))}
     for before, after in zip(points, points[1:]):
         if after[0] == "j":
             assert before == ("r", *after[1:])
@@ -327,50 +331,80 @@ def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
 
 
 def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
-    # least_squares takes one more Jacobian at the point MINPACK returns, so with a
-    # single search the last Jacobian is at the optimum; the sigmas there then add no
-    # eigensolve and no B-derivatives
+    # the sigmas at the best point add at most one eigensolve and one B-derivative
+    # pass.  With a single search, MINPACK returns either the point of its last
+    # Jacobian, whose derivatives the sigmas reuse, or the point of its last residual
+    # (a step accepted and then a tolerance met), whose eigensolve they reuse
     import scipy.optimize
 
-    long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
-    calls, jacobian_points = [], []
+    calls, jacobian_points, residual_points = [], [], []
     real_eigh, real_derivatives = np.linalg.eigh, analysis._b_derivatives
-    real_least_squares = scipy.optimize.least_squares
+    real_leastsq = scipy.optimize.leastsq
 
-    def least_squares(fun, x0, jac, **kwargs):
-        def counted(b):
-            jacobian_points.append(tuple(float(v) for v in b))
-            return jac(b)
-        result = real_least_squares(fun, x0, jac=counted, **kwargs)
+    def leastsq(func, x0, Dfun, **kwargs):
+        def counted(points, f):
+            return lambda b: points.append(tuple(abs(float(v)) for v in b)) or f(b)
+        result = real_leastsq(counted(residual_points, func), x0,
+                              Dfun=counted(jacobian_points, Dfun), **kwargs)
         calls.append("end of search")
         return result
 
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or real_eigh(a))
     monkeypatch.setattr(analysis, "_b_derivatives",
                         lambda *a: calls.append("derivatives") or real_derivatives(*a))
-    monkeypatch.setattr(scipy.optimize, "least_squares", least_squares)
-    analysis._joint_eigensystems.cache_clear()
-    result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
-    assert jacobian_points[-1] == tuple(result.params[k] for k in ("b0", "b1", "b2"))
-    assert calls.count("derivatives") == len(jacobian_points)
-    assert calls[-1] == "end of search"
-    assert set(result.uncertainties) == set(FIT_NAMES)
+    monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
+    for restarts in (1, 4):
+        for record in (calls, jacobian_points, residual_points):
+            record.clear()
+        analysis._joint_eigensystems.cache_clear()
+        result = fit_redfield_joint(*make_joint_curves(noise=0.01, seed=3), TABLE2,
+                                    restarts=restarts)
+        after = calls[len(calls) - calls[::-1].index("end of search"):]
+        assert after.count("eigh") <= 1 and after.count("derivatives") <= 1
+        assert set(result.uncertainties) == set(FIT_NAMES)
+        if restarts == 1:
+            optimum = tuple(result.params[k] for k in ("b0", "b1", "b2"))
+            reused = jacobian_points[-1] == optimum
+            assert reused or residual_points[-1] == optimum
+            assert after == ([] if reused else ["derivatives"])
+            # one B-derivative pass per point: each Jacobian's and the optimum's
+            assert calls.count("derivatives") == len(set(jacobian_points) | {optimum})
 
 
-def _search_functions(monkeypatch, curves):
-    """The residual and Jacobian that fit_redfield_joint hands to least_squares, from a
-    single-start fit of the curve pair."""
+def _search_functions(monkeypatch, curves, start=CLI_START):
+    """The residual and Jacobian that fit_redfield_joint hands to leastsq, from a
+    single-start fit of the curve pair, with the start and the other arguments."""
     import scipy.optimize
 
-    captured, real_least_squares = [], scipy.optimize.least_squares
+    captured, real_leastsq = [], scipy.optimize.leastsq
 
-    def least_squares(fun, x0, jac, **kwargs):
-        captured.append((fun, jac))
-        return real_least_squares(fun, x0, jac=jac, **kwargs)
+    def leastsq(func, x0, Dfun, **kwargs):
+        captured.append((func, Dfun, x0, kwargs))
+        return real_leastsq(func, x0, Dfun=Dfun, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", least_squares)
-    fit_redfield_joint(*curves, CLI_START, restarts=1)
+    monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
+    fit_redfield_joint(*curves, start, restarts=1)
     return captured[0]
+
+
+@pytest.mark.parametrize("pair, start", [("bundled", CLI_START), (1, CLI_START), (2, CLI_START),
+                                         (3, CLI_START), ("bundled", dict(CLI_START, b2=0.0))],
+                         ids=["bundled", "noise-seed1", "noise-seed2", "noise-seed3",
+                              "bundled-b2-zero"])
+def test_leastsq_search_is_least_squares_lm_bit_for_bit(monkeypatch, pair, start):
+    # the fit's leastsq call makes the lmder call of least_squares(method="lm",
+    # x_scale="jac"): on the fit's own residual and Jacobian both end at the same
+    # point with the same residual, evaluation count and stop code
+    curves = (_bundled_optimum()[:2] if pair == "bundled"
+              else make_joint_curves(noise=0.01, seed=pair))
+    fun, jac, x0, kwargs = _search_functions(monkeypatch, curves, start)
+    reference = least_squares(fun, x0, jac=jac, method="lm", x_scale="jac")
+    theta, _, info, _, ier = leastsq(fun, x0, Dfun=jac, **kwargs)
+    np.testing.assert_array_equal(theta, reference.x)
+    np.testing.assert_array_equal(info["fvec"], reference.fun)
+    assert info["nfev"] == reference.nfev
+    # least_squares' status for MINPACK's info 1-5
+    assert {1: 2, 2: 3, 3: 4, 4: 1, 5: 0}[ier] == reference.status
 
 
 def _difference_jacobian(fun, theta):
@@ -401,7 +435,7 @@ def test_search_jacobian_is_the_chain_rule_through_the_reflection(monkeypatch, t
     params = dict(TABLE2, **dict(zip(("b0", "b1", "b2"), np.abs(theta))))
     curves = [DecayCurve(times, signal) for times, signal in
               zip((times_long, times_trans), joint_model_curves(params, times_long, times_trans))]
-    fun, jac = _search_functions(monkeypatch, curves)
+    fun, jac, *_ = _search_functions(monkeypatch, curves)
     got, want = jac(theta), _difference_jacobian(fun, theta)
     for k in range(theta.size):
         np.testing.assert_allclose(got[:, k], want[:, k], rtol=0,
@@ -416,7 +450,7 @@ def test_search_jacobian_is_the_chain_rule_through_the_reflection(monkeypatch, t
 def test_search_gradient_is_exact_at_a_reflected_point(monkeypatch):
     # away from a zero residual Kaufman's Jacobian is not the residual's derivative,
     # but J^T r is the exact gradient of the cost, also through the reflection
-    fun, jac = _search_functions(monkeypatch, make_joint_curves(noise=0.01, seed=3))
+    fun, jac, *_ = _search_functions(monkeypatch, make_joint_curves(noise=0.01, seed=3))
     theta = np.array([-90.0, 4.0, -0.2])
     want = _difference_jacobian(lambda t: np.atleast_1d(fun(t) @ fun(t) / 2), theta)[0]
     np.testing.assert_allclose(jac(theta).T @ fun(theta), want, rtol=1e-6)
@@ -673,6 +707,28 @@ def test_all_zero_longitudinal_curve_leaves_a2z_undetermined():
     assert result.uncertainties["a1z"] == pytest.approx(s / (iz @ iz) / np.sqrt(len(zero)),
                                                         rel=1e-12)
     assert result.params["b0"] == pytest.approx(TABLE2["b0"], rel=0.2)
+
+
+@pytest.mark.parametrize("curve, change, start, message", [
+    (0, dict(times=[0.1, 0.2, 0.3, np.inf]), {}, "longitudinal curve times must be finite"),
+    (1, dict(amplitudes=[1.0, np.nan, 0.5, 0.2]), {}, "transverse curve amplitudes must be finite"),
+    (0, dict(sigmas=[0.1, 0.1, np.inf, 0.1]), {}, "longitudinal curve sigmas must be finite"),
+    (1, dict(sigmas=[0.1, 0.0, 0.1, 0.1]), {}, "transverse curve sigmas must be positive"),
+    (1, dict(sigmas=[0.1, 0.1, 0.1, -0.1]), {}, "transverse curve sigmas must be positive"),
+    (0, {}, dict(b1=np.nan), "start b1 must be finite"),
+    (0, {}, dict(b0=np.inf), "start b0 must be finite"),
+], ids=["time-inf", "amplitude-nan", "sigma-inf", "sigma-zero", "sigma-negative",
+        "start-nan", "start-inf"])
+def test_joint_fit_rejects_bad_inputs_before_the_search(monkeypatch, curve, change, start,
+                                                        message):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "leastsq", lambda *a, **k: pytest.fail("searched"))
+    fields = dict(times=[0.1, 0.2, 0.3, 0.4], amplitudes=[1.0, 0.8, 0.5, 0.2], sigmas=None)
+    curves = [DecayCurve(**fields), DecayCurve(**fields)]
+    curves[curve] = DecayCurve(**dict(fields, **change))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fit_redfield_joint(*curves, dict(CLI_START, **start))
 
 
 def test_joint_fit_requires_enough_samples():

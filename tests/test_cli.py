@@ -701,13 +701,17 @@ def test_ilt_impossible_grid_exits_2(tmp_path, grid):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "abc"])
+# explicit ids, fixed per case (the names the cases first ran under), so that adding or
+# removing a flag renames no other case
 @pytest.mark.parametrize("flag, argv", [
-    *((flag, ["rates"]) for flag in ("--larmor-freq", "--tau-c", "--j0", "--j1", "--j2",
-                                     "--quad-freq", "--c")),
-    ("--quad-freq", ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
-                     "--trans", str(DATA_DIR / "synthetic_transverse.csv")]),
-    ("--alpha", ["ilt", "--curve", str(DATA_DIR / "synthetic_transverse.csv"),
-                 "--t-min", "1e-4", "--t-max", "1"]),
+    *(pytest.param(flag, ["rates"], id=f"{flag}-argv{n}") for flag, n in (
+        ("--larmor-freq", 0), ("--tau-c", 1), ("--j0", 2), ("--j1", 3), ("--j2", 4),
+        ("--quad-freq", 5), ("--c", 6))),
+    pytest.param("--quad-freq", ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
+                                 "--trans", str(DATA_DIR / "synthetic_transverse.csv")],
+                 id="--quad-freq-argv7"),
+    pytest.param("--alpha", ["ilt", "--curve", str(DATA_DIR / "synthetic_transverse.csv"),
+                             "--t-min", "1e-4", "--t-max", "1"], id="--alpha-argv8"),
 ])
 def test_non_finite_number_flag_exits_2(tmp_path, capsys, flag, argv, value):
     # a usage error found by argparse before the output directory is made;
