@@ -238,20 +238,16 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     without a sigma, and the other sigmas come from the Jacobian without the a2z
     column.
 
-    A non-finite time, amplitude or sigma, a sigma <= 0 or a non-finite start b_k
-    raises ValueError before any search.
+    A curve of fewer than 4 samples, a non-finite start b_k or ``restarts`` below 1
+    raises ValueError before any search (DecayCurve checks the samples themselves).
     """
     from scipy.optimize import leastsq
 
     for curve, label in ((long_curve, "longitudinal"), (trans_curve, "transverse")):
         if len(curve) < 4:
             raise ValueError(f"{label} curve needs at least 4 samples for fitting")
-        for name in ("times", "amplitudes", "sigmas"):
-            values = getattr(curve, name)
-            if values is not None and not np.isfinite(values).all():
-                raise ValueError(f"{label} curve {name} must be finite")
-        if curve.sigmas is not None and not (curve.sigmas > 0).all():
-            raise ValueError(f"{label} curve sigmas must be positive")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     wz, wx = (1.0 / curve.sigmas if curve.sigmas is not None else np.ones(len(curve))
               for curve in (long_curve, trans_curve))
     # Phi_z = [w Iz.Iz, w s_z] and Phi_x = [w s_x].  The QR of Phi_z starts with the
@@ -317,7 +313,7 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
             raise ValueError(f"start {name} must be finite, got {value}")
     best = None
     evaluations = 0
-    for attempt in range(max(1, restarts)):
+    for attempt in range(restarts):
         if attempt == 1:
             rng = np.random.default_rng(seed)  # built only when a second start needs it
         # seven normals per restart, the stream of the earlier seven-parameter starts
@@ -485,6 +481,8 @@ def ilt(curve: DecayCurve, grid_spec: tuple[float, float, int], alpha: float | N
         raise ValueError(f"bad grid spec {grid_spec}")
     if alpha is not None and alpha < 0:
         raise ValueError("alpha must be non-negative")
+    if alpha is not None and not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     grid = np.logspace(np.log10(t_min), np.log10(t_max), int(points))
     kmat = _ilt_kernel(curve.times, grid, kernel)
     y = curve.amplitudes

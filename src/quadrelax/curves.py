@@ -28,7 +28,9 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Time series of (t, amplitude) samples with optional per-point sigma."""
+    """Time series of (t, amplitude) samples with optional per-point sigma.  Times and
+    amplitudes are finite, times non-negative and strictly increasing, and sigmas
+    finite and positive; anything else raises ValueError."""
 
     times: np.ndarray
     amplitudes: np.ndarray
@@ -41,13 +43,19 @@ class DecayCurve:
         object.__setattr__(self, "amplitudes", y)
         if t.ndim != 1 or y.shape != t.shape:
             raise ValueError(f"times/amplitudes must be matching 1-d arrays, got {t.shape}, {y.shape}")
-        if t.size >= 2 and not np.all(np.diff(t) > 0):
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
+            raise ValueError("sample times and amplitudes must be finite")
+        if t.size and t[0] < 0:
+            raise ValueError(f"sample times must be non-negative, got {float(t[0])!r}")
+        if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
         if self.sigmas is not None:
             s = np.asarray(self.sigmas, dtype=float)
             object.__setattr__(self, "sigmas", s)
             if s.shape != t.shape:
                 raise ValueError("sigma column must match the sample count")
+            if not ((s > 0) & (s < np.inf)).all():
+                raise ValueError("sigmas must be finite and positive")
 
     def __len__(self) -> int:
         return self.times.size
@@ -101,10 +109,10 @@ def _check_row(fields: list[str], width: int, path: Path, lineno: int) -> None:
 
 
 def read_curve(path: str | Path) -> DecayCurve:
-    """The curve in a curve file.  The body is parsed in bulk and checked on arrays;
-    when a check fails, the rows are checked one at a time so that the error names
-    the first bad line in file order.  Only then are the times checked for order,
-    and the first one not above the time before it is named with its line."""
+    """The curve in a curve file.  The body is parsed in bulk into a DecayCurve; when
+    that fails, the rows are checked one at a time so that the error names the first
+    bad line in file order.  Only then are the times checked for order, and the first
+    one not above the time before it is named with its line."""
     path = Path(path)
     lines = data_lines(path)
     lineno, line = next(lines, (0, ""))
@@ -120,23 +128,19 @@ def read_curve(path: str | Path) -> DecayCurve:
     if not body:
         raise DataFormatError(f"{path}: no samples")
     rows = [line.split(",") for _, line in body]
-    values = None
     if all(len(row) == width for row in rows):
         try:
             # float() ignores the whitespace around a field, as str.strip does
             values = np.array(list(map(float, chain.from_iterable(rows)))).reshape(-1, width)
+            return DecayCurve(values[:, 0], values[:, 1], values[:, 2] if width == 3 else None)
         except ValueError:
             pass
-    if values is None or not (np.isfinite(values).all() and (values[:, 0] >= 0).all()
-                              and (width == 2 or (values[:, 2] > 0).all())):
-        for (lineno, _), row in zip(body, rows):
-            _check_row(row, width, path, lineno)
-    stalls = np.flatnonzero(values[1:, 0] <= values[:-1, 0])
-    if stalls.size:
-        k = stalls[0] + 1
-        raise DataFormatError(f"{path}:{body[k][0]}: time {rows[k][0].strip()!r} "
-                              f"not above the previous {rows[k - 1][0].strip()!r}")
-    return DecayCurve(values[:, 0], values[:, 1], values[:, 2] if width == 3 else None)
+    for (lineno, _), row in zip(body, rows):
+        _check_row(row, width, path, lineno)
+    # every row is a valid sample, so the bulk parse gave values and the times stall
+    k = np.flatnonzero(values[1:, 0] <= values[:-1, 0])[0] + 1
+    raise DataFormatError(f"{path}:{body[k][0]}: time {rows[k][0].strip()!r} "
+                          f"not above the previous {rows[k - 1][0].strip()!r}")
 
 
 def number_format(raw: bool) -> str:

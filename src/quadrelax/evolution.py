@@ -41,39 +41,32 @@ class DensityState:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
+        if m.shape != (8, 8):
+            raise ValueError(f"spin 7/2 needs an 8x8 density matrix, got shape {m.shape}")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL * scale:
             raise ValueError("density matrix is not Hermitian within 1e-12")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def coherence_vector(self, q: int) -> np.ndarray:
-        """Elements rho_{q+n, n} for n = 0..dim-1-q."""
-        d = self.dim
-        if not 0 <= q < d:
-            raise ValueError(f"coherence order q={q} outside 0..{d - 1}")
-        return np.array([self.matrix[q + n, n] for n in range(d - q)])
+        """Elements rho_{q+n, n} for n = 0..7-q, of an order q in 0..7."""
+        return np.diagonal(self.matrix, -q).copy()
 
     # -- common preparations -------------------------------------------------
     @classmethod
-    def pure_top(cls, dim: int = 8) -> "DensityState":
-        m = np.zeros((dim, dim), dtype=complex)
+    def pure_top(cls) -> "DensityState":
+        m = np.zeros((8, 8), dtype=complex)
         m[0, 0] = 1.0
         return cls(m)
 
     @classmethod
-    def uniform(cls, dim: int = 8) -> "DensityState":
-        return cls(np.eye(dim, dtype=complex) / dim)
+    def uniform(cls) -> "DensityState":
+        return cls(np.eye(8, dtype=complex) / 8)
 
     @classmethod
-    def noon(cls, dim: int = 8) -> "DensityState":
+    def noon(cls) -> "DensityState":
         """Equal superposition of the extreme Zeeman states: corner populations
         and the two highest-order coherences at 0.5."""
-        m = np.zeros((dim, dim), dtype=complex)
+        m = np.zeros((8, 8), dtype=complex)
         m[0, 0] = m[-1, -1] = m[0, -1] = m[-1, 0] = 0.5
         return cls(m)
 
@@ -120,9 +113,6 @@ def propagate(rho0: DensityState, rho_eq: DensityState, j: SpectralDensities,
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be sorted ascending")
-    if rho0.dim != 8 or rho_eq.dim != 8:
-        raise ValueError(f"spin 7/2 needs 8x8 density matrices, got {rho0.dim}x{rho0.dim} "
-                         f"and {rho_eq.dim}x{rho_eq.dim}")
     for row, col in elements:
         if not (0 <= row < 8 and 0 <= col < 8):
             raise ValueError(f"element ({row}, {col}) outside 0..7")

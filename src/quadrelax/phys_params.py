@@ -6,6 +6,7 @@ the quadrupolar constant C in Hz^2, and the fit scales B_k = C * J_k in Hz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SpectralDensities:
-    """Values of J(p * omega_0) at p = 0, 1, 2, in seconds."""
+    """Values of J(p * omega_0) at p = 0, 1, 2, in seconds; each positive and finite."""
 
     j0: float
     j1: float
@@ -22,6 +23,8 @@ class SpectralDensities:
     def __post_init__(self):
         if not (self.j0 > 0 and self.j1 > 0 and self.j2 > 0):
             raise ValueError(f"spectral densities must be strictly positive, got {self}")
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(f"spectral densities must be finite, got {self}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.j0, self.j1, self.j2)
@@ -29,13 +32,15 @@ class SpectralDensities:
 
 @dataclass(frozen=True)
 class QuadrupolarConstant:
-    """Overall relaxation rate scale C in Hz^2."""
+    """Overall relaxation rate scale C in Hz^2; positive and finite."""
 
     c: float
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"quadrupolar constant must be positive, got {self.c}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"quadrupolar constant must be finite, got {self.c}")
 
 
 def lorentzian_spectral_densities(larmor_freq: float, correlation_time: float) -> SpectralDensities:

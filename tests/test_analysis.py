@@ -1,4 +1,5 @@
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +619,47 @@ def test_constant_sigma_file_gives_the_unweighted_fit(tmp_path):
                 == pytest.approx(plain.uncertainties[name], rel=1e-9)), name
 
 
+@lru_cache(maxsize=None)
+def _bundled_fit(restarts: int, times=1.0, amplitudes=1.0, sigma=None):
+    """The fit of the bundled pair with its times and amplitudes scaled, a common sigma
+    column if one is given, and the default start scaled with the times."""
+    curves = [read_curve(DATA_DIR / name) for name in
+              ("synthetic_longitudinal.csv", "synthetic_transverse.csv")]
+    scaled = [DecayCurve(c.times * times, c.amplitudes * amplitudes,
+                         None if sigma is None else np.full(len(c), sigma)) for c in curves]
+    start = {name: value / times for name, value in CLI_START.items() if name[0] == "b"}
+    return fit_redfield_joint(*scaled, start, restarts=restarts)
+
+
+#: the largest relative moves of the parameters and their sigmas, once the scaling is
+#: undone, measured on the bundled pair at one start per scaling, and at 16 restarts
+#: for all three, where restarts that end within xtol (1e-8) of each other can swap as
+#: the best on round-off; each test allows _EQUIVARIANCE_MARGIN times them
+_EQUIVARIANCE_MOVES = {("times", 1): (1.2e-14, 4.5e-12), ("amplitudes", 1): (1.4e-14, 7.9e-13),
+                       ("sigma", 1): (2e-14, 2.4e-12), 16: (3e-9, 2e-9)}
+_EQUIVARIANCE_MARGIN = 10
+
+
+@pytest.mark.parametrize("restarts", [1, 16])
+@pytest.mark.parametrize("kind, factor", [("times", 0.5), ("times", 4.0), ("times", 1000.0),
+                                          ("amplitudes", 1e-3), ("amplitudes", 7.0),
+                                          ("sigma", 0.01), ("sigma", 3.0)])
+def test_joint_fit_is_equivariant(kind, factor, restarts):
+    # times x k (start / k) give B / k; amplitudes x k scale a1z and a1x; a common sigma
+    # column changes no parameter and no sigma.  The sigmas scale as their parameters.
+    base = _bundled_fit(restarts)
+    fit = _bundled_fit(restarts, **{kind: factor})
+    scaled = {"times": ("b0", "b1", "b2"), "amplitudes": ("a1z", "a1x"), "sigma": ()}[kind]
+    scale = {"times": factor, "amplitudes": 1 / factor, "sigma": 1.0}[kind]
+    moves = _EQUIVARIANCE_MOVES[16 if restarts == 16 else (kind, 1)]
+    param_tol, sigma_tol = (_EQUIVARIANCE_MARGIN * move for move in moves)
+    for name in FIT_NAMES:
+        k = scale if name in scaled else 1.0
+        assert fit.params[name] * k == pytest.approx(base.params[name], rel=param_tol), name
+        assert (fit.uncertainties[name] * k
+                == pytest.approx(base.uncertainties[name], rel=sigma_tol)), name
+
+
 def test_joint_fit_ends_at_a_stationary_point_of_the_six_parameter_cost():
     # B is searched alone, but the returned point is stationary in all six parameters
     long_curve = read_curve(DATA_DIR / "synthetic_longitudinal.csv")
@@ -709,26 +751,37 @@ def test_all_zero_longitudinal_curve_leaves_a2z_undetermined():
     assert result.params["b0"] == pytest.approx(TABLE2["b0"], rel=0.2)
 
 
-@pytest.mark.parametrize("curve, change, start, message", [
-    (0, dict(times=[0.1, 0.2, 0.3, np.inf]), {}, "longitudinal curve times must be finite"),
-    (1, dict(amplitudes=[1.0, np.nan, 0.5, 0.2]), {}, "transverse curve amplitudes must be finite"),
-    (0, dict(sigmas=[0.1, 0.1, np.inf, 0.1]), {}, "longitudinal curve sigmas must be finite"),
-    (1, dict(sigmas=[0.1, 0.0, 0.1, 0.1]), {}, "transverse curve sigmas must be positive"),
-    (1, dict(sigmas=[0.1, 0.1, 0.1, -0.1]), {}, "transverse curve sigmas must be positive"),
-    (0, {}, dict(b1=np.nan), "start b1 must be finite"),
-    (0, {}, dict(b0=np.inf), "start b0 must be finite"),
-], ids=["time-inf", "amplitude-nan", "sigma-inf", "sigma-zero", "sigma-negative",
-        "start-nan", "start-inf"])
-def test_joint_fit_rejects_bad_inputs_before_the_search(monkeypatch, curve, change, start,
-                                                        message):
+@pytest.mark.parametrize("change, message", [
+    (dict(times=[0.1, 0.2, 0.3, np.inf]), "sample times and amplitudes must be finite"),
+    (dict(amplitudes=[1.0, np.nan, 0.5, 0.2]), "sample times and amplitudes must be finite"),
+    (dict(sigmas=[0.1, 0.1, np.inf, 0.1]), "sigmas must be finite and positive"),
+    (dict(sigmas=[0.1, 0.0, 0.1, 0.1]), "sigmas must be finite and positive"),
+    (dict(sigmas=[0.1, 0.1, 0.1, -0.1]), "sigmas must be finite and positive"),
+    (dict(sigmas=[np.nan, 0.1, 0.1, 0.1]), "sigmas must be finite and positive"),
+    (dict(times=[-0.1, 0.2, 0.3, 0.4]), "sample times must be non-negative, got -0.1"),
+    (dict(times=[0.1, 0.2, 0.2, 0.4]), "sample times must be strictly increasing"),
+], ids=["time-inf", "amplitude-nan", "sigma-inf", "sigma-zero", "sigma-negative", "sigma-nan",
+        "time-negative", "time-repeated"])
+def test_decay_curve_rejects_samples_outside_its_contract(change, message):
+    # the curve checks its samples, so neither the fit nor read_curve repeats it
+    fields = dict(times=[0.1, 0.2, 0.3, 0.4], amplitudes=[1.0, 0.8, 0.5, 0.2], sigmas=None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DecayCurve(**dict(fields, **change))
+
+
+@pytest.mark.parametrize("start, restarts, message", [
+    (dict(b1=np.nan), 16, "start b1 must be finite"),
+    (dict(b0=np.inf), 16, "start b0 must be finite"),
+    ({}, 0, "restarts must be at least 1, got 0"),
+    ({}, -3, "restarts must be at least 1, got -3"),
+], ids=["start-nan", "start-inf", "restarts-zero", "restarts-negative"])
+def test_joint_fit_rejects_bad_inputs_before_the_search(monkeypatch, start, restarts, message):
     import scipy.optimize
 
     monkeypatch.setattr(scipy.optimize, "leastsq", lambda *a, **k: pytest.fail("searched"))
-    fields = dict(times=[0.1, 0.2, 0.3, 0.4], amplitudes=[1.0, 0.8, 0.5, 0.2], sigmas=None)
-    curves = [DecayCurve(**fields), DecayCurve(**fields)]
-    curves[curve] = DecayCurve(**dict(fields, **change))
+    curve = DecayCurve([0.1, 0.2, 0.3, 0.4], [1.0, 0.8, 0.5, 0.2])
     with pytest.raises(ValueError, match=f"^{message}"):
-        fit_redfield_joint(*curves, dict(CLI_START, **start))
+        fit_redfield_joint(curve, curve, dict(CLI_START, **start), restarts=restarts)
 
 
 def test_joint_fit_requires_enough_samples():
@@ -851,6 +904,13 @@ def test_ilt_residual_non_increasing_under_refinement():
     coarse = ilt(DecayCurve(t, y), (1e-3, 3.0, 33), alpha=1e-6)
     fine = ilt(DecayCurve(t, y), (1e-3, 3.0, 65), alpha=1e-6)
     assert fine.residual <= coarse.residual + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_ilt_rejects_a_non_finite_alpha(alpha):
+    curve = DecayCurve(np.linspace(0.01, 1, 10), np.ones(10))
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        ilt(curve, (1e-2, 1.0, 12), alpha=alpha)
 
 
 def test_ilt_rejects_bad_grid():

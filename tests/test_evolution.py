@@ -36,8 +36,8 @@ def all_eigensystems(j, c):
     return {q: numeric_eigensystem(assemble_block(q, j), c) for q in range(8)}
 
 
-def random_hermitian_state(rng, dim=8):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_hermitian_state(rng):
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     m = a @ a.conj().T
     return DensityState(m / np.trace(m).real)
 
@@ -266,10 +266,10 @@ def test_propagate_matches_the_liouville_exponential(j, quad_freq, fractions, se
         np.testing.assert_allclose(traj, want, rtol=0, atol=1e-12)
 
 
-def test_propagate_rejects_other_dimensions():
+def test_density_state_rejects_a_6x6_matrix():
+    # spin 7/2 fixes the size, so propagate never sees another one
     with pytest.raises(ValueError, match="8x8"):
-        propagate(DensityState.noon(6), DensityState.pure_top(6), J_REF, C_REF, [0.0],
-                  CLI_PAIRS)
+        DensityState(np.eye(6, dtype=complex) / 6)
 
 
 def test_eigen_sum_matches_matrix_exponential():

@@ -47,6 +47,20 @@ def test_densities_reject_nonpositive():
         SpectralDensities(1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("values", [(np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf),
+                                    (np.nan, 1.0, 1.0)])
+def test_densities_reject_non_finite(values):
+    # an infinite J would give nan eigenvalues and rates downstream
+    with pytest.raises(ValueError):
+        SpectralDensities(*values)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_quadrupolar_constant_rejects_non_positive_or_non_finite(value):
+    with pytest.raises(ValueError):
+        QuadrupolarConstant(value)
+
+
 def test_simplified_constant_reference():
     c = quadrupolar_constant_simplified(266e3)
     assert c.c == pytest.approx(2.793e11, rel=1e-3)
