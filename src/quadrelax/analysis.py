@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ PARAM_NAMES = ("a1z", "a2z", "a1x", "a2x", "b0", "b1", "b2")
 #: the fitted parameters: a2x is held at 1, so a1x carries the product a1x*a2x
 FIT_NAMES = ("a1z", "a2z", "a1x", "b0", "b1", "b2")
 #: eigenvalue pairs of a fitted sector closer than this times its largest |lambda| keep
-#: their divided difference in _b_derivatives: the partial fractions' error grows like
+#: their divided difference in _fit_point: the partial fractions' error grows like
 #: eps max|lambda| / gap, so this bounds it by about 100 eps of the derivative's scale
 _GAP_RTOL = 1e-2
 
@@ -53,22 +53,24 @@ def _param_vector(params) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _parity_subspace() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parity_subspace() -> tuple[np.ndarray, np.ndarray]:
     """The fitted signals c . exp(M t) d of q = 0 and q = 1 reduced to the
     reversal-parity sector of their c and d (see redfield_core.sector_table).
 
     <Iz> is odd under the reversal (q = 0, c = Iz, d = -Iz) and Ix's q = 1 weights
     and elements are even (c, d = transverse_observable()).  So exp(M t) keeps the
     odd q = 0 and the even q = 1 sector, and each signal is (P^T c) . exp(P^T M P t)
-    (P^T d) with 4 x 4 matrices.  Returns both sectors' P^T A_k P, shape
-    (2, 3, 4, 4), P^T c and P^T d, shape (2, 4), indexed by q and read-only.
+    (P^T d) with 4 x 4 matrices.  Returns both sectors' P^T A_k P indexed by k, then
+    q, shape (3, 2, 4, 4), and their P^T c and P^T d indexed by q, shape (2, 2, 4),
+    read-only.
     """
     iz = longitudinal_observable()
-    parts = []
+    mats, ends = [], []
     for q, (obs, dev) in ((0, (iz, -iz)), (1, transverse_observable())):
-        p, mats = sector_table()[q][q == 0]
-        parts.append((mats, obs @ p, dev @ p))
-    reduced = tuple(np.stack(arrays) for arrays in zip(*parts))
+        p, a = sector_table()[q][q == 0]
+        mats.append(a)
+        ends.append((obs @ p, dev @ p))
+    reduced = np.stack(mats, axis=1), np.array(ends)
     for arr in reduced:
         arr.flags.writeable = False
     return reduced
@@ -80,15 +82,15 @@ def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple:
     by q and read-only: the eigenvalues lam, shape (2, 4), the orthonormal
     eigenvectors V (columns), shape (2, 4, 4), and each mode's weights c V and V^T d,
     shape (2, 4), whose product is its signal amplitude.  One stacked eigh and one
-    entry: the fit's residual and Jacobian at a trial point share one eigensolve, and
+    entry: the fit's record at a trial point (_fit_point) solves nothing else, and
     joint_models at the fitted B reuses the last.  The modes keep eigh's order
     (ascending eigenvalue) and signs, which neither the signals, their derivatives
     nor the amplitudes depend on.  The matrices are weighted elementwise, as
     sector_modes weights them, so the fit solves the same bits as the full blocks'
     sector solves."""
-    a, obs, dev = _parity_subspace()
-    lam, vec = np.linalg.eigh(b0 * a[:, 0] + b1 * a[:, 1] + b2 * a[:, 2])
-    modes = lam, vec, (obs[:, None] @ vec)[:, 0], (dev[:, None] @ vec)[:, 0]
+    a, ends = _parity_subspace()
+    lam, vec = np.linalg.eigh(b0 * a[0] + b1 * a[1] + b2 * a[2])
+    modes = lam, vec, (ends[:, :1] @ vec)[:, 0], (ends[:, 1:] @ vec)[:, 0]
     for arr in modes:
         arr.flags.writeable = False
     return modes
@@ -126,64 +128,125 @@ def joint_model_curves(params, times_long, times_trans) -> tuple[np.ndarray, np.
     return long_model.evaluate(times_long), trans_model.evaluate(times_trans)
 
 
-def _reduced_signals(modes: tuple, times: tuple) -> list:
-    """Per q = 0, 1, from the sectors' modes (lam, V, c V, V^T d) of _joint_eigensystems
-    and that order's sample times: the mode exponentials E = exp(t lam), shape (T, 4),
-    and the signal c . exp(M t) d = E ((c V) o (V^T d)), shape (T,)."""
-    lam, _, cv, vd = modes
-    out = []
-    for lam_q, amps_q, times_q in zip(lam, cv * vd, times):
-        e = np.exp(times_q[:, None] * lam_q)
-        out.append((e, e @ amps_q))
-    return out
+class _FitRows(NamedTuple):
+    """A curve pair's samples stacked as the fit's N rows: the longitudinal ones, whose
+    signal lives in the q = 0 sector of _parity_subspace, then the transverse ones
+    (q = 1).  The (8, N) arrays have a row per mode of both sectors, q = 0 first,
+    and a column per sample, and are 0 where the mode is not in the sample's sector."""
+    split: int            # the number of longitudinal rows
+    times: np.ndarray     # (N,)
+    times8: np.ndarray    # (8, N): the sample time in its own sector, else 0
+    mask8: np.ndarray     # (8, N): 1 in its own sector, else 0
+    weights: np.ndarray   # (2, N): each curve's 1/sigma (or 1) in its own rows, else 0
+    basis: np.ndarray     # (3, N): f, the unit vector along the longitudinal weights
+    #                       (Phi's B-free column), then two zero rows for the curves' v
+    data: np.ndarray      # (N,): the weighted amplitudes with f projected out
 
 
-def _b_derivatives(modes: tuple, times: tuple, e: tuple) -> list:
-    """Per q = 0, 1: the derivatives of _reduced_signals by B, shape (T, 3), from
-    its mode exponentials e at the same modes (lam, V, c V, V^T d).
+def _fit_rows(long_curve: DecayCurve, trans_curve: DecayCurve) -> _FitRows:
+    """The fit's stacked rows of a curve pair (see _FitRows), read-only.
 
-    With M = sum_k B_k A_k = V diag(lam) V^T, the Daleckii-Krein form of the
-    Frechet derivative of exp gives d/dB_k = sum_ij W_kij G_ij(t), with
+    Phi_z = [w Iz.Iz, w s_z] and Phi_x = [w s_x].  The QR of Phi_z starts with the
+    unit vector f along its B-free first column, which is projected out of the data
+    once, so that each curve is left with one B-dependent column to project on."""
+    split, n = len(long_curve), len(long_curve) + len(trans_curve)
+    times = np.concatenate([long_curve.times, trans_curve.times])
+    mask8, weights = np.zeros((8, n)), np.zeros((2, n))
+    mask8[:4, :split] = mask8[4:, split:] = 1.0
+    for w, curve, part in ((weights[0], long_curve, slice(0, split)),
+                           (weights[1], trans_curve, slice(split, n))):
+        w[part] = 1.0 / curve.sigmas if curve.sigmas is not None else 1.0
+    basis = np.zeros((3, n))
+    basis[0] = weights[0] / np.linalg.norm(weights[0])
+    data = (weights[0] + weights[1]) * np.concatenate([long_curve.amplitudes,
+                                                       trans_curve.amplitudes])
+    data -= basis[0] * (basis[0] @ data)
+    rows = _FitRows(split, times, mask8 * times, mask8, weights, basis, data)
+    for arr in rows[1:]:
+        arr.flags.writeable = False
+    return rows
+
+
+class _FitPoint(NamedTuple):
+    """The fit at one rate-scale point B (_fit_point), over the N rows of _FitRows."""
+    residual: np.ndarray     # (N,): Phi u - y, u the weighted least-squares solution
+    jacobian: np.ndarray     # (N, 3): Kaufman's P_perp (dPhi/dB) u, by B
+    signals: np.ndarray      # (N,): each row's raw signal c . exp(M t) d
+    derivatives: np.ndarray  # (N, 3): the raw signals' derivatives by B
+    u2: float                # the coefficient of the longitudinal signal column
+    u3: float                # the coefficient of the transverse signal column
+
+
+def _fit_point(modes: tuple, rows: _FitRows) -> _FitPoint:
+    """The fit at the modes (lam, V, c V, V^T d) of _joint_eigensystems, in one pass
+    over both sectors and both curves' rows.
+
+    Each signal is c . exp(M t) d = E ((c V) o (V^T d)) with E = exp(t lam).  With
+    M = sum_k B_k A_k = V diag(lam) V^T, the Daleckii-Krein form of the Frechet
+    derivative of exp gives d/dB_k = sum_ij W_kij G_ij(t), with
     W_kij = (c V)_i (V^T d)_j (V^T A_k V)_ij and the divided differences
     G_ij = (E_i - E_j) / (lam_i - lam_j), G_ii = t E_i.  In partial fractions
     (Najfeld and Havel, Adv. Appl. Math. 16:321, 1995) that is
     E u_k + (t E) diag(W_k) with u_ki = sum_{j != i} (W_kij + W_kji) / (lam_i - lam_j),
-    which needs no (T, 4, 4) tensor; u and diag(W) of both sectors take one
-    stacked pass.  A pair closer than _GAP_RTOL max|lam| of its sector would
-    cancel there, so it keeps its divided difference, in the stable form
+    which needs no (T, 4, 4) tensor: one product of both sectors' coefficients with
+    the rows' E gives the signals, E u_k and E diag(W_k).  A
+    pair closer than _GAP_RTOL max|lam| of its sector would cancel there, so it
+    keeps its divided difference, in the stable form
     exp(max(lam_i, lam_j) t) expm1(-|lam_i - lam_j| t) / -|lam_i - lam_j|, or the
     limit t exp(lam_i t) for an exact tie.
+
+    Phi's B-dependent columns v are each curve's weighted signal, the longitudinal
+    one with f projected out.  The rows [f, v_z, v_x] are orthogonal (the curves'
+    rows are disjoint), so u = (v . y) / |v|^2 per curve, the residual is
+    u2 v_z + u3 v_x - y, and P_perp = 1 - sum_b b b^T / |b|^2 over those rows is
+    applied to the derivative columns as rank-one updates.  The record's arrays are
+    read-only.
     """
     lam, vec, cv, vd = modes
-    a = vec.transpose(0, 2, 1)[:, None] @ _parity_subspace()[0] @ vec[:, None]
+    a = vec.transpose(0, 2, 1) @ _parity_subspace()[0] @ vec  # V^T A_k V by k, q
+    # per mode of both sectors: the signal amplitude, u_k and diag(W_k)
+    coefs = np.empty((7, 2, 4))
+    amps = np.multiply(cv, vd, out=coefs[0])
     # W_kij + W_kji = (V^T A_k V)_ij pair_ij, V^T A_k V being symmetric
     pair = cv[:, :, None] * vd[:, None]
     pair = pair + pair.transpose(0, 2, 1)
     gap = lam[:, :, None] - lam[:, None]
     close = np.abs(gap) <= _GAP_RTOL * np.abs(lam).max(axis=1)[:, None, None]
-    u = (a * (pair / np.where(close, np.inf, gap))[:, None]).sum(axis=3)
-    diag = a.diagonal(axis1=2, axis2=3) * (cv * vd)[:, None]
-    # a close pair besides the diagonal
-    has_close = np.count_nonzero(close, axis=(1, 2)) > lam.shape[1]
-    out = []
-    for q, (times_q, e_q) in enumerate(zip(times, e)):
-        ds = e_q @ u[q].T + times_q[:, None] * (e_q @ diag[q].T)
-        if has_close[q]:
-            i, j = np.nonzero(np.triu(close[q], 1))
-            lam_q, t, dist = lam[q], times_q[:, None], np.abs(gap[q, i, j])
-            tied = dist == 0
-            ratio = np.where(tied, t, np.expm1(-dist * t) / np.where(tied, 1.0, -dist))
-            ds += ((e_q[:, np.where(lam_q[i] >= lam_q[j], i, j)] * ratio)
-                   @ (a[q][:, i, j] * pair[q, i, j]).T)
-        out.append(ds)
-    return out
+    np.sum(a * (pair / np.where(close, np.inf, gap)), axis=3, out=coefs[1:4])
+    np.multiply(a.diagonal(axis1=2, axis2=3), amps, out=coefs[4:])
+    e = np.exp(rows.times8 * lam.reshape(8, 1)) * rows.mask8
+    g = coefs.reshape(7, 8) @ e
+    ds = g[1:4] + g[4:] * rows.times
+    if np.count_nonzero(close) > close.shape[0] * close.shape[1]:  # besides the diagonals
+        q, i, j = np.nonzero(np.triu(close, 1))
+        dist = np.abs(gap[q, i, j])[:, None]
+        tied = dist == 0
+        t = rows.times
+        ratio = np.where(tied, t, np.expm1(-dist * t) / np.where(tied, 1.0, -dist))
+        ds += ((a[:, q, i, j] * pair[q, i, j])
+               @ (e[4 * q + np.where(lam[q, i] >= lam[q, j], i, j)] * ratio))
+    # the rows [f, v_z, v_x]: f and the curves' weighted signals, v_z without f
+    basis = rows.basis.copy()
+    f, v = basis[0], basis[1:]
+    np.multiply(g[0], rows.weights, out=v)
+    v[0] -= (v[0] @ f) * f
+    # 1/|b|^2 of each basis row; a zero column fits nothing
+    inv2 = np.array([1.0, *(1.0 / n2 if n2 > 0 else 0.0
+                            for n2 in np.einsum("ij,ij->i", v, v).tolist())])
+    u = (v @ rows.data) * inv2[1:]
+    jac = ds * (u @ rows.weights)
+    jac -= ((jac @ basis.T) * inv2) @ basis
+    record = _FitPoint(u @ v - rows.data, jac.T, g[0], ds.T, *u.tolist())
+    for arr in record[:4]:
+        arr.flags.writeable = False
+    return record
 
 
 def _joint_jacobian(x: np.ndarray, sz: np.ndarray, dsz: np.ndarray, sx: np.ndarray,
                     dsx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of the longitudinal and transverse signals at x by the fitted
-    FIT_NAMES, from the responses s_z, s_x of _reduced_signals and their
-    B-derivatives of _b_derivatives at x's B.  The signals are
+    FIT_NAMES, from the responses s_z, s_x and their B-derivatives at x's B (the
+    record of _fit_point).  The signals are
     a1z (Iz.Iz + (1 + a2z) s_z(t)), with s_z the response to the deviation -Iz,
     and a1x (the product a1x*a2x) times the response s_x to Ix: joint_model_curves
     with a2x = 1.
@@ -193,9 +256,12 @@ def _joint_jacobian(x: np.ndarray, sz: np.ndarray, dsz: np.ndarray, sx: np.ndarr
     """
     a1z, a2z, a1x = x[:3]
     iz = longitudinal_observable()
-    zz, zx = np.zeros(sz.size), np.zeros(sx.size)
-    jz = np.column_stack([iz @ iz + (1 + a2z) * sz, a1z * sz, zz, a1z * (1 + a2z) * dsz])
-    jx = np.column_stack([zx, zx, sx, a1x * dsx])
+    jz, jx = np.zeros((sz.size, 6)), np.zeros((sx.size, 6))
+    jz[:, 0] = iz @ iz + (1 + a2z) * sz
+    jz[:, 1] = a1z * sz
+    jz[:, 3:] = a1z * (1 + a2z) * dsz
+    jx[:, 2] = sx
+    jx[:, 3:] = a1x * dsx
     return jz, jx
 
 
@@ -210,15 +276,15 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     by variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10:413,
     1973): at each trial B, u is the weighted linear least-squares solution, and
     the Jacobian is Kaufman's P_perp (dPhi/dB) u (BIT 15:49, 1975), with Phi the
-    weighted design matrix of u.  The residual and the Jacobian at a trial point
-    share one stacked eigensolve (see _joint_eigensystems), one set of mode
-    exponentials and one projection of the signal columns, so the Jacobian adds
-    only dPhi/dB (see _b_derivatives).  The search is MINPACK's unbounded
-    Levenberg-Marquardt lmder (More, LNM 630, 1978), called through ``leastsq``
+    weighted design matrix of u.  Each trial point takes one stacked eigensolve
+    (see _joint_eigensystems) and one pass over both curves (see _fit_point) that
+    gives its residual and its Jacobian together; the fit keeps that record of the
+    last point, for the Jacobian and the sigmas to read.  The search is MINPACK's
+    unbounded Levenberg-Marquardt lmder (More, LNM 630, 1978), called through ``leastsq``
     with the settings of ``least_squares(method="lm", x_scale="jac")``, over theta
     with B = |theta|, which keeps B >= 0 by reflection: the residual
     is taken at |theta| and each Jacobian column is multiplied by sign(theta_k),
-    with sign(0) = +1.  The caches are keyed on B, so theta and -theta share them.
+    with sign(0) = +1.  The record is keyed on B, so theta and -theta share it.
 
     ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
     b1 and b2 are read.  The search starts once from that B and once from each
@@ -231,9 +297,8 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     info 1-4 (a tolerance met) for the best restart.  The fit reports B = |theta|
     of the best restart.  Sigmas of all six parameters come from the full Jacobian
     of _joint_jacobian there, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``;
-    they reuse the last search Jacobian's signals and B-derivatives when that
-    Jacobian was taken at the best point, and otherwise add one B-derivative pass
-    (and one eigensolve if another restart ran after the best one).
+    they read the record of the last residual when that was taken at the best
+    point, and otherwise add one eigensolve and one record.
     A fitted a1z of exactly 0 leaves a2z undetermined: it is returned as nan and
     without a sigma, and the other sigmas come from the Jacobian without the a2z
     column.
@@ -248,63 +313,24 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
             raise ValueError(f"{label} curve needs at least 4 samples for fitting")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    wz, wx = (1.0 / curve.sigmas if curve.sigmas is not None else np.ones(len(curve))
-              for curve in (long_curve, trans_curve))
-    # Phi_z = [w Iz.Iz, w s_z] and Phi_x = [w s_x].  The QR of Phi_z starts with the
-    # unit vector f along its B-free first column, which is projected out of the data
-    # once, so that each curve is left with one B-dependent column to project on.
-    times = (long_curve.times, trans_curve.times)
-    curves = []
-    for curve, w, fixed in ((long_curve, wz, True), (trans_curve, wx, False)):
-        f = (w / np.linalg.norm(w))[:, None] if fixed else np.zeros((len(curve), 0))
-        y = w * curve.amplitudes
-        curves.append((w, f, y - f @ (f.T @ y)))
+    rows = _fit_rows(long_curve, trans_curve)
 
     @lru_cache(maxsize=1)
-    def project(b0: float, b1: float, b2: float) -> list:
-        """Per curve at B: its mode exponentials E and raw signal s (see
-        _reduced_signals), the orthonormal basis [f, v_hat] of the curve's columns of
-        Phi, with v_hat the unit column along the projected w s, the inverse norm of
-        that column and the coefficient v_hat . y.  One entry: the Jacobian at a
-        trial point reuses what its residual computed."""
-        out = []
-        for (e, s), (w, f, y) in zip(
-                _reduced_signals(_joint_eigensystems(b0, b1, b2), times), curves):
-            v = w * s
-            v -= f @ (f.T @ v)
-            norm = math.sqrt(v @ v)
-            inv = 1.0 / norm if norm > 0 else 0.0  # a zero column fits nothing
-            basis = np.column_stack([f, v * inv])
-            out.append((e, s, basis, inv, basis[:, -1] @ y))
-        return out
-
-    @lru_cache(maxsize=1)
-    def derive(b0: float, b1: float, b2: float) -> list:
-        """Per curve at B: project's entry and the raw derivatives of s by B.  One
-        entry: the covariance at the optimum reuses the last Jacobian's."""
-        entries = project(b0, b1, b2)
-        derivatives = _b_derivatives(_joint_eigensystems(b0, b1, b2), times,
-                                     [e for e, *_ in entries])
-        return [(*entry, ds) for entry, ds in zip(entries, derivatives)]
+    def point(b0: float, b1: float, b2: float) -> _FitPoint:
+        """The fit's record at B.  One entry: the Jacobian at a trial point and the
+        covariance at the optimum read what its residual computed."""
+        return _fit_point(_joint_eigensystems(b0, b1, b2), rows)
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         """Phi u - y for both curves, u the linear least-squares coefficients at
         B = |theta|."""
-        return np.concatenate([basis[:, -1] * coef - y for (*_, basis, _, coef), (*_, y)
-                               in zip(project(*(abs(float(v)) for v in theta)), curves)])
+        return point(*np.abs(theta).tolist()).residual
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
         """Kaufman's Jacobian of residuals by theta: by B at |theta|, times
         dB/dtheta = sign(theta), taken as +1 at 0."""
-        blocks = []
-        for (*_, basis, inv, coef, ds), (w, _, _) in zip(
-                derive(*(abs(float(v)) for v in theta)), curves):
-            dv = w[:, None] * ds
-            dv -= basis @ (basis.T @ dv)  # P_perp
-            blocks.append(dv * (coef * inv))
-        jac = np.vstack(blocks)  # a new array, so the cached derivatives stay as they are
-        jac[:, theta < 0] *= -1.0
-        return jac
+        # a new array, so the cached record stays as it is
+        return point(*np.abs(theta).tolist()).jacobian * np.where(theta < 0, -1.0, 1.0)
 
     b_init = np.abs(np.array([init[name] for name in PARAM_NAMES[4:]], dtype=float)
                     if isinstance(init, Mapping) else _param_vector(init)[4:])
@@ -329,9 +355,11 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
             best = ssr, theta, ier
     ssr, theta, ier = best
     b_best = np.abs(theta)
-    (_, sz, _, inv2, coef2, dsz), (_, sx, _, inv3, coef3, dsx) = derive(
-        *(float(v) for v in b_best))
-    u2, u3 = coef2 * inv2, coef3 * inv3
+    record = point(*b_best.tolist())
+    split, u2, u3 = rows.split, record.u2, record.u3
+    sz, dsz, sx, dsx = (arr[part] for part in (slice(0, split), slice(split, None))
+                        for arr in (record.signals, record.derivatives))
+    wz, wx = rows.weights[0, :split], rows.weights[1, split:]
     iz = longitudinal_observable()
     u1 = wz @ (wz * (long_curve.amplitudes - u2 * sz)) / ((iz @ iz) * (wz @ wz))
     undetermined = u1 == 0
@@ -339,14 +367,16 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     # a2z = -1 makes the a1z column the derivative by u1
     x = np.array([u1, -1.0 if undetermined else u2 / u1 - 1, u3, *b_best])
     jz, jx = _joint_jacobian(x, sz, dsz, sx, dsx)
-    jac = np.vstack([jz * wz[:, None], jx * wx[:, None]])
+    jac = np.concatenate([jz * wz[:, None], jx * wx[:, None]])
     names = list(FIT_NAMES)
     if undetermined:
         jac, x[1] = np.delete(jac, 1, axis=1), np.nan
         names.remove("a2z")
     jac_pinv = np.linalg.pinv(jac)
     cov = ssr / (len(jac) - jac.shape[1]) * (jac_pinv @ jac_pinv.T)
-    params = dict(zip(PARAM_NAMES, (float(v) for v in np.insert(x, 3, 1.0))))
+    values = x.tolist()
+    values.insert(3, 1.0)  # a2x
+    params = dict(zip(PARAM_NAMES, values))
     uncertainties = dict(zip(names, (float(s) for s in np.sqrt(np.diag(cov)))))
     return FitResult(params=params, uncertainties=uncertainties,
                      residual_norm=float(np.sqrt(ssr)),

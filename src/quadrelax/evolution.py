@@ -30,7 +30,7 @@ _HERM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DensityState:
-    """8x8 Hermitian density matrix in the Zeeman basis (descending m).
+    """8x8 finite Hermitian density matrix in the Zeeman basis (descending m).
 
     Element (q, n) of coherence order q sits at matrix[q + n, n] for
     n = 0..7-q (zero-based; the adjoint element is its conjugate).
@@ -43,12 +43,16 @@ class DensityState:
         object.__setattr__(self, "matrix", m)
         if m.shape != (8, 8):
             raise ValueError(f"spin 7/2 needs an 8x8 density matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         scale = max(1.0, float(np.max(np.abs(m))))
         if np.max(np.abs(m - m.conj().T)) > _HERM_TOL * scale:
             raise ValueError("density matrix is not Hermitian within 1e-12")
 
     def coherence_vector(self, q: int) -> np.ndarray:
-        """Elements rho_{q+n, n} for n = 0..7-q, of an order q in 0..7."""
+        """Elements rho_{q+n, n} for n = 0..7-q, of an order q in 0..7 (else ValueError)."""
+        if not 0 <= q <= 7:
+            raise ValueError(f"coherence order must be in 0..7, got {q}")
         return np.diagonal(self.matrix, -q).copy()
 
     # -- common preparations -------------------------------------------------

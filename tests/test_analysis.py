@@ -35,25 +35,33 @@ C_EXP = quadrupolar_constant_simplified(5969.0)
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 
+def _fit_record(b, times_long, times_trans, modes=None) -> tuple:
+    """The fit's record (analysis._fit_point) at B, or at the given modes, over a
+    curve pair with these sample times, and its longitudinal row count.  The pair's
+    amplitudes are 0: the record's raw signals and B-derivatives do not read them."""
+    rows = analysis._fit_rows(*(DecayCurve(t, np.zeros(len(t))) for t in (times_long, times_trans)))
+    if modes is None:
+        modes = analysis._joint_eigensystems(*(float(v) for v in b))
+    return analysis._fit_point(modes, rows), rows.split
+
+
 def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
     """The longitudinal and transverse signals at x over FIT_NAMES from the fit's
     parity-reduced eigensystems: a1z (Iz.Iz + (1 + a2z) s(t)) with s the response
     to the deviation -Iz, and a1x (the product a1x*a2x) times the response to Ix;
     joint_model_curves with a2x = 1."""
     a1z, a2z, a1x = x[:3]
-    (_, sz), (_, sx) = analysis._reduced_signals(
-        analysis._joint_eigensystems(*(float(b) for b in x[3:])), (times_long, times_trans))
+    record, split = _fit_record(x[3:], times_long, times_trans)
+    sz, sx = record.signals[:split], record.signals[split:]
     iz = longitudinal_observable()
     return a1z * (iz @ iz + (1 + a2z) * sz), a1x * sx
 
 
 def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
     """analysis._joint_jacobian at x from the fit's own signals and B-derivatives."""
-    modes = analysis._joint_eigensystems(*(float(b) for b in x[3:]))
-    times = (times_long, times_trans)
-    (ez, sz), (ex, sx) = analysis._reduced_signals(modes, times)
-    dsz, dsx = analysis._b_derivatives(modes, times, (ez, ex))
-    return analysis._joint_jacobian(x, sz, dsz, sx, dsx)
+    record, split = _fit_record(x[3:], times_long, times_trans)
+    return analysis._joint_jacobian(x, record.signals[:split], record.derivatives[:split],
+                                    record.signals[split:], record.derivatives[split:])
 
 
 # -- joint fit -----------------------------------------------------------------
@@ -213,7 +221,8 @@ def _exp_divided_differences(lam: np.ndarray, times: np.ndarray) -> np.ndarray:
 def _tensor_b_derivatives(q, lam, vec, times):
     """The Daleckii-Krein B-derivatives of the order-q reduced signal through the
     whole (T, 4, 4) divided-difference tensor: c^T V (G(t) o V^T A_k V) V^T d."""
-    mats, obs, dev = (arr[q] for arr in analysis._parity_subspace())
+    a, ends = analysis._parity_subspace()
+    mats, (obs, dev) = a[:, q], ends[q]
     weights = np.outer(obs @ vec, vec.T @ dev) * (vec.T @ mats @ vec)
     g = _exp_divided_differences(lam, times)
     return g.reshape(len(times), -1) @ weights.reshape(3, -1).T
@@ -259,14 +268,14 @@ def test_b_derivatives_give_the_frechet_derivative(lam):
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     times = np.array([0.0, 1e-3, 0.3, 1.5])
-    e = np.exp(np.outer(times, lam))
-    # the same eigensystem in both sectors, with each sector's A_k, c and d
-    _, c, d = analysis._parity_subspace()
-    modes = np.stack([lam, lam]), np.stack([q, q]), c @ q, d @ q
-    derivatives = analysis._b_derivatives(modes, (times, times), (e, e))
+    # the same eigensystem in both sectors, with each sector's A_k, c and d, through
+    # the fit's record over two curves sampled at these times
+    sector_mats, ends = analysis._parity_subspace()
+    modes = np.stack([lam, lam]), np.stack([q, q]), ends[:, 0] @ q, ends[:, 1] @ q
+    record, split = _fit_record(None, times, times, modes)
     m = q @ np.diag(lam) @ q.T
-    for sector, (got, mats, obs, dev) in enumerate(zip(derivatives,
-                                                       *analysis._parity_subspace())):
+    for sector, got in enumerate((record.derivatives[:split], record.derivatives[split:])):
+        mats, (obs, dev) = sector_mats[:, sector], ends[sector]
         assert np.all(np.isfinite(got))
         want = np.array([[obs @ expm_frechet(m * t, a * t, compute_expm=False) @ dev
                           for a in mats] for t in times])
@@ -294,16 +303,18 @@ def test_jacobian_matches_central_differences():
 
 def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
     # the search calls the residual once per evaluation; each call at a new point
-    # solves both 4x4 sectors in one stacked eigh, and the Jacobian at that point
-    # reuses it.  At the start, leastsq calls both once to check their shapes and its
-    # lmder call takes the residual there once more than MINPACK's nfev counts; all
-    # three reuse the first eigensolve.  At the end, the best point is solved once
-    # more if it was not the last one tried
+    # solves both 4x4 sectors in one stacked eigh and forms the point's record (the
+    # residual, Kaufman's Jacobian and the raw signals and derivatives) in one pass,
+    # and the Jacobian at that point reads the record.  At the start, leastsq calls
+    # both once to check their shapes and its lmder call takes the residual there once
+    # more than MINPACK's nfev counts; all three read the first record.  At the end,
+    # the best point is solved once more if it was not the last one tried
     import scipy.optimize
 
     long_curve, trans_curve = make_joint_curves(noise=0.01, seed=3)
     calls, points = [], []
     real_eigh, real_leastsq = np.linalg.eigh, scipy.optimize.leastsq
+    real_point = analysis._fit_point
 
     def eigh(a):
         calls.append("e")
@@ -317,10 +328,11 @@ def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
+    monkeypatch.setattr(analysis, "_fit_point", lambda *a: calls.append("p") or real_point(*a))
     analysis._joint_eigensystems.cache_clear()
     result = fit_redfield_joint(long_curve, trans_curve, TABLE2, restarts=1)
     sequence = "".join(calls)
-    assert re.fullmatch("rejrrj(rej?)*e?", sequence), sequence
+    assert re.fullmatch("repjrrj(repj?)*(ep)?", sequence), sequence
     assert sequence.count("r") == result.evaluations + 2
     assert {point[1:] for point in points[:5]} == {tuple(TABLE2[k] for k in ("b0", "b1", "b2"))}
     for before, after in zip(points, points[1:]):
@@ -332,14 +344,15 @@ def test_residual_and_jacobian_share_one_eigensolve(monkeypatch):
 
 
 def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
-    # the sigmas at the best point add at most one eigensolve and one B-derivative
-    # pass.  With a single search, MINPACK returns either the point of its last
-    # Jacobian, whose derivatives the sigmas reuse, or the point of its last residual
-    # (a step accepted and then a tolerance met), whose eigensolve they reuse
+    # the sigmas at the best point add at most one eigensolve and one record (the
+    # residual, the Jacobian and the derivatives of _fit_point).  With a single
+    # search, MINPACK returns either the point of its last residual (a step accepted
+    # and then a tolerance met), whose record the sigmas reuse, or the point of its
+    # last Jacobian after a rejected trial step, which is solved once more
     import scipy.optimize
 
     calls, jacobian_points, residual_points = [], [], []
-    real_eigh, real_derivatives = np.linalg.eigh, analysis._b_derivatives
+    real_eigh, real_point = np.linalg.eigh, analysis._fit_point
     real_leastsq = scipy.optimize.leastsq
 
     def leastsq(func, x0, Dfun, **kwargs):
@@ -351,8 +364,8 @@ def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
         return result
 
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or real_eigh(a))
-    monkeypatch.setattr(analysis, "_b_derivatives",
-                        lambda *a: calls.append("derivatives") or real_derivatives(*a))
+    monkeypatch.setattr(analysis, "_fit_point",
+                        lambda *a: calls.append("record") or real_point(*a))
     monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
     for restarts in (1, 4):
         for record in (calls, jacobian_points, residual_points):
@@ -361,15 +374,15 @@ def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
         result = fit_redfield_joint(*make_joint_curves(noise=0.01, seed=3), TABLE2,
                                     restarts=restarts)
         after = calls[len(calls) - calls[::-1].index("end of search"):]
-        assert after.count("eigh") <= 1 and after.count("derivatives") <= 1
+        assert after.count("eigh") <= 1 and after.count("record") <= 1
         assert set(result.uncertainties) == set(FIT_NAMES)
         if restarts == 1:
             optimum = tuple(result.params[k] for k in ("b0", "b1", "b2"))
-            reused = jacobian_points[-1] == optimum
-            assert reused or residual_points[-1] == optimum
-            assert after == ([] if reused else ["derivatives"])
-            # one B-derivative pass per point: each Jacobian's and the optimum's
-            assert calls.count("derivatives") == len(set(jacobian_points) | {optimum})
+            reused = residual_points[-1] == optimum
+            assert reused or jacobian_points[-1] == optimum
+            assert after == ([] if reused else ["eigh", "record"])
+            # one record per point: each residual's and the optimum's
+            assert calls.count("record") == len(set(residual_points) | {optimum})
 
 
 def _search_functions(monkeypatch, curves, start=CLI_START):
@@ -448,6 +461,32 @@ def test_search_jacobian_is_the_chain_rule_through_the_reflection(monkeypatch, t
     np.testing.assert_array_equal(fun(theta), fun(np.abs(theta)))
 
 
+@pytest.mark.parametrize("theta", [(0.0, 1.0, 0.0), (0.0, 1.0, -1e-3), (-1e-3, 1.0, 0.0)],
+                         ids=["tie", "near-tie-b2", "near-tie-b0"])
+def test_search_jacobian_takes_close_pairs_by_their_divided_difference(monkeypatch, theta):
+    # at B = (0, 1, 0) the q = 1 even sector has an exact tie (two eigenvalues -5,
+    # equal to round-off) and the q = 0 odd one a smallest gap of 0.095 max|lam|; at
+    # (0, 1, 1e-3) and (1e-3, 1, 0) the q = 1 pair lies 8.1e-4 and 7.6e-5 max|lam|
+    # apart.  These pairs fall under _GAP_RTOL, so the search's own Jacobian takes
+    # their divided difference; on noise-free curves at B = |theta| it must match
+    # differences of the residual (without that term one column is off by 8e-3 to
+    # 3e-2 of its scale)
+    theta = np.array(theta)
+    lam = analysis._joint_eigensystems(*np.abs(theta))[0]
+    gaps = np.diff(lam, axis=1).min(axis=1) / np.abs(lam).max(axis=1)
+    assert gaps[0] > 0.09 and gaps[1] < analysis._GAP_RTOL
+    times_long, times_trans = (curve.times for curve in make_joint_curves())
+    params = dict(TABLE2, **dict(zip(("b0", "b1", "b2"), np.abs(theta))))
+    curves = [DecayCurve(times, signal) for times, signal in
+              zip((times_long, times_trans), joint_model_curves(params, times_long, times_trans))]
+    fun, jac, *_ = _search_functions(monkeypatch, curves)
+    got, want = jac(theta), _difference_jacobian(fun, theta)
+    assert np.all(np.isfinite(got))
+    for k in range(theta.size):
+        np.testing.assert_allclose(got[:, k], want[:, k], rtol=0,
+                                   atol=1e-6 * np.max(np.abs(want[:, k])), err_msg=str(k))
+
+
 def test_search_gradient_is_exact_at_a_reflected_point(monkeypatch):
     # away from a zero residual Kaufman's Jacobian is not the residual's derivative,
     # but J^T r is the exact gradient of the cost, also through the reflection
@@ -516,11 +555,11 @@ def test_b_derivatives_match_the_divided_difference_tensor(b):
     # corners of _B_POINTS and at B = (b0, 0, 0), where the q = 0 sector is all 0
     # and every pair of its eigenvalues is tied; at B = (0.1, 100, 0) a q = 1 pair
     # lies 7.6e-5 max|lam| apart, where partial fractions lost 2e-12 of the scale
-    modes = analysis._joint_eigensystems(*b)
-    lam, vec = modes[:2]
+    lam, vec = analysis._joint_eigensystems(*b)[:2]
     times = (_TIMES_LONG, _TIMES_TRANS)
-    e = [e_q for e_q, _ in analysis._reduced_signals(modes, times)]
-    for q, got in enumerate(analysis._b_derivatives(modes, times, e)):
+    record, split = _fit_record(b, *times)
+    derivatives = record.derivatives[:split], record.derivatives[split:]
+    for q, got in enumerate(derivatives):
         want = _tensor_b_derivatives(q, lam[q], vec[q], times[q])
         for k in range(3):
             np.testing.assert_allclose(got[:, k], want[:, k], rtol=0,
@@ -536,8 +575,8 @@ def test_reduced_signals_match_a_30_digit_eigensolve(b):
     # eigh was off by up to 2e-12 of the transverse curve's largest value)
     mpmath = pytest.importorskip("mpmath", reason="the 30-digit reference needs mpmath")
     mpmath.mp.dps = 30
-    reduced = analysis._reduced_signals(analysis._joint_eigensystems(*b),
-                                        (_TIMES_LONG, _TIMES_TRANS))
+    record, split = _fit_record(b, _TIMES_LONG, _TIMES_TRANS)
+    reduced = record.signals[:split], record.signals[split:]
     curves = joint_model_curves(dict(a1z=1.0, a2z=0.0, a1x=1.0, a2x=1.0, b0=b[0], b1=b[1],
                                      b2=b[2]), _TIMES_LONG, _TIMES_TRANS)
     iz = longitudinal_observable()
@@ -550,7 +589,7 @@ def test_reduced_signals_match_a_30_digit_eigensolve(b):
                 * mpmath.fsum(vec[k, i] * dev[k] for k in range(n)) for i in range(n)]
         want = np.array([float(mpmath.fsum(a * mpmath.exp(lam[i] * t) for i, a in enumerate(amps)))
                          for t in times])
-        np.testing.assert_allclose(reduced[q][1], want, rtol=0,
+        np.testing.assert_allclose(reduced[q], want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)), err_msg=f"q={q}")
         np.testing.assert_allclose(curve, offset + want, rtol=0,
                                    atol=1e-14 * np.max(np.abs(offset + want)),

@@ -49,6 +49,29 @@ def test_density_state_rejects_non_hermitian():
         DensityState(m)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "imaginary-nan"])
+def test_density_state_rejects_non_finite_entries(value):
+    # a nan compares false in the Hermiticity test, so finiteness is checked first;
+    # propagating such a state would return nan trajectories
+    m = np.eye(8, dtype=complex) / 8
+    m[0, 0] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        DensityState(m)
+    m = np.eye(8, dtype=complex) / 8
+    m[3, 1] = m[1, 3] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        DensityState(m)
+
+
+@pytest.mark.parametrize("q", [-7, -1, 8, 9])
+def test_coherence_vector_rejects_orders_outside_0_to_7(q):
+    # np.diagonal would return the upper triangle for a negative order and an empty
+    # array past 7
+    with pytest.raises(ValueError, match="0..7"):
+        DensityState.noon().coherence_vector(q)
+
+
 def test_density_state_indexing():
     st = DensityState.noon()
     assert st.coherence_vector(7)[0] == 0.5
