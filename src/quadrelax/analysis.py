@@ -242,27 +242,20 @@ def _fit_point(modes: tuple, rows: _FitRows) -> _FitPoint:
     return record
 
 
-def _joint_jacobian(x: np.ndarray, sz: np.ndarray, dsz: np.ndarray, sx: np.ndarray,
-                    dsx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of the longitudinal and transverse signals at x by the fitted
-    FIT_NAMES, from the responses s_z, s_x and their B-derivatives at x's B (the
-    record of _fit_point).  The signals are
-    a1z (Iz.Iz + (1 + a2z) s_z(t)), with s_z the response to the deviation -Iz,
-    and a1x (the product a1x*a2x) times the response s_x to Ix: joint_model_curves
-    with a2x = 1.
-
-    The signals are linear in a1z and a1x and affine in a2z, so every column but
-    the B ones is closed-form.
+def _fit_jacobian(x: np.ndarray, rows: _FitRows, record: _FitPoint) -> np.ndarray:
+    """The weighted derivatives (N, 6) of both curves' signals at x by the fitted
+    FIT_NAMES over the stacked rows of _FitRows, from the raw signals s and their
+    B-derivatives in the record of _fit_point at x's B.  The signals are
+    a1z (Iz.Iz + (1 + a2z) s) on the longitudinal rows (s the response to -Iz) and
+    a1x (the product a1x*a2x) s on the transverse ones (s the response to Ix):
+    joint_model_curves with a2x = 1.  They are linear in a1z and a1x and affine in
+    a2z, so every column but the B ones is closed-form.
     """
     a1z, a2z, a1x = x[:3]
+    (wz, wx), s = rows.weights, record.signals
     iz = longitudinal_observable()
-    jz, jx = np.zeros((sz.size, 6)), np.zeros((sx.size, 6))
-    jz[:, 0] = iz @ iz + (1 + a2z) * sz
-    jz[:, 1] = a1z * sz
-    jz[:, 3:] = a1z * (1 + a2z) * dsz
-    jx[:, 2] = sx
-    jx[:, 3:] = a1x * dsx
-    return jz, jx
+    return np.column_stack([wz * (iz @ iz + (1 + a2z) * s), wz * (a1z * s), wx * s,
+                            record.derivatives * (a1z * (1 + a2z) * wz + a1x * wx)[:, None]])
 
 
 def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
@@ -271,7 +264,7 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
 
     The transverse signal depends on a1x and a2x only through their product,
     so six parameters are fitted: a1z, a2z, a1x*a2x (returned as a1x, with
-    a2x = 1) and the rate scales b0, b1, b2 >= 0.  The signals (see _joint_jacobian)
+    a2x = 1) and the rate scales b0, b1, b2 >= 0.  The signals (see _fit_jacobian)
     are linear in u = (a1z, a1z (1 + a2z), a1x), so the search runs over B alone
     by variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10:413,
     1973): at each trial B, u is the weighted linear least-squares solution, and
@@ -289,16 +282,16 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     ``init`` maps PARAM_NAMES to values, or is a vector in that order; only b0,
     b1 and b2 are read.  The search starts once from that B and once from each
     of ``restarts - 1`` perturbations of it drawn from ``seed``, each b_k times
-    |1 + 0.3 N(0, 1)| (best residual wins), so a b_k of 0 stays 0 in every restart
-    (the command line takes only positive starts).  ``evaluations`` sums MINPACK's
-    residual evaluations (nfev) over the restarts; the calls that check shapes at
-    each start (the residual twice, the Jacobian once) are not among them.
-    ``converged`` is MINPACK's
-    info 1-4 (a tolerance met) for the best restart.  The fit reports B = |theta|
-    of the best restart.  Sigmas of all six parameters come from the full Jacobian
-    of _joint_jacobian there, cov = SSR/(n - 6) (J^T J)^-1, as in ``curve_fit``;
-    they read the record of the last residual when that was taken at the best
-    point, and otherwise add one eigensolve and one record.
+    |1 + 0.3 N(0, 1)| (the last three of seven normals; best residual wins, the first
+    of equal ones), so a b_k of 0 stays 0 in every restart (the command line takes only
+    positive starts).  ``evaluations`` sums MINPACK's residual evaluations (nfev) over
+    the restarts; the calls that check shapes at each start (the residual twice, the
+    Jacobian once) are not among them.  ``converged`` is MINPACK's info 1-4 (a
+    tolerance met) for the best restart, whose B = |theta| the fit reports.  Sigmas of
+    all six parameters come from the weighted Jacobian J of _fit_jacobian there,
+    cov = SSR/(n - 6) (J^T J)^-1 as in ``curve_fit``, through pinv of J with unit-norm
+    columns; they read the record of the last residual when that was taken at the
+    best point, and otherwise add one eigensolve and one record.
     A fitted a1z of exactly 0 leaves a2z undetermined: it is returned as nan and
     without a sigma, and the other sigmas come from the Jacobian without the a2z
     column.
@@ -337,50 +330,41 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     for name, value in zip(PARAM_NAMES[4:], b_init):
         if not math.isfinite(value):
             raise ValueError(f"start {name} must be finite, got {value}")
-    best = None
-    evaluations = 0
-    for attempt in range(restarts):
-        if attempt == 1:
-            rng = np.random.default_rng(seed)  # built only when a second start needs it
+    starts = [b_init]
+    if restarts > 1:
         # seven normals per restart, the stream of the earlier seven-parameter starts
-        start = b_init if attempt == 0 else np.abs(
-            b_init * (1 + 0.3 * rng.standard_normal(len(PARAM_NAMES))[4:]))
-        # least_squares(method="lm", x_scale="jac")'s lmder call: diag=None is
-        # x_scale="jac", maxfev its 100 n, factor 100 and col_deriv False both defaults
-        theta, _, info, _, ier = leastsq(residuals, start, Dfun=jacobian, full_output=True,
-                                         ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=300)
-        evaluations += info["nfev"]
-        ssr = float(info["fvec"] @ info["fvec"])
-        if best is None or ssr < best[0]:
-            best = ssr, theta, ier
-    ssr, theta, ier = best
+        normals = np.random.default_rng(seed).standard_normal((restarts - 1, len(PARAM_NAMES)))
+        starts += list(np.abs(b_init * (1 + 0.3 * normals[:, 4:])))
+    # least_squares(method="lm", x_scale="jac")'s lmder call: diag=None is
+    # x_scale="jac", maxfev its 100 n, factor 100 and col_deriv False both defaults
+    runs = [leastsq(residuals, start, Dfun=jacobian, full_output=True,
+                    ftol=1e-8, xtol=1e-8, gtol=1e-8, maxfev=300) for start in starts]
+    theta, _, info, _, ier = min(runs, key=lambda run: float(run[2]["fvec"] @ run[2]["fvec"]))
+    ssr = float(info["fvec"] @ info["fvec"])
     b_best = np.abs(theta)
     record = point(*b_best.tolist())
-    split, u2, u3 = rows.split, record.u2, record.u3
-    sz, dsz, sx, dsx = (arr[part] for part in (slice(0, split), slice(split, None))
-                        for arr in (record.signals, record.derivatives))
-    wz, wx = rows.weights[0, :split], rows.weights[1, split:]
-    iz = longitudinal_observable()
-    u1 = wz @ (wz * (long_curve.amplitudes - u2 * sz)) / ((iz @ iz) * (wz @ wz))
+    split, u2 = rows.split, record.u2
+    wz, iz = rows.weights[0, :split], longitudinal_observable()
+    u1 = wz @ (wz * (long_curve.amplitudes - u2 * record.signals[:split])) / ((iz @ iz) * (wz @ wz))
     undetermined = u1 == 0
     # with u1 = 0, u2 = a1z (1 + a2z) is 0 as well (all-zero longitudinal data), and
     # a2z = -1 makes the a1z column the derivative by u1
-    x = np.array([u1, -1.0 if undetermined else u2 / u1 - 1, u3, *b_best])
-    jz, jx = _joint_jacobian(x, sz, dsz, sx, dsx)
-    jac = np.concatenate([jz * wz[:, None], jx * wx[:, None]])
+    x = np.array([u1, -1.0 if undetermined else u2 / u1 - 1, record.u3, *b_best])
+    jac = _fit_jacobian(x, rows, record)
     names = list(FIT_NAMES)
     if undetermined:
         jac, x[1] = np.delete(jac, 1, axis=1), np.nan
         names.remove("a2z")
-    jac_pinv = np.linalg.pinv(jac)
-    cov = ssr / (len(jac) - jac.shape[1]) * (jac_pinv @ jac_pinv.T)
-    values = x.tolist()
-    values.insert(3, 1.0)  # a2x
-    params = dict(zip(PARAM_NAMES, values))
-    uncertainties = dict(zip(names, (float(s) for s in np.sqrt(np.diag(cov)))))
-    return FitResult(params=params, uncertainties=uncertainties,
+    # pinv of the columns scaled to unit norm, unscaled after: J^+ = D^-1 (J D^-1)^+
+    # for J of full column rank, D the column norms; a zero column keeps a scale of 1
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0] = 1.0
+    sigmas = (np.sqrt(ssr / (len(jac) - len(names)))
+              * np.linalg.norm(np.linalg.pinv(jac / norms), axis=1) / norms)
+    params = dict(zip(PARAM_NAMES, np.insert(x, 3, 1.0).tolist()))  # a2x = 1
+    return FitResult(params=params, uncertainties=dict(zip(names, sigmas.tolist())),
                      residual_norm=float(np.sqrt(ssr)),
-                     evaluations=evaluations, converged=1 <= ier <= 4)
+                     evaluations=sum(run[2]["nfev"] for run in runs), converged=1 <= ier <= 4)
 
 
 def nelder_mead_minimize(objective, x0):

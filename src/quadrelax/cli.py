@@ -48,7 +48,10 @@ class RunConfig:
     out: str = "."
 
     def densities(self) -> SpectralDensities:
-        explicit = all(v is not None for v in (self.j0, self.j1, self.j2))
+        missing = [name for name in ("j0", "j1", "j2") if getattr(self, name) is None]
+        if 0 < len(missing) < 3:
+            raise ValueError(f"give all of j0/j1/j2 or none: missing {', '.join(missing)}")
+        explicit = not missing
         from_tau = self.correlation_time is not None
         if explicit and from_tau:
             raise ValueError("give either correlation_time or explicit j0/j1/j2, not both")

@@ -37,12 +37,13 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 def _fit_record(b, times_long, times_trans, modes=None) -> tuple:
     """The fit's record (analysis._fit_point) at B, or at the given modes, over a
-    curve pair with these sample times, and its longitudinal row count.  The pair's
-    amplitudes are 0: the record's raw signals and B-derivatives do not read them."""
+    curve pair with these sample times, and the pair's stacked rows (analysis._fit_rows).
+    The pair's amplitudes are 0 and its weights 1: the record's raw signals and
+    B-derivatives do not read the amplitudes."""
     rows = analysis._fit_rows(*(DecayCurve(t, np.zeros(len(t))) for t in (times_long, times_trans)))
     if modes is None:
         modes = analysis._joint_eigensystems(*(float(v) for v in b))
-    return analysis._fit_point(modes, rows), rows.split
+    return analysis._fit_point(modes, rows), rows
 
 
 def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
@@ -51,17 +52,17 @@ def _joint_signals(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, 
     to the deviation -Iz, and a1x (the product a1x*a2x) times the response to Ix;
     joint_model_curves with a2x = 1."""
     a1z, a2z, a1x = x[:3]
-    record, split = _fit_record(x[3:], times_long, times_trans)
-    sz, sx = record.signals[:split], record.signals[split:]
+    record, rows = _fit_record(x[3:], times_long, times_trans)
+    sz, sx = record.signals[:rows.split], record.signals[rows.split:]
     iz = longitudinal_observable()
     return a1z * (iz @ iz + (1 + a2z) * sz), a1x * sx
 
 
-def _joint_jacobian(x: np.ndarray, times_long, times_trans) -> tuple[np.ndarray, np.ndarray]:
-    """analysis._joint_jacobian at x from the fit's own signals and B-derivatives."""
-    record, split = _fit_record(x[3:], times_long, times_trans)
-    return analysis._joint_jacobian(x, record.signals[:split], record.derivatives[:split],
-                                    record.signals[split:], record.derivatives[split:])
+def _fit_jacobian(x: np.ndarray, times_long, times_trans) -> np.ndarray:
+    """analysis._fit_jacobian at x over the stacked rows of a curve pair with these
+    sample times and unit weights: the longitudinal rows, then the transverse ones."""
+    record, rows = _fit_record(x[3:], times_long, times_trans)
+    return analysis._fit_jacobian(x, rows, record)
 
 
 # -- joint fit -----------------------------------------------------------------
@@ -178,6 +179,26 @@ def _bundled_optimum():
     return long_curve, trans_curve, x
 
 
+def test_sigmas_match_a_40_digit_covariance_of_the_fit_jacobian():
+    # each sigma at the bundled restart-1 optimum against sqrt(diag(SSR/(n - 6)
+    # (J^T J)^-1)) at 40 digits, J the weighted Jacobian the fit builds there
+    # (condition 3.3e4); pinv of J with unscaled columns put a1x 2e-13 off
+    mpmath = pytest.importorskip("mpmath", reason="the 40-digit reference needs mpmath")
+    long_curve, trans_curve = _bundled_optimum()[:2]
+    result = fit_redfield_joint(long_curve, trans_curve, CLI_START, restarts=1)
+    x = np.array([result.params[name] for name in FIT_NAMES])
+    rows = analysis._fit_rows(long_curve, trans_curve)
+    record = analysis._fit_point(analysis._joint_eigensystems(*x[3:].tolist()), rows)
+    jac = analysis._fit_jacobian(x, rows, record)
+    with mpmath.workdps(40):
+        j = mpmath.matrix(jac.tolist())
+        ssr = mpmath.fsum(mpmath.mpf(r) ** 2 for r in record.residual.tolist())
+        cov = (j.T * j) ** -1 * (ssr / (len(jac) - 6))
+        want = [float(mpmath.sqrt(cov[k, k])) for k in range(6)]
+    for name, sigma in zip(FIT_NAMES, want):
+        assert result.uncertainties[name] == pytest.approx(sigma, rel=1e-14, abs=0), name
+
+
 def _frechet_b_columns(x, times_long, times_trans):
     """The B columns of both signals' Jacobians from the full 8x8 and 7x7 blocks.
 
@@ -196,8 +217,9 @@ def _frechet_b_columns(x, times_long, times_trans):
 
 
 def _assert_b_columns_match_frechet(x, times_long, times_trans):
-    jz, jx = _joint_jacobian(x, times_long, times_trans)
-    for q, got, want in zip((0, 1), (jz, jx), _frechet_b_columns(x, times_long, times_trans)):
+    jac, split = _fit_jacobian(x, times_long, times_trans), len(times_long)
+    for q, got, want in zip((0, 1), (jac[:split], jac[split:]),
+                            _frechet_b_columns(x, times_long, times_trans)):
         np.testing.assert_allclose(got[:, 3:], want, rtol=1e-9,
                                    atol=1e-12 * np.max(np.abs(want)), err_msg=f"q={q}")
 
@@ -272,9 +294,10 @@ def test_b_derivatives_give_the_frechet_derivative(lam):
     # the fit's record over two curves sampled at these times
     sector_mats, ends = analysis._parity_subspace()
     modes = np.stack([lam, lam]), np.stack([q, q]), ends[:, 0] @ q, ends[:, 1] @ q
-    record, split = _fit_record(None, times, times, modes)
+    record, rows = _fit_record(None, times, times, modes)
     m = q @ np.diag(lam) @ q.T
-    for sector, got in enumerate((record.derivatives[:split], record.derivatives[split:])):
+    for sector, got in enumerate((record.derivatives[:rows.split],
+                                  record.derivatives[rows.split:])):
         mats, (obs, dev) = sector_mats[:, sector], ends[sector]
         assert np.all(np.isfinite(got))
         want = np.array([[obs @ expm_frechet(m * t, a * t, compute_expm=False) @ dev
@@ -287,7 +310,7 @@ def test_b_derivatives_give_the_frechet_derivative(lam):
 
 def test_jacobian_matches_central_differences():
     long_curve, trans_curve, x = _bundled_optimum()
-    jac = np.vstack(_joint_jacobian(x, long_curve.times, trans_curve.times))
+    jac = _fit_jacobian(x, long_curve.times, trans_curve.times)
 
     def signals(v):
         return np.concatenate(joint_model_curves(np.insert(v, 3, 1.0), long_curve.times,
@@ -385,9 +408,9 @@ def test_covariance_reuses_the_last_jacobian_at_the_optimum(monkeypatch):
             assert calls.count("record") == len(set(residual_points) | {optimum})
 
 
-def _search_functions(monkeypatch, curves, start=CLI_START):
-    """The residual and Jacobian that fit_redfield_joint hands to leastsq, from a
-    single-start fit of the curve pair, with the start and the other arguments."""
+def _leastsq_calls(monkeypatch, curves, start=CLI_START, restarts=1, seed=0) -> list:
+    """The (residual, Jacobian, start, other arguments) of each leastsq call of a fit
+    of the curve pair, in call order."""
     import scipy.optimize
 
     captured, real_leastsq = [], scipy.optimize.leastsq
@@ -397,8 +420,33 @@ def _search_functions(monkeypatch, curves, start=CLI_START):
         return real_leastsq(func, x0, Dfun=Dfun, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "leastsq", leastsq)
-    fit_redfield_joint(*curves, start, restarts=1)
-    return captured[0]
+    fit_redfield_joint(*curves, start, restarts=restarts, seed=seed)
+    return captured
+
+
+def _search_functions(monkeypatch, curves, start=CLI_START):
+    """The residual and Jacobian that fit_redfield_joint hands to leastsq, from a
+    single-start fit of the curve pair, with the start and the other arguments."""
+    return _leastsq_calls(monkeypatch, curves, start)[0]
+
+
+def test_restarts_start_from_the_documented_stream(monkeypatch):
+    # restart k > 0 starts from |b (1 + 0.3 N)| with N the last three of the seven
+    # normals it draws from default_rng(seed); a single start builds no generator
+    curves = make_joint_curves(noise=0.01, seed=3)
+    b = np.array([CLI_START[name] for name in ("b0", "b1", "b2")])
+    normals = np.random.default_rng(3).standard_normal((15, len(PARAM_NAMES)))
+    want = [b, *np.abs(b * (1 + 0.3 * normals[:, 4:]))]
+    got = [x0 for _, _, x0, _ in _leastsq_calls(monkeypatch, curves, restarts=16, seed=3)]
+    assert len(got) == len(want) == 16
+    for k, (g, w) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(g, w, err_msg=f"start {k}")
+
+    def default_rng(*args, **kwargs):
+        raise AssertionError("a single start built a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    assert len(_leastsq_calls(monkeypatch, curves, restarts=1, seed=3)) == 1
 
 
 @pytest.mark.parametrize("pair, start", [("bundled", CLI_START), (1, CLI_START), (2, CLI_START),
@@ -557,8 +605,8 @@ def test_b_derivatives_match_the_divided_difference_tensor(b):
     # lies 7.6e-5 max|lam| apart, where partial fractions lost 2e-12 of the scale
     lam, vec = analysis._joint_eigensystems(*b)[:2]
     times = (_TIMES_LONG, _TIMES_TRANS)
-    record, split = _fit_record(b, *times)
-    derivatives = record.derivatives[:split], record.derivatives[split:]
+    record, rows = _fit_record(b, *times)
+    derivatives = record.derivatives[:rows.split], record.derivatives[rows.split:]
     for q, got in enumerate(derivatives):
         want = _tensor_b_derivatives(q, lam[q], vec[q], times[q])
         for k in range(3):
@@ -575,8 +623,8 @@ def test_reduced_signals_match_a_30_digit_eigensolve(b):
     # eigh was off by up to 2e-12 of the transverse curve's largest value)
     mpmath = pytest.importorskip("mpmath", reason="the 30-digit reference needs mpmath")
     mpmath.mp.dps = 30
-    record, split = _fit_record(b, _TIMES_LONG, _TIMES_TRANS)
-    reduced = record.signals[:split], record.signals[split:]
+    record, rows = _fit_record(b, _TIMES_LONG, _TIMES_TRANS)
+    reduced = record.signals[:rows.split], record.signals[rows.split:]
     curves = joint_model_curves(dict(a1z=1.0, a2z=0.0, a1x=1.0, a2x=1.0, b0=b[0], b1=b[1],
                                      b2=b[2]), _TIMES_LONG, _TIMES_TRANS)
     iz = longitudinal_observable()
@@ -707,7 +755,7 @@ def test_joint_fit_ends_at_a_stationary_point_of_the_six_parameter_cost():
     x = np.array([result.params[name] for name in FIT_NAMES])
     sz, sx = _joint_signals(x, long_curve.times, trans_curve.times)
     r = np.concatenate([sz - long_curve.amplitudes, sx - trans_curve.amplitudes])
-    jac = np.vstack(_joint_jacobian(x, long_curve.times, trans_curve.times))
+    jac = _fit_jacobian(x, long_curve.times, trans_curve.times)
     assert np.linalg.norm(r) == pytest.approx(result.residual_norm, rel=1e-12)
     assert np.max(np.abs(jac.T @ r)) <= 1e-6 * np.linalg.norm(jac, 2) * np.linalg.norm(r)
 

@@ -955,6 +955,38 @@ def test_missing_physics_exits_1(tmp_path, capsys):
         assert "random triple" not in capsys.readouterr().out
 
 
+_DENSITY_RUNS = {"rates": (["--quad-freq", "5969"], "rates.txt"),
+                 "evolve": (["--quad-freq", "5969", "--t-max", "1e-3", "--points", "3"],
+                            "trajectory.txt"),
+                 "validate": ([], "validate_report.txt")}
+
+
+@pytest.mark.parametrize("command", sorted(_DENSITY_RUNS))
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("tau_c", [False, True], ids=["no-tau-c", "tau-c"])
+@pytest.mark.parametrize("given, missing", [(("j0",), "j1, j2"), (("j1", "j2"), "j0")],
+                         ids=["j0", "j1-j2"])
+def test_partial_density_triple_exits_1_naming_the_missing(tmp_path, capsys, command, source,
+                                                           tau_c, given, missing):
+    # some but not all of j0/j1/j2 is an error with or without correlation_time; beside
+    # one, rates --tau-c 1e-9 --j0 1 used to drop the j0 silently and write its table
+    values = {"larmor_freq": "5e7", **({"correlation_time": "1e-9"} if tau_c else {}),
+              **dict.fromkeys(given, "1e-9")}
+    if source == "flags":
+        flags = {"larmor_freq": "--larmor-freq", "correlation_time": "--tau-c"}
+        physics = [arg for key, value in values.items()
+                   for arg in (flags.get(key, f"--{key}"), value)]
+    else:
+        cfg = tmp_path / "sample.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        physics = ["--config", str(cfg)]
+    extra, report = _DENSITY_RUNS[command]
+    out = tmp_path / "out"
+    assert main([command, *physics, *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: give all of j0/j1/j2 or none: missing {missing}\n")
+    assert not (out / report).exists()
+
+
 @pytest.mark.parametrize("line", ["spin = 7", "j0 = nan", "j0 = inf", "j0 = -inf",
                                   pytest.param("# caf\xe9", id="latin-1 comment")])
 def test_bad_config_line_exits_3(tmp_path, capsys, line):
