@@ -3,6 +3,8 @@
 Subcommands: rates, evolve, fit, bloch, ilt, validate.  Physics inputs come
 from a flat ``key = value`` config file and/or flags (flags win).  Exit codes:
 0 success, 1 computation failure, 2 usage error, 3 malformed data file.
+A command imports analysis (fit, bloch, ilt) or evolution (evolve) only when it
+runs, so rates and validate start without either.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, evolution
 from .curves import (DataFormatError, DecayCurve, data_lines, format_table, number_format,
                      parse_finite, read_curve, write_text)
 from .phys_params import (QuadrupolarConstant, SpectralDensities,
@@ -71,9 +72,8 @@ class RunConfig:
         raise ValueError("no quadrupolar constant: set quad_freq or c_override")
 
 
-_NAMED_STATES = {"noon": evolution.DensityState.noon,
-                 "pure_top": evolution.DensityState.pure_top,
-                 "uniform": evolution.DensityState.uniform}
+#: the preparations --state names, each a DensityState constructor of that name
+_NAMED_STATES = ("noon", "pure_top", "uniform")
 
 
 def _state_name(*names: str):
@@ -92,15 +92,19 @@ _initial_state_name = _state_name(*_NAMED_STATES)
 _equilibrium_name = _state_name("pure_top", "uniform")
 
 
-def _state(name: str) -> evolution.DensityState:
-    """The state a checked name gives: a named preparation, or the diagonal
+def _state(name: str):
+    """The DensityState a checked name gives: a named preparation, or the diagonal
     populations of file:PATH."""
+    from .evolution import DensityState
+
     if name in _NAMED_STATES:
-        return _NAMED_STATES[name]()
-    return _diagonal_state_from_file(Path(name[len("file:"):]))
+        return getattr(DensityState, name)()
+    populations = _diagonal_populations(Path(name[len("file:"):]))
+    return DensityState(np.diag(populations).astype(complex))
 
 
-def _diagonal_state_from_file(path: Path) -> evolution.DensityState:
+def _diagonal_populations(path: Path) -> np.ndarray:
+    """The eight populations of a population file, each >= 0 and summing to 1."""
     values = []
     for lineno, line in data_lines(path):
         for tok in line.replace(",", " ").split():
@@ -112,7 +116,7 @@ def _diagonal_state_from_file(path: Path) -> evolution.DensityState:
     diag = np.array(values)
     if abs(diag.sum() - 1.0) > 1e-9:
         raise DataFormatError(f"{path}: populations must sum to 1, got {diag.sum()!r}")
-    return evolution.DensityState(np.diag(diag).astype(complex))
+    return diag
 
 
 def load_config(path: Path) -> RunConfig:
@@ -144,15 +148,20 @@ def _apply_flag_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file's values with the flags applied; creates the output directory
-    if it is missing."""
+    """The config file's values with the flags applied."""
     cfg = load_config(Path(args.config)) if args.config else RunConfig()
-    cfg = _apply_flag_overrides(cfg, args)
+    return _apply_flag_overrides(cfg, args)
+
+
+def _output_dir(cfg: RunConfig) -> Path:
+    """The output directory, made with its parents if it is missing.  Each command
+    calls it after its inputs are checked and its results computed, so a run that
+    fails on either (exit 1 or 3) leaves no new directory behind."""
     out = Path(cfg.out)
     # one stat when it exists; mkdir(exist_ok=True) alone would first fail with EEXIST
     if not out.is_dir():
         out.mkdir(parents=True, exist_ok=True)
-    return cfg
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +195,7 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     rows = [(q, p, rate, 1.0 / rate if rate > 0 else np.inf)
             for q, lam in sector_spectra(j.as_tuple(), orders).items()
             for p, rate in enumerate(_rates_from_eigenvalues(lam, c), start=1)]
-    out = Path(cfg.out) / "rates.txt"
+    out = _output_dir(cfg) / "rates.txt"
     write_table(out, ["q", "p", "rate_hz", "time_s"], rows, raw=args.raw, int_columns=2)
     print(f"wrote {out} ({len(rows)} modes; C = {format_number(c.c, args.raw)} Hz^2)")
     return EXIT_OK
@@ -213,6 +222,8 @@ def _parse_elements(spec: str) -> list[tuple[int, int]]:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    from . import evolution
+
     cfg = _resolve_config(args)
     j = cfg.densities()
     c = cfg.constant()
@@ -226,22 +237,24 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         # an element above the diagonal is the conjugate of its mirror, whose 0.0
         # imaginary parts become -0.0; adding 0.0 prints them as 0.0
         values += [v.real, v.imag + 0.0]
-    out = Path(cfg.out) / "trajectory.txt"
+    out = _output_dir(cfg) / "trajectory.txt"
     write_table(out, columns, np.column_stack(values), raw=True)
     print(f"wrote {out} ({len(times)} times, {len(args.elements)} elements)")
     return EXIT_OK
 
 
-def _mode_table(model: evolution.MagnetizationModel) -> list[tuple[int, float, float]]:
-    """(n, amplitude, time) per mode.  A scale of 0 (a1z = 0 for an all-zero
-    longitudinal curve) gives amplitudes of -0.0 where a mode's is negative; adding
-    0.0 prints them as 0, not -0."""
+def _mode_table(model) -> list[tuple[int, float, float]]:
+    """(n, amplitude, time) per mode of a MagnetizationModel.  A scale of 0 (a1z = 0
+    for an all-zero longitudinal curve) gives amplitudes of -0.0 where a mode's is
+    negative; adding 0.0 prints them as 0, not -0."""
     amps = model.scale * model.amplitudes + 0.0
     return [(n, amp, 1.0 / rate if rate > 0 else np.inf)
             for n, (amp, rate) in enumerate(zip(amps, model.rates), start=1)]
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from . import analysis
+
     cfg = _resolve_config(args)
     c = cfg.constant()
     paths = (args.long, args.trans)
@@ -265,7 +278,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     long_model, trans_model = analysis.joint_models(
         dict(result.params, a2z=np.nan_to_num(result.params["a2z"])))
 
-    out_dir = Path(cfg.out)
+    out_dir = _output_dir(cfg)
     report = [
         "# quadrelax joint fit report",
         f"converged = {str(result.converged).lower()}",
@@ -307,6 +320,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bloch(args: argparse.Namespace) -> int:
+    from . import analysis
+
     cfg = _resolve_config(args)
     if not args.long and not args.trans:
         raise ValueError("bloch needs --long and/or --trans")
@@ -322,18 +337,20 @@ def _cmd_bloch(args: argparse.Namespace) -> int:
         lines += [f"transverse_converged = {str(fit.converged).lower()}",
                   f"a1x = {format_number(fit.a1, args.raw)} +/- {format_number(fit.uncertainties[0], args.raw)}",
                   f"t2_seconds = {format_number(fit.t2, args.raw)} +/- {format_number(fit.uncertainties[1], args.raw)}"]
-    out = Path(cfg.out) / "bloch_report.txt"
+    out = _output_dir(cfg) / "bloch_report.txt"
     write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_ilt(args: argparse.Namespace) -> int:
+    from . import analysis
+
     cfg = _resolve_config(args)
     curve = read_curve(args.curve)
     dist = analysis.ilt(curve, (args.t_min, args.t_max, args.points), args.alpha,
                         kernel=args.kernel)
-    out = Path(cfg.out) / "distribution.txt"
+    out = _output_dir(cfg) / "distribution.txt"
     write_table(out, ["time_seconds", "weight"],
                 np.column_stack([dist.grid, dist.weights]))
     print(f"wrote {out} (alpha = {format_number(dist.alpha, args.raw)}, "
@@ -367,7 +384,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         lines.append(f"q{q}_spectrum_max_rel = {dev!r}")
     lines.append(f"printed_variant_max_abs = {report.printed_variant_max_abs!r}"
                  "  # five as-published q=1 row-6 cells, see README")
-    out = Path(cfg.out) / "validate_report.txt"
+    out = _output_dir(cfg) / "validate_report.txt"
     write_text(out, "\n".join(lines) + "\n")
     ok = report.max_relative_deviation < 1e-10
     print(f"max relative deviation {'<' if ok else '>='} 1e-10 "

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._tables import load_reference_tables
 from .phys_params import QuadrupolarConstant, SpectralDensities
 from .spin_algebra import SpinSystem, make_quadrupole_operators
 
@@ -79,11 +78,14 @@ class BlockEigensystem:
 
 def _double_commutator(quads, weights: tuple[float, float, float]) -> np.ndarray:
     """Unnormalized -sum_p (-1)^p weights[|p|] [Q_p, [Q_{-p}, . ]] on vectorized density
-    matrices (basis |a><b|, index a*d+b), applied to all d^2 basis elements at once."""
+    matrices (basis |a><b|, index a*d+b), applied to all d^2 basis elements at once.
+    A p of weight 0 is skipped: its term is all zeros."""
     d = quads[0].shape[0]
     basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     acc = np.zeros((d * d, d, d), dtype=complex)
     for p in (-2, -1, 0, 1, 2):
+        if weights[abs(p)] == 0:
+            continue
         inner = quads[-p] @ basis - basis @ quads[-p]
         acc -= (-1) ** p * weights[abs(p)] * (quads[p] @ inner - inner @ quads[p])
     return acc.real.reshape(d * d, d * d).T
@@ -572,6 +574,8 @@ def validate_against_reference_tables(j: SpectralDensities) -> TableValidationRe
     orders 2..7 are compared through their sorted spectra, all from one sector_spectra,
     which solves only the sector sizes that hold them.
     """
+    from ._tables import load_reference_tables
+
     tables = load_reference_tables()
     t0, t1 = tables.j0_block.evaluate(j), tables.j1_block.evaluate(j)
     d0 = np.abs(tables.u0 @ evaluate_block(0, j.as_tuple()) @ tables.u0_bar - t0)

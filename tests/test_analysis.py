@@ -720,10 +720,11 @@ def _bundled_fit(restarts: int, times=1.0, amplitudes=1.0, sigma=None):
 
 #: the largest relative moves of the parameters and their sigmas, once the scaling is
 #: undone, measured on the bundled pair at one start per scaling, and at 16 restarts
-#: for all three, where restarts that end within xtol (1e-8) of each other can swap as
-#: the best on round-off; each test allows _EQUIVARIANCE_MARGIN times them
+#: for all three; there every restart reaches the same minimum and the earliest is
+#: reported, so round-off no longer swaps restarts (that moved B by up to 7e-9); each
+#: test allows _EQUIVARIANCE_MARGIN times them
 _EQUIVARIANCE_MOVES = {("times", 1): (1.2e-14, 4.5e-12), ("amplitudes", 1): (1.4e-14, 7.9e-13),
-                       ("sigma", 1): (2e-14, 2.4e-12), 16: (3e-9, 2e-9)}
+                       ("sigma", 1): (2e-14, 2.4e-12), 16: (2e-14, 3e-14)}
 _EQUIVARIANCE_MARGIN = 10
 
 

@@ -501,13 +501,21 @@ def _counting_mkdir(monkeypatch) -> list:
     return calls
 
 
+def _output_dir(out) -> Path:
+    return cli._output_dir(cli._resolve_config(build_parser().parse_args(["validate", "--out",
+                                                                          str(out)])))
+
+
 def test_existing_output_directory_is_not_made_again(tmp_path, monkeypatch):
     calls = _counting_mkdir(monkeypatch)
     for out in (tmp_path, tmp_path / "."):
-        cli._resolve_config(build_parser().parse_args(["validate", "--out", str(out)]))
+        assert _output_dir(out) == out
     assert calls == []
     nested = tmp_path / "a" / "b"
+    # reading the inputs makes nothing; the directory is made when the output is
     cli._resolve_config(build_parser().parse_args(["validate", "--out", str(nested)]))
+    assert not (tmp_path / "a").exists()
+    _output_dir(nested)
     # mkdir(parents=True) makes the missing parent by calling itself
     assert nested.is_dir() and calls[0] == nested
 
@@ -518,7 +526,7 @@ def test_output_path_naming_a_file_fails_as_before(tmp_path, capsys):
     with pytest.raises(FileExistsError) as want:
         taken.mkdir(parents=True, exist_ok=True)
     with pytest.raises(FileExistsError) as info:
-        cli._resolve_config(build_parser().parse_args(["validate", "--out", str(taken)]))
+        _output_dir(taken)
     assert str(info.value) == str(want.value)
     assert main(["validate", "--j0", "2", "--j1", "1", "--j2", "0.5", "--out", str(taken)]) == 1
     assert capsys.readouterr() == ("", f"error: {want.value}\n")
@@ -934,6 +942,16 @@ def test_malformed_curve_exits_3(tmp_path, capsys):
         assert f"{bad}:2:" in capsys.readouterr().err
 
 
+def test_fit_of_a_malformed_curve_exits_3_and_makes_no_output_directory(tmp_path, capsys):
+    bad = tmp_path / "long.csv"
+    bad.write_text("t_seconds,amplitude\n0.1,abc\n0.2,0.5\n0.3,0.2\n0.4,0.1\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--long", str(bad), "--trans", str(DATA_DIR / "synthetic_transverse.csv"),
+                 "--quad-freq", "5969", "--out", str(out)]) == EXIT_DATA
+    assert f"data error: {bad}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curve_whose_times_stop_increasing_exits_3_with_its_line(tmp_path, capsys):
     bad = tmp_path / "long.csv"
     bad.write_text("t_seconds,amplitude\n0.1,1.0\n0.2,0.5\n0.15,0.3\n")
@@ -984,7 +1002,8 @@ def test_partial_density_triple_exits_1_naming_the_missing(tmp_path, capsys, com
     out = tmp_path / "out"
     assert main([command, *physics, *extra, "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: give all of j0/j1/j2 or none: missing {missing}\n")
-    assert not (out / report).exists()
+    # the inputs are checked before the output directory is made
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["spin = 7", "j0 = nan", "j0 = inf", "j0 = -inf",
@@ -1032,7 +1051,7 @@ def test_negative_population_file_exits_3(tmp_path, theo_cfg, capsys, flag):
     assert main(["evolve", "--config", str(theo_cfg), flag, f"file:{pops}",
                  "--t-max", "1e-3", "--points", "5", "--out", str(out)]) == EXIT_DATA
     assert f"data error: {pops}:2: negative population '-0.5'" in capsys.readouterr().err
-    assert not (out / "trajectory.txt").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("state", ["noon", "pure_top", "uniform", "file"])
