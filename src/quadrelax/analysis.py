@@ -90,19 +90,19 @@ def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple:
     """The modes of the two sectors of _parity_subspace at the rate scales B, indexed
     by q and read-only: the eigenvalues lam, shape (2, 4), the orthonormal
     eigenvectors V (columns), shape (2, 4, 4), and each mode's weights c V and V^T d,
-    shape (2, 4), whose product is its signal amplitude.  One stacked eigh and one
-    entry: the fit's record at a trial point (_fit_point) solves nothing else, and
-    joint_models at the fitted B reuses the last.  The modes keep eigh's order
-    (ascending eigenvalue) and signs, which neither the signals, their derivatives
-    nor the amplitudes depend on.  The matrices are weighted elementwise, as
-    sector_modes weights them, so the fit solves the same bits as the full blocks'
-    sector solves."""
+    shape (2, 4), whose product is its signal amplitude.  One stacked eigh, one
+    product for both weights and one entry: the fit's record at a trial point
+    (_fit_point) solves nothing else, and joint_models at the fitted B reuses the
+    last.  The modes keep eigh's order (ascending eigenvalue) and signs, which neither
+    the signals, their derivatives nor the amplitudes depend on.  The matrices are
+    weighted elementwise, as sector_modes weights them, so the fit solves the same
+    bits as the full blocks' sector solves."""
     a, ends = _parity_subspace()
     lam, vec = np.linalg.eigh(b0 * a[0] + b1 * a[1] + b2 * a[2])
-    modes = lam, vec, (ends[:, :1] @ vec)[:, 0], (ends[:, 1:] @ vec)[:, 0]
-    for arr in modes:
-        arr.flags.writeable = False
-    return modes
+    weights = ends @ vec  # c V and V^T d by q
+    for arr in (lam, vec, weights):
+        arr.setflags(write=False)
+    return lam, vec, weights[:, 0], weights[:, 1]
 
 
 def joint_models(params) -> tuple[MagnetizationModel, MagnetizationModel]:
@@ -147,9 +147,9 @@ class _FitRows(NamedTuple):
     times8: np.ndarray    # (8, N): the sample time in its own sector, else 0
     mask8: np.ndarray     # (8, N): 1 in its own sector, else 0
     weights: np.ndarray   # (2, N): each curve's 1/sigma (or 1) in its own rows, else 0
-    basis: np.ndarray     # (3, N): f, the unit vector along the longitudinal weights
-    #                       (Phi's B-free column), then two zero rows for the curves' v
-    data: np.ndarray      # (N,): the weighted amplitudes with f projected out
+    frame: np.ndarray     # (4, N): f, the unit vector along the longitudinal weights
+    #                       (Phi's B-free column), two zero rows for the curves' v, and
+    #                       y, the weighted amplitudes with f projected out
 
 
 def _fit_rows(long_curve: DecayCurve, trans_curve: DecayCurve) -> _FitRows:
@@ -160,19 +160,18 @@ def _fit_rows(long_curve: DecayCurve, trans_curve: DecayCurve) -> _FitRows:
     once, so that each curve is left with one B-dependent column to project on."""
     split, n = len(long_curve), len(long_curve) + len(trans_curve)
     times = np.concatenate([long_curve.times, trans_curve.times])
-    mask8, weights = np.zeros((8, n)), np.zeros((2, n))
+    mask8, weights, frame = np.zeros((8, n)), np.zeros((2, n)), np.zeros((4, n))
     mask8[:4, :split] = mask8[4:, split:] = 1.0
-    for w, curve, part in ((weights[0], long_curve, slice(0, split)),
-                           (weights[1], trans_curve, slice(split, n))):
-        w[part] = 1.0 / curve.sigmas if curve.sigmas is not None else 1.0
-    basis = np.zeros((3, n))
-    basis[0] = weights[0] / np.linalg.norm(weights[0])
-    data = (weights[0] + weights[1]) * np.concatenate([long_curve.amplitudes,
-                                                       trans_curve.amplitudes])
-    data -= basis[0] * (basis[0] @ data)
-    rows = _FitRows(split, times, mask8 * times, mask8, weights, basis, data)
+    for w, curve in ((weights[0, :split], long_curve), (weights[1, split:], trans_curve)):
+        w[:] = 1.0 / curve.sigmas if curve.sigmas is not None else 1.0
+    f, y = frame[0], frame[3]
+    np.divide(weights[0], math.sqrt(weights[0] @ weights[0]), out=f)
+    np.multiply(weights[0] + weights[1],
+                np.concatenate([long_curve.amplitudes, trans_curve.amplitudes]), out=y)
+    y -= f * (f @ y)
+    rows = _FitRows(split, times, mask8 * times, mask8, weights, frame)
     for arr in rows[1:]:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return rows
 
 
@@ -184,6 +183,14 @@ class _FitPoint(NamedTuple):
     derivatives: np.ndarray  # (N, 3): the raw signals' derivatives by B
     u2: float                # the coefficient of the longitudinal signal column
     u3: float                # the coefficient of the transverse signal column
+
+
+#: the pairs i < j of a sector's four modes
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+#: added to a sector's eigenvalue gaps lam_i - lam_j, so that each mode's own term
+#: drops out of the partial fractions
+_SELF = np.diag(np.full(4, np.inf))
+_SELF.setflags(write=False)
 
 
 def _fit_point(modes: tuple, rows: _FitRows) -> _FitPoint:
@@ -205,49 +212,58 @@ def _fit_point(modes: tuple, rows: _FitRows) -> _FitPoint:
     limit t exp(lam_i t) for an exact tie.
 
     Phi's B-dependent columns v are each curve's weighted signal, the longitudinal
-    one with f projected out.  The rows [f, v_z, v_x] are orthogonal (the curves'
-    rows are disjoint), so u = (v . y) / |v|^2 per curve, the residual is
-    u2 v_z + u3 v_x - y, and P_perp = 1 - sum_b b b^T / |b|^2 over those rows is
-    applied to the derivative columns as rank-one updates.  The record's arrays are
-    read-only.
+    one with f projected out.  The rows b = [f, v_z, v_x] are orthogonal (the curves'
+    rows are disjoint), so one product gives every b . b and b . y, u = (v . y) / |v|^2
+    per curve, the residual is u2 v_z + u3 v_x - y, and P_perp = 1 - sum_b b b^T / |b|^2
+    is applied to the derivative columns as rank-one updates.  The record's arrays
+    are read-only.
     """
     lam, vec, cv, vd = modes
-    a = vec.transpose(0, 2, 1) @ _parity_subspace()[0] @ vec  # V^T A_k V by k, q
+    # V^T A_k V by k, q; matmul takes a contiguous V^T faster than a transposed view
+    a = np.ascontiguousarray(vec.mT) @ _parity_subspace()[0] @ vec
     # per mode of both sectors: the signal amplitude, u_k and diag(W_k)
     coefs = np.empty((7, 2, 4))
     amps = np.multiply(cv, vd, out=coefs[0])
     # W_kij + W_kji = (V^T A_k V)_ij pair_ij, V^T A_k V being symmetric
     pair = cv[:, :, None] * vd[:, None]
     pair = pair + pair.transpose(0, 2, 1)
-    gap = lam[:, :, None] - lam[:, None]
-    close = np.abs(gap) <= _GAP_RTOL * np.abs(lam).max(axis=1)[:, None, None]
-    np.sum(a * (pair / np.where(close, np.inf, gap)), axis=3, out=coefs[1:4])
+    close = []
+    for q, sector in enumerate(lam.tolist()):
+        tol = _GAP_RTOL * max(map(abs, sector))
+        close += [(q, i, j) for i, j in _PAIRS if abs(sector[i] - sector[j]) <= tol]
+    gap = lam[:, :, None] - lam[:, None] + _SELF
+    for q, i, j in close:
+        gap[q, i, j] = gap[q, j, i] = np.inf
+    np.add.reduce(a * (pair / gap), axis=3, out=coefs[1:4])
     np.multiply(a.diagonal(axis1=2, axis2=3), amps, out=coefs[4:])
-    e = np.exp(rows.times8 * lam.reshape(8, 1)) * rows.mask8
+    e = np.multiply(rows.times8, lam.reshape(8, 1))
+    np.exp(e, out=e)
+    e *= rows.mask8
     g = coefs.reshape(7, 8) @ e
-    ds = g[1:4] + g[4:] * rows.times
-    if np.count_nonzero(close) > close.shape[0] * close.shape[1]:  # besides the diagonals
-        q, i, j = np.nonzero(np.triu(close, 1))
-        dist = np.abs(gap[q, i, j])[:, None]
+    ds = g[4:] * rows.times
+    ds += g[1:4]
+    if close:
+        q, i, j = np.array(close).T
+        dist = np.abs(lam[q, i] - lam[q, j])[:, None]
         tied = dist == 0
         t = rows.times
         ratio = np.where(tied, t, np.expm1(-dist * t) / np.where(tied, 1.0, -dist))
         ds += ((a[:, q, i, j] * pair[q, i, j])
                @ (e[4 * q + np.where(lam[q, i] >= lam[q, j], i, j)] * ratio))
-    # the rows [f, v_z, v_x]: f and the curves' weighted signals, v_z without f
-    basis = rows.basis.copy()
-    f, v = basis[0], basis[1:]
+    # the rows [f, v_z, v_x, y]: f and the curves' weighted signals, v_z without f
+    frame = rows.frame.copy()
+    f, v, basis = frame[0], frame[1:3], frame[:3]
     np.multiply(g[0], rows.weights, out=v)
     v[0] -= (v[0] @ f) * f
-    # 1/|b|^2 of each basis row; a zero column fits nothing
-    inv2 = np.array([1.0, *(1.0 / n2 if n2 > 0 else 0.0
-                            for n2 in np.einsum("ij,ij->i", v, v).tolist())])
-    u = (v @ rows.data) * inv2[1:]
+    products = basis @ frame.T  # b . b' and b . y
+    # 1/|b|^2 of each basis row; a zero row fits nothing
+    inv2 = [1.0 / n2 if n2 > 0 else 0.0 for n2 in products.diagonal().tolist()]
+    u = products[1:, 3] * inv2[1:]
     jac = ds * (u @ rows.weights)
     jac -= ((jac @ basis.T) * inv2) @ basis
-    record = _FitPoint(u @ v - rows.data, jac.T, g[0], ds.T, *u.tolist())
+    record = _FitPoint(u @ v - frame[3], jac.T, g[0], ds.T, *u.tolist())
     for arr in record[:4]:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return record
 
 
@@ -260,11 +276,15 @@ def _fit_jacobian(x: np.ndarray, rows: _FitRows, record: _FitPoint) -> np.ndarra
     joint_model_curves with a2x = 1.  They are linear in a1z and a1x and affine in
     a2z, so every column but the B ones is closed-form.
     """
-    a1z, a2z, a1x = x[:3]
+    a1z, a2z, a1x = x[:3].tolist()
     (wz, wx), s = rows.weights, record.signals
     iz = longitudinal_observable()
-    return np.column_stack([wz * (iz @ iz + (1 + a2z) * s), wz * (a1z * s), wx * s,
-                            record.derivatives * (a1z * (1 + a2z) * wz + a1x * wx)[:, None]])
+    jac = np.empty((6, len(s)))  # by column
+    np.multiply(wz, iz @ iz + (1 + a2z) * s, out=jac[0])
+    np.multiply(wz, a1z * s, out=jac[1])
+    np.multiply(wx, s, out=jac[2])
+    np.multiply(record.derivatives.T, a1z * (1 + a2z) * wz + a1x * wx, out=jac[3:])
+    return jac.T
 
 
 def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
@@ -327,13 +347,16 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
     def residuals(theta: np.ndarray) -> np.ndarray:
         """Phi u - y for both curves, u the linear least-squares coefficients at
         B = |theta|."""
-        return point(*np.abs(theta).tolist()).residual
+        return point(*map(abs, theta.tolist())).residual
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
         """Kaufman's Jacobian of residuals by theta: by B at |theta|, times
         dB/dtheta = sign(theta), taken as +1 at 0."""
-        # a new array, so the cached record stays as it is
-        return point(*np.abs(theta).tolist()).jacobian * np.where(theta < 0, -1.0, 1.0)
+        values = theta.tolist()
+        jac = point(*map(abs, values)).jacobian
+        flips = [value < 0 for value in values]
+        # the record's own (read-only) array when no sign flips, else a new one
+        return jac * np.where(flips, -1.0, 1.0) if any(flips) else jac
 
     b_init = np.abs(np.array([init[name] for name in PARAM_NAMES[4:]], dtype=float)
                     if isinstance(init, Mapping) else _param_vector(init)[4:])
@@ -368,12 +391,20 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         jac, x[1] = np.delete(jac, 1, axis=1), np.nan
         names.remove("a2z")
     # pinv of the columns scaled to unit norm, unscaled after: J^+ = D^-1 (J D^-1)^+
-    # for J of full column rank, D the column norms; a zero column keeps a scale of 1
+    # for J of full column rank, D the column norms; a zero column keeps a scale of 1.
+    # With J D^-1 = U S V^T, the rows of its pinv V S^+ U^T have the norms of the rows
+    # of V S^+, U having orthonormal columns; S^+ drops singular values up to pinv's
+    # default cutoff, 1e-15 of the largest
     norms = np.linalg.norm(jac, axis=0)
     norms[norms == 0] = 1.0
-    sigmas = (np.sqrt(ssr / (len(jac) - len(names)))
-              * np.linalg.norm(np.linalg.pinv(jac / norms), axis=1) / norms)
-    params = dict(zip(PARAM_NAMES, np.insert(x, 3, 1.0).tolist()))  # a2x = 1
+    _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    cutoff = 1e-15 * s[0]
+    s_plus = [1.0 / value if value > cutoff else 0.0 for value in s.tolist()]
+    sigmas = (math.sqrt(ssr / (len(jac) - len(names)))
+              * np.linalg.norm(vt.T * s_plus, axis=1) / norms)
+    values = x.tolist()
+    values.insert(3, 1.0)  # a2x
+    params = dict(zip(PARAM_NAMES, values))
     return FitResult(params=params, uncertainties=dict(zip(names, sigmas.tolist())),
                      residual_norm=float(np.sqrt(ssr)),
                      evaluations=sum(run[2]["nfev"] for run in runs), converged=1 <= ier <= 4)

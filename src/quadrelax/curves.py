@@ -15,7 +15,7 @@ import codecs
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -72,33 +72,53 @@ def parse_finite(token: str, path: Path, lineno: int) -> float:
     return value
 
 
-def data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(lineno, line) for each line of a UTF-8 file left non-blank once its ``#``
-    comment and whitespace are stripped; a leading byte-order mark is skipped, and an
-    unreadable or non-UTF-8 file is a DataFormatError."""
+def _lines(text: str) -> list[str]:
+    r"""The lines of ``text``, broken at ``\n``, ``\r\n`` and ``\r`` only: a comment may
+    hold the other characters ``str.splitlines`` breaks at (U+2028, U+2029, U+0085,
+    ``\v``, ``\f``, ``\x1c``-``\x1e``)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _text(path: Path) -> str:
+    """The UTF-8 text of a file after a leading byte-order mark; an unreadable or
+    non-UTF-8 file is a DataFormatError."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = data[bom:].decode("utf-8")
+        return data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
         offset = bom + exc.start  # of the bad byte in the file
-        # the bad byte starts a new line exactly when the text before it ends with a break
-        lineno = len((data[bom:offset].decode("utf-8") + ".").splitlines())
+        lineno = len(_lines(data[bom:offset].decode("utf-8")))
         raise DataFormatError(
             f"{path}:{lineno}: not UTF-8 ({exc.reason} at offset {offset})") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+
+def _content(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for each line left non-blank once its ``#`` comment and
+    whitespace are stripped."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
 
 
-def _check_row(fields: list[str], width: int, path: Path, lineno: int) -> None:
-    """Raise the DataFormatError of a body row that is not a valid sample: its field
-    count, then each field from the left (parse_finite), then a negative time, then
-    a sigma that is not positive."""
+def data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(lineno, line) for each line of a UTF-8 file left non-blank once its ``#``
+    comment and whitespace are stripped (see _lines for where a line ends); a leading
+    byte-order mark is skipped, and an unreadable or non-UTF-8 file is a
+    DataFormatError."""
+    yield from _content(_lines(_text(path)))
+
+
+def _check_row(fields: list[str], width: int, path: Path, lineno: int) -> list[float]:
+    """The values of a body row that is a valid sample, else the DataFormatError of its
+    field count, then of each field from the left (parse_finite), then of a negative
+    time, then of a sigma that is not positive."""
     if len(fields) != width:
         raise DataFormatError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
     values = [parse_finite(f.strip(), path, lineno) for f in fields]
@@ -106,16 +126,61 @@ def _check_row(fields: list[str], width: int, path: Path, lineno: int) -> None:
         raise DataFormatError(f"{path}:{lineno}: negative time {fields[0].strip()!r}")
     if width == 3 and values[2] <= 0:
         raise DataFormatError(f"{path}:{lineno}: sigma must be positive, got {fields[2].strip()!r}")
+    return values
+
+
+def _curve(values: np.ndarray, width: int) -> DecayCurve:
+    """The DecayCurve of an (n, width) array of samples."""
+    return DecayCurve(values[:, 0], values[:, 1], values[:, 2] if width == 3 else None)
+
+
+def _bulk_curve(body: list[str], width: int) -> DecayCurve | None:
+    """The curve of the lines after a curve file's header, parsed in one pass when
+    each line is one sample of ``width`` fields and none holds a comment, else None.
+    float() ignores the whitespace around a field, as str.strip does."""
+    if body and not body[-1]:
+        body = body[:-1]  # the break that ends the last line
+    if not body or set(map(str.count, body, repeat(","))) != {width - 1}:
+        return None  # some line is blank or has another field count
+    text = ",".join(body)
+    if "#" in text:
+        return None
+    tokens = text.split(",")
+    try:
+        return _curve(np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, width),
+                      width)
+    except ValueError:
+        return None
+
+
+def _scanned_curve(path: Path, rows: Iterator[tuple[int, str]], width: int) -> DecayCurve:
+    """The curve of the (lineno, line) rows after a curve file's header, checked one
+    row at a time so that the error names the first bad line in file order.  Only
+    then are the times checked for order, and the first one not above the time
+    before it is named with its line."""
+    body = list(rows)
+    if not body:
+        raise DataFormatError(f"{path}: no samples")
+    fields = [line.split(",") for _, line in body]
+    values = np.array([_check_row(row, width, path, lineno)
+                       for (lineno, _), row in zip(body, fields)])
+    try:
+        return _curve(values, width)
+    except ValueError:  # every row is a valid sample, so the times stall
+        k = np.flatnonzero(values[1:, 0] <= values[:-1, 0])[0] + 1
+        raise DataFormatError(f"{path}:{body[k][0]}: time {fields[k][0].strip()!r} "
+                              f"not above the previous {fields[k - 1][0].strip()!r}") from None
 
 
 def read_curve(path: str | Path) -> DecayCurve:
-    """The curve in a curve file.  The body is parsed in bulk into a DecayCurve; when
-    that fails, the rows are checked one at a time so that the error names the first
-    bad line in file order.  Only then are the times checked for order, and the first
-    one not above the time before it is named with its line."""
+    """The curve in a curve file.  The lines after the header are parsed in one pass
+    (_bulk_curve); when that fails, the rows are scanned one at a time
+    (_scanned_curve), which reads every valid file to the same bits and names the
+    first bad line of any other."""
     path = Path(path)
-    lines = data_lines(path)
-    lineno, line = next(lines, (0, ""))
+    lines = _lines(_text(path))
+    rows = _content(lines)
+    lineno, line = next(rows, (0, ""))
     if not line:
         raise DataFormatError(f"{path}: empty curve file")
     fields = [f.strip() for f in line.split(",")]
@@ -123,24 +188,8 @@ def read_curve(path: str | Path) -> DecayCurve:
             len(fields) == 3 and fields[2] != "sigma"):
         raise DataFormatError(
             f"{path}:{lineno}: expected header 't_seconds,amplitude[,sigma]', got {line!r}")
-    width = len(fields)
-    body = list(lines)
-    if not body:
-        raise DataFormatError(f"{path}: no samples")
-    rows = [line.split(",") for _, line in body]
-    if all(len(row) == width for row in rows):
-        try:
-            # float() ignores the whitespace around a field, as str.strip does
-            values = np.array(list(map(float, chain.from_iterable(rows)))).reshape(-1, width)
-            return DecayCurve(values[:, 0], values[:, 1], values[:, 2] if width == 3 else None)
-        except ValueError:
-            pass
-    for (lineno, _), row in zip(body, rows):
-        _check_row(row, width, path, lineno)
-    # every row is a valid sample, so the bulk parse gave values and the times stall
-    k = np.flatnonzero(values[1:, 0] <= values[:-1, 0])[0] + 1
-    raise DataFormatError(f"{path}:{body[k][0]}: time {rows[k][0].strip()!r} "
-                          f"not above the previous {rows[k - 1][0].strip()!r}")
+    curve = _bulk_curve(lines[lineno:], len(fields))
+    return curve if curve is not None else _scanned_curve(path, rows, len(fields))
 
 
 def number_format(raw: bool) -> str:

@@ -1,15 +1,19 @@
 import argparse
+import codecs
 import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrelax import analysis, cli, evolution
+from quadrelax import analysis, cli, curves, evolution
 from quadrelax.cli import EXIT_DATA, EXIT_OK, build_parser, format_number, load_config, main
 from quadrelax.redfield_core import sector_modes
 
@@ -169,6 +173,120 @@ def test_curve_reader_keeps_every_value_bit_for_bit(tmp_path):
     np.testing.assert_array_equal(curve.amplitudes, [-0.0, 1e-3, -0.5e-310])
     assert np.signbit(curve.amplitudes[0])
     np.testing.assert_array_equal(curve.sigmas, [5e-324, 1e308, 0.25])
+
+
+#: the characters besides \n and \r that str.splitlines breaks a line at
+_NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_curve_comment_holding_another_line_separator_stays_one_line(tmp_path, char):
+    # line 2 is a comment to its end, so line 3 is data and line 4 the first bad line
+    path = tmp_path / "ls.csv"
+    comment = f"# measured 2024-05-01{char}see notebook p. 12"
+    path.write_text("\n".join(["t_seconds,amplitude", comment, "0.1,1.0", "0.2,0.5", ""]),
+                    encoding="utf-8")
+    assert read_curve(path).times.tolist() == [0.1, 0.2]
+    path.write_text("\n".join(["t_seconds,amplitude", comment, "0.1,1.0", "0.2,abc", ""]),
+                    encoding="utf-8")
+    with pytest.raises(DataFormatError) as info:
+        read_curve(path)
+    assert str(info.value) == f"{path}:4: could not convert string to float: 'abc'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_curve_lines_end_at_lf_crlf_and_cr(tmp_path, newline):
+    path = tmp_path / "c.csv"
+    path.write_bytes(newline.join(["# note", "t_seconds,amplitude", "0.1,1.0", "0.2,abc", ""])
+                     .encode("utf-8"))
+    with pytest.raises(DataFormatError) as info:
+        read_curve(path)
+    assert str(info.value) == f"{path}:4: could not convert string to float: 'abc'"
+    # a bad byte is counted on the line the same breaks give
+    path.write_bytes(newline.join(["# note\u2028more", "# caf"]).encode("utf-8") + b"\xe9\n")
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}:2: not UTF-8 "):
+        read_curve(path)
+
+
+def test_config_comment_holding_a_line_separator_stays_one_line(theo_cfg):
+    # before, the text after U+2028 was a line of its own and not 'key = value'
+    cfg = theo_cfg.with_name("noted.cfg")
+    cfg.write_text("# sample 7\u2028see notebook p. 12\n" + THEO_CFG, encoding="utf-8")
+    assert load_config(cfg) == load_config(theo_cfg)
+    cfg.write_text("# sample 7\u2028see notebook p. 12\nspin = 7\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=rf"^{re.escape(str(cfg))}:2: unknown key 'spin'$"):
+        load_config(cfg)
+
+
+#: field spellings float() reads, and some it does not or that break a contract
+_FIELD_SPELLINGS = ["0", "-0.0", "5e-324", "-.5e-310", "1_0.5", "+1E-3", "1e308", "nan", "inf",
+                    "-1e999", "abc", "", "0x1p3", "1,5", "-2"]
+#: whitespace float() and str.strip both drop, around a field
+_PADDING = st.sampled_from(["", "", " ", "\t", "  \v", "\u2028", "\xa0"])
+#: lines the bulk read declines, so that the row scan reads the file
+_OTHER_LINES = st.sampled_from(["", "   ", "# a note", "0.5", "1,2,3,4", "1,2 # note", "\x0c"])
+
+
+@st.composite
+def _curve_files(draw) -> tuple[bytes, bool]:
+    """A curve file's bytes and whether it is plain (at least one sample, increasing
+    times, valid fields, no comment, blank or malformed line after the header), with
+    a byte-order mark, a
+    comment before the header, LF, CRLF or CR breaks and padded fields drawn apart."""
+    width, plain = draw(st.sampled_from([2, 3])), draw(st.booleans())
+    steps = draw(st.lists(st.floats(1e-9, 1e3), min_size=plain, max_size=6))
+    good = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    field = good if plain else st.one_of(good, st.sampled_from(_FIELD_SPELLINGS))
+    lines, time = [], draw(st.sampled_from([0.0, 1e-3]))
+    for step in steps:
+        time += step
+        sigma = draw(st.floats(1e-300, 1e300).map(repr) if plain else field)
+        fields = [repr(time) if plain else draw(st.one_of(st.just(repr(time)), field)),
+                  draw(field), sigma][:width]
+        lines.append(",".join(draw(_PADDING) + f + draw(_PADDING) for f in fields))
+    if not plain:
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_OTHER_LINES))
+    header = [_WEIGHTED if width == 3 else _PLAIN]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(draw(st.sampled_from([[], ["# saved as CSV"]])) + header + lines)
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + (text + draw(st.sampled_from([newline, ""]))).encode("utf-8"), plain
+
+
+def _read_outcome(path: Path):
+    """read_curve's arrays as bytes (so -0.0 differs from 0.0), or its error text."""
+    try:
+        curve = read_curve(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return [None if a is None else a.tobytes() for a in (curve.times, curve.amplitudes,
+                                                         curve.sigmas)]
+
+
+def test_bulk_curve_read_matches_the_row_scan(tmp_path_factory):
+    # the one-pass read of the lines after the header gives the row scan's bits or
+    # declines, so a file reads the same with it and without it; it serves every
+    # plain file
+    path = tmp_path_factory.mktemp("bulk") / "c.csv"
+    real_bulk = curves._bulk_curve
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(_curve_files())
+    def check(case):
+        data, plain = case
+        path.write_bytes(data)
+        served = []
+        with mock.patch.object(curves, "_bulk_curve",
+                               lambda body, width: served.append(real_bulk(body, width))
+                               or served[-1]):
+            got = _read_outcome(path)
+        with mock.patch.object(curves, "_bulk_curve", lambda body, width: None):
+            assert got == _read_outcome(path)
+        if plain:
+            assert served[-1] is not None
+
+    check()
 
 
 def _per_value_lines(rows, raw, sep=" "):
