@@ -101,7 +101,7 @@ def _joint_eigensystems(b0: float, b1: float, b2: float) -> tuple:
     lam, vec = np.linalg.eigh(b0 * a[0] + b1 * a[1] + b2 * a[2])
     weights = ends @ vec  # c V and V^T d by q
     for arr in (lam, vec, weights):
-        arr.setflags(write=False)
+        arr.flags.writeable = False
     return lam, vec, weights[:, 0], weights[:, 1]
 
 
@@ -171,7 +171,7 @@ def _fit_rows(long_curve: DecayCurve, trans_curve: DecayCurve) -> _FitRows:
     y -= f * (f @ y)
     rows = _FitRows(split, times, mask8 * times, mask8, weights, frame)
     for arr in rows[1:]:
-        arr.setflags(write=False)
+        arr.flags.writeable = False
     return rows
 
 
@@ -190,7 +190,7 @@ _PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 #: added to a sector's eigenvalue gaps lam_i - lam_j, so that each mode's own term
 #: drops out of the partial fractions
 _SELF = np.diag(np.full(4, np.inf))
-_SELF.setflags(write=False)
+_SELF.flags.writeable = False
 
 
 def _fit_point(modes: tuple, rows: _FitRows) -> _FitPoint:
@@ -263,7 +263,7 @@ def _fit_point(modes: tuple, rows: _FitRows) -> _FitPoint:
     jac -= ((jac @ basis.T) * inv2) @ basis
     record = _FitPoint(u @ v - frame[3], jac.T, g[0], ds.T, *u.tolist())
     for arr in record[:4]:
-        arr.setflags(write=False)
+        arr.flags.writeable = False
     return record
 
 
@@ -391,17 +391,11 @@ def fit_redfield_joint(long_curve: DecayCurve, trans_curve: DecayCurve, init,
         jac, x[1] = np.delete(jac, 1, axis=1), np.nan
         names.remove("a2z")
     # pinv of the columns scaled to unit norm, unscaled after: J^+ = D^-1 (J D^-1)^+
-    # for J of full column rank, D the column norms; a zero column keeps a scale of 1.
-    # With J D^-1 = U S V^T, the rows of its pinv V S^+ U^T have the norms of the rows
-    # of V S^+, U having orthonormal columns; S^+ drops singular values up to pinv's
-    # default cutoff, 1e-15 of the largest
+    # for J of full column rank, D the column norms; a zero column keeps a scale of 1
     norms = np.linalg.norm(jac, axis=0)
     norms[norms == 0] = 1.0
-    _, s, vt = np.linalg.svd(jac / norms, full_matrices=False)
-    cutoff = 1e-15 * s[0]
-    s_plus = [1.0 / value if value > cutoff else 0.0 for value in s.tolist()]
     sigmas = (math.sqrt(ssr / (len(jac) - len(names)))
-              * np.linalg.norm(vt.T * s_plus, axis=1) / norms)
+              * np.linalg.norm(np.linalg.pinv(jac / norms), axis=1) / norms)
     values = x.tolist()
     values.insert(3, 1.0)  # a2x
     params = dict(zip(PARAM_NAMES, values))

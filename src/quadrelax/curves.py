@@ -138,13 +138,12 @@ def _bulk_curve(body: list[str], width: int) -> DecayCurve | None:
     """The curve of the lines after a curve file's header, parsed in one pass when
     each line is one sample of ``width`` fields and none holds a comment, else None.
     float() ignores the whitespace around a field, as str.strip does."""
-    if body and not body[-1]:
-        body = body[:-1]  # the break that ends the last line
-    if not body or set(map(str.count, body, repeat(","))) != {width - 1}:
-        return None  # some line is blank or has another field count
+    while body and not body[-1]:
+        body = body[:-1]  # the breaks that end the text
     text = ",".join(body)
-    if "#" in text:
-        return None
+    if not body or "#" in text or "" in body or (
+            set(map(str.count, body, repeat(","))) != {width - 1}):
+        return None  # some line holds a comment, is blank or has another field count
     tokens = text.split(",")
     try:
         return _curve(np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, width),
@@ -154,13 +153,17 @@ def _bulk_curve(body: list[str], width: int) -> DecayCurve | None:
 
 
 def _scanned_curve(path: Path, rows: Iterator[tuple[int, str]], width: int) -> DecayCurve:
-    """The curve of the (lineno, line) rows after a curve file's header, checked one
-    row at a time so that the error names the first bad line in file order.  Only
-    then are the times checked for order, and the first one not above the time
-    before it is named with its line."""
+    """The curve of the (lineno, line) rows after a curve file's header: parsed in one
+    pass (_bulk_curve) when that takes them, else checked one row at a time so that
+    the error names the first bad line in file order.  Only then are the times checked
+    for order, and the first one not above the time before it is named with its
+    line."""
     body = list(rows)
     if not body:
         raise DataFormatError(f"{path}: no samples")
+    curve = _bulk_curve([line for _, line in body], width)
+    if curve is not None:
+        return curve
     fields = [line.split(",") for _, line in body]
     values = np.array([_check_row(row, width, path, lineno)
                        for (lineno, _), row in zip(body, fields)])
@@ -174,9 +177,9 @@ def _scanned_curve(path: Path, rows: Iterator[tuple[int, str]], width: int) -> D
 
 def read_curve(path: str | Path) -> DecayCurve:
     """The curve in a curve file.  The lines after the header are parsed in one pass
-    (_bulk_curve); when that fails, the rows are scanned one at a time
-    (_scanned_curve), which reads every valid file to the same bits and names the
-    first bad line of any other."""
+    (_bulk_curve); when that fails, their comments and blank lines are dropped and
+    the rest goes to _scanned_curve, which reads every valid file to the same bits
+    and names the first bad line of any other."""
     path = Path(path)
     lines = _lines(_text(path))
     rows = _content(lines)
