@@ -522,8 +522,10 @@ def ilt(curve: DecayCurve, grid_spec: tuple[float, float, int], alpha: float | N
 
     Solves min_w ||K w - y||^2 + alpha ||w||^2 with w >= 0 on a log-spaced
     grid via the active-set NNLS of the augmented system.  alpha=None picks
-    the largest value on a log sweep whose misfit stays within the estimated
-    noise floor (discrepancy principle).
+    the largest value on the sweep ``np.logspace(2, -12, 29)`` whose misfit
+    stays within the estimated noise floor times sqrt(n) (discrepancy
+    principle), and 0 when none does; the floor is the mean sigma, or without
+    sigmas a robust estimate from the second differences.
     """
     from scipy.optimize import nnls
 

@@ -955,6 +955,25 @@ def test_ilt_single_exponential_localizes():
     assert near >= 0.9 * dist.weights.sum()
 
 
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2])
+def test_ilt_without_alpha_picks_the_largest_swept_alpha_within_the_noise_target(sigma):
+    # brute force over the documented sweep, largest alpha first: alpha=None takes the
+    # first whose misfit is within the noise target, the mean sigma times sqrt(n)
+    rng = np.random.default_rng(11)
+    t = np.logspace(-3, 0.3, 80)
+    y = np.exp(-t / 0.1) + 0.5 * np.exp(-t / 0.01) + sigma * rng.standard_normal(t.size)
+    curve, grid = DecayCurve(t, y, np.full(t.size, sigma)), (1e-3, 10.0, 40)
+    target = sigma * np.sqrt(t.size)
+    sweep = [ilt(curve, grid, alpha=float(a)) for a in np.logspace(2, -12, 29)]
+    within = [dist for dist in sweep if dist.residual <= target]
+    # the target is met on the sweep, and not by its largest alpha
+    assert within and within[0] is not sweep[0]
+    dist = ilt(curve, grid, alpha=None)
+    assert dist.alpha == within[0].alpha > 0
+    assert dist.residual == within[0].residual
+    np.testing.assert_array_equal(dist.weights, within[0].weights)
+
+
 def test_ilt_two_exponentials_separate():
     t = np.logspace(-4, 0.2, 200)
     y = np.exp(-t / 5e-3) + np.exp(-t / 0.3)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrelax import analysis, cli, curves, evolution
-from quadrelax.cli import EXIT_DATA, EXIT_OK, build_parser, format_number, load_config, main
+from quadrelax.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, format_number, load_config,
+                           main)
 from quadrelax.redfield_core import sector_modes
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -63,6 +64,22 @@ def test_curve_rejects_bad_header(tmp_path):
     path.write_text("time,value\n0.1,1.0\n")
     with pytest.raises(DataFormatError):
         read_curve(path)
+
+
+@pytest.mark.parametrize("header, body", [
+    ("t_seconds,amplitude,sigma,x", "0.1,1.0,0.1,5"),
+    ("t_seconds,amplitude,weight", "0.1,1.0,0.1"),
+    ("t_seconds", "0.1"),
+    ("amplitude,t_seconds", "0.1,1.0"),
+])
+def test_curve_header_other_than_the_two_forms_gets_the_header_message(tmp_path, header, body):
+    # a body that would parse at the header's width is still refused at the header
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# note\n{header}\n{body}\n0.2,0.5,0.1,6\n")
+    with pytest.raises(DataFormatError) as info:
+        read_curve(path)
+    assert str(info.value) == (f"{path}:2: expected header 't_seconds,amplitude[,sigma]', "
+                               f"got {header!r}")
 
 
 def test_curve_rejects_non_increasing(tmp_path):
@@ -291,9 +308,11 @@ def test_bulk_curve_read_matches_the_row_scan(tmp_path_factory):
     check()
 
 
-def _per_value_lines(rows, raw, sep=" "):
-    """The table body written one format_number call per value, the reference form."""
-    return [sep.join(format_number(v, raw) for v in row) for row in rows]
+def _per_value_lines(rows, raw, sep=" ", int_columns=0):
+    """The table body written one format_number call per value (``%d`` for the first
+    int_columns), the reference form."""
+    return [sep.join("%d" % v if k < int_columns else format_number(v, raw)
+                     for k, v in enumerate(row)) for row in rows]
 
 
 TABLE_VALUES = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e16, 1e-5, 7, np.int64(-3),
@@ -315,6 +334,69 @@ def test_table_is_the_per_value_format_number_join(raw, shape):
                                 *_per_value_lines(rows, raw)]
     assert format_table("h", rows, raw, sep=",").split("\n") == ["h", *_per_value_lines(
         rows, raw, sep=",")]
+
+
+def _nan_with_payload(payload: int) -> float:
+    return float((np.array([np.nan]).view(np.int64) | payload).view(np.float64)[0])
+
+
+# columns that hold one value, or one value up to its bits, beside columns that move
+SINGLE_VALUED_TABLES = {
+    "all 0.0": ([[0.0, 0.1, 0.0], [0.0, 0.2, 0.0], [0.0, 0.3, 0.0]], 0),
+    "0.0 and -0.0": ([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]], 0),
+    "-0.0 then 0.0": ([[-0.0, 2.5], [-0.0, 2.5], [0.0, 2.5]], 0),
+    "nan": ([[np.nan, 1.0], [np.nan, 2.0], [np.nan, 3.0]], 0),
+    "nan payloads": ([[np.nan, 1.0], [_nan_with_payload(1), 1.0], [-np.nan, 1.0]], 0),
+    "inf and -inf": ([[np.inf, -np.inf, 1.0], [np.inf, -np.inf, 2.0]], 0),
+    "inf then -inf": ([[np.inf, 1.0], [-np.inf, 1.0], [np.inf, 1.0]], 0),
+    "int column": ([[7, 0.5, 1.0 / 3.0], [7, 0.25, 1.0 / 3.0], [7, 0.125, 1.0 / 3.0]], 1),
+    "int columns": ([[3, -1, 0.5], [3, -2, 0.5]], 2),
+    "one row": ([[1.0 / 3.0, 0.0, -0.0, np.nan, np.inf, 5e-324, 7.0]], 0),
+    "one row, int": ([[4, 1e16, 2.5e-300]], 1),
+    "one column": ([[0.1], [0.1], [0.1]], 0),
+}
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+@pytest.mark.parametrize("raw", [True, False])
+@pytest.mark.parametrize("rows, int_columns", SINGLE_VALUED_TABLES.values(),
+                         ids=SINGLE_VALUED_TABLES.keys())
+def test_single_valued_columns_keep_the_per_value_bytes(rows, int_columns, raw, sep):
+    # a column is written once only when its values share their bits, so 0.0 and
+    # -0.0 mixed in one column still print row by row
+    assert format_table("h", rows, raw, sep, int_columns).split("\n") == [
+        "h", *_per_value_lines(rows, raw, sep, int_columns)]
+
+
+_TABLE_FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf,
+                                                        -np.inf, 5e-324, 1.0 / 3.0]))
+
+
+@st.composite
+def _tables_with_repeated_columns(draw):
+    """(rows, int_columns): a table in which each column is either drawn value by value
+    or one drawn value repeated, and whose integer columns hold integers."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    int_columns = draw(st.integers(0, n_cols))
+    columns = []
+    for k in range(n_cols):
+        values = st.integers(-10**6, 10**6) if k < int_columns else _TABLE_FLOATS
+        if draw(st.booleans()):
+            columns.append([draw(values)] * n_rows)
+        else:
+            columns.append(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+    return [list(row) for row in zip(*columns)], int_columns
+
+
+def test_tables_with_repeated_columns_are_the_per_value_join():
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(_tables_with_repeated_columns(), st.booleans(), st.sampled_from([" ", ","]))
+    def check(table, raw, sep):
+        rows, int_columns = table
+        assert format_table("h", rows, raw, sep, int_columns).split("\n") == [
+            "h", *_per_value_lines(rows, raw, sep, int_columns)]
+
+    check()
 
 
 @pytest.mark.parametrize("raw", [True, False])
@@ -426,7 +508,7 @@ _USAGE_ERRORS = (
     ["ilt", "--curve", "c.csv", "--t-min", "1", "--t-max", "2", "--seed", "1"],
     ["validate", "--raw"], ["validate", "--quad-freq", "-1"],
     *([*_EVOLVE, "--elements", spec]
-      for spec in ("a,b", "9,1", "1,0", ";", "", "1,2,3", "1", "1,1;8,x")),
+      for spec in ("a,b", "9,1", "1,9", "1,0", ";", "", "1,2,3", "1", "1,1;8,x")),
 )
 
 
@@ -434,7 +516,7 @@ def test_unknown_flag_exits_2(capsys):
     for argv in _USAGE_ERRORS:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(argv)
-        assert err.value.code == 2
+        assert err.value.code == EXIT_USAGE
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -502,7 +584,7 @@ def test_module_entry_point_reports_an_unknown_flag(capsys, monkeypatch):
     done = subprocess.run([sys.executable, "-m", "quadrelax.cli", "rates", "--frobnicate"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert ("exit", done.returncode, done.stdout, done.stderr) == want
-    assert want[1] == 2
+    assert want[1] == EXIT_USAGE
     assert want[3].endswith("quadrelax: error: unrecognized arguments: --frobnicate\n")
 
 
@@ -527,7 +609,7 @@ def test_non_value_of_a_typed_flag_names_no_private_function(tmp_path, capsys, c
     out = tmp_path / "never"
     with pytest.raises(SystemExit) as err:
         main([command, flag, "abc", "--out", str(out)])
-    assert err.value.code == 2
+    assert err.value.code == EXIT_USAGE
     message = capsys.readouterr().err.strip().splitlines()[-1]
     assert message.startswith(f"quadrelax {command}: error: argument {flag}: ")
     named = re.search(r"invalid (\w+) value", message)
@@ -571,7 +653,7 @@ def test_format_number_keeps_the_sign_of_infinity(raw):
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args([])
-    assert err.value.code == 2
+    assert err.value.code == EXIT_USAGE
 
 
 def test_main_builds_its_parser_once():
@@ -799,6 +881,31 @@ def test_bloch_command(tmp_path):
     assert "t2_seconds = 0.00975" in text
 
 
+def test_bloch_report_gives_each_parameter_its_own_sigma(tmp_path):
+    long_path, trans_path = tmp_path / "l.csv", tmp_path / "t.csv"
+    rng = np.random.default_rng(3)
+    t = np.logspace(-3, 0, 30)
+    write_curve(long_path, DecayCurve(
+        t, 0.1 + 0.9 * (1 - 2 * np.exp(-t / 0.2)) + 0.01 * rng.standard_normal(t.size)))
+    write_curve(trans_path, DecayCurve(
+        t, 0.9 * np.exp(-t / 0.05) + 0.01 * rng.standard_normal(t.size)))
+    out = tmp_path / "o"
+    assert main(["bloch", "--long", str(long_path), "--trans", str(trans_path), "--raw",
+                 "--out", str(out)]) == EXIT_OK
+    longitudinal = analysis.fit_bloch_longitudinal(read_curve(long_path))
+    transverse = analysis.fit_bloch_transverse(read_curve(trans_path))
+    want = [("a0z", longitudinal.a0, longitudinal.uncertainties[0]),
+            ("a1z", longitudinal.a1, longitudinal.uncertainties[1]),
+            ("t1_seconds", longitudinal.t1, longitudinal.uncertainties[2]),
+            ("a1x", transverse.a1, transverse.uncertainties[0]),
+            ("t2_seconds", transverse.t2, transverse.uncertainties[1])]
+    # distinct sigmas, so that a line printing another parameter's shows
+    assert len({sigma for *_, sigma in want}) == len(want)
+    lines = (out / "bloch_report.txt").read_text().splitlines()
+    for name, value, sigma in want:
+        assert f"{name} = {float(value)!r} +/- {float(sigma)!r}" in lines
+
+
 def test_ilt_command(tmp_path):
     t = np.logspace(-3, 0, 80)
     write_curve(tmp_path / "c.csv", DecayCurve(t, np.exp(-t / 0.1)))
@@ -824,7 +931,7 @@ def test_ilt_impossible_grid_exits_2(tmp_path, grid):
     with pytest.raises(SystemExit) as err:
         main(["ilt", "--curve", str(DATA_DIR / "synthetic_transverse.csv"), *grid,
               "--out", str(tmp_path)])
-    assert err.value.code == 2
+    assert err.value.code == EXIT_USAGE
     assert not (tmp_path / "distribution.txt").exists()
 
 
@@ -847,7 +954,7 @@ def test_non_finite_number_flag_exits_2(tmp_path, capsys, flag, argv, value):
     out = tmp_path / "never"
     with pytest.raises(SystemExit) as err:
         main([*argv, f"{flag}={value}", "--out", str(out)])
-    assert err.value.code == 2
+    assert err.value.code == EXIT_USAGE
     assert f"argument {flag}: expected a finite number, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
     for number in (-2.5, 0.0):
@@ -865,7 +972,7 @@ def test_non_positive_start_exits_2(tmp_path, capsys, flag, value):
         main(["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
               "--trans", str(DATA_DIR / "synthetic_transverse.csv"), f"{flag}={value}",
               "--out", str(out)])
-    assert err.value.code == 2
+    assert err.value.code == EXIT_USAGE
     assert (f"argument {flag}: expected a positive finite number, got {value!r}"
             in capsys.readouterr().err)
     assert not out.exists()
@@ -926,6 +1033,10 @@ _BUNDLED_PAIR = ["fit", "--long", str(DATA_DIR / "synthetic_longitudinal.csv"),
                  {"validate_report.txt": "validate_report_seed0.txt"}, id="validate"),
     pytest.param(_cli_runs(["evolve", *_THEORETICAL, "--t-max", "0.05", "--points", "200"]),
                  {"trajectory.txt": "trajectory_theoretical.txt"}, id="evolve"),
+    *(pytest.param(_cli_runs(["evolve", *_THEORETICAL, "--t-max", "0.05", "--points", "200",
+                              "--state", state]),
+                   {"trajectory.txt": f"trajectory_{state}.txt"}, id=f"evolve-{state}")
+      for state in ("pure_top", "uniform")),
     pytest.param(_cli_runs([*_BUNDLED_PAIR, "--raw", "--restarts", "2"], _BUNDLED_PAIR),
                  {"fit_report.txt": "fit_report_bundled.txt"}, id="fit"),
     pytest.param(_generate_curves,
@@ -1040,6 +1151,9 @@ def test_fit_report_lists_each_models_four_modes(tmp_path):
                                               (amp, 1.0 / rate if rate > 0 else np.inf))])
         table = read_table(out / f"fit_{label}_model.txt")
         np.testing.assert_array_equal(table["model"], model.evaluate(table["t_seconds"]))
+        # 500 times from the curve's first sample time to its last
+        times = read_curve(DATA_DIR / f"synthetic_{label}.csv").times
+        np.testing.assert_array_equal(table["t_seconds"], np.linspace(times[0], times[-1], 500))
 
 
 def test_missing_curve_file_exits_3(tmp_path, capsys):
@@ -1195,18 +1309,19 @@ def test_evolve_rejects_unknown_state_and_element(tmp_path, theo_cfg, capsys):
                                 ("--equilibrium", "noon", "pure_top, uniform")):
         with pytest.raises(SystemExit) as err:
             main([*common[:-1], str(out), flag, name])
-        assert err.value.code == 2
+        assert err.value.code == EXIT_USAGE
         assert (f"argument {flag}: unknown state {name!r} ({allowed} or file:PATH)"
                 in capsys.readouterr().err)
         assert not out.exists()
     for spec, message in (("9,1", "element (9,1) outside 1..8"),
+                          ("1,9", "element (1,9) outside 1..8"),
                           ("1,1;0,2", "element (0,2) outside 1..8"),
                           ("1,1;a,b", "bad element 'a,b'"),
                           ("8,8;1,2,3", "bad element '1,2,3'"),
                           (";", "no elements in ';'")):
         with pytest.raises(SystemExit) as err:
             main([*common[:-1], str(out), "--elements", spec])
-        assert err.value.code == 2
+        assert err.value.code == EXIT_USAGE
         assert f"argument --elements: {message}" in capsys.readouterr().err
         assert not out.exists()
 
